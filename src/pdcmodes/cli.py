@@ -21,7 +21,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c
 
 from . import __version__
 from . import dispersion as disp
@@ -29,6 +28,7 @@ from . import jsa as jsamod
 from . import phasematch as pm
 from . import squeezing as sqz
 from .config import RunConfig, load_run_config
+from .constants import c
 from .errors import DomainError, SolverError, ValidationError
 
 __all__ = ["main", "build_parser"]

@@ -15,7 +15,8 @@ from typing import Any, Mapping
 
 import yaml
 
-from .dispersion import CrystalModel, load_bundled_crystal, load_crystal_file
+from .dispersion import (CrystalModel, _is_real, load_bundled_crystal,
+                         load_crystal_file)
 from .errors import ValidationError
 from .jsa import PumpPulse
 from .phasematch import PdcConfig
@@ -46,9 +47,9 @@ def _as_number(mapping: Mapping, key: str, context: str,
             raise ValidationError(f"{context}: missing required key {key!r}")
         return default
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise ValidationError(
-            f"{context}: {key} must be a number, got {value!r}")
+            f"{context}: {key} must be a finite number, got {value!r}")
     return float(value)
 
 

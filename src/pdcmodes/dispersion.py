@@ -22,6 +22,7 @@ cross-check lives in the test suite).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -30,8 +31,8 @@ from typing import Mapping
 import numpy as np
 import yaml
 from importlib import resources
-from scipy.constants import c
 
+from .constants import c
 from .errors import DomainError, ValidationError
 
 __all__ = [
@@ -95,6 +96,33 @@ class SellmeierSet:
         raise NotImplementedError
 
 
+def _is_real(value) -> bool:
+    """True for a finite int or float, the numbers that crystal and run
+    configuration files accept; a bool is not a number here."""
+    # abs(value) <= max is False for NaN and ±inf, and for ints beyond the
+    # float range without converting them
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _coefficient(value, context: str) -> float:
+    """A Sellmeier coefficient as a float; numeric text such as ``1.0e8``
+    (which YAML reads as a string) is accepted, as ``float`` accepts it."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if isinstance(value, bool) or not _is_real(number):
+        raise ValidationError(f"{context} must be a finite number, got {value!r}")
+    return number
+
+
+def _coefficient_list(value, context: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{context} must be a list of numbers, got {value!r}")
+    return tuple(_coefficient(v, context) for v in value)
+
+
 def _require_keys(mapping: Mapping, required: tuple, context: str) -> None:
     missing = [k for k in required if k not in mapping]
     unknown = [k for k in mapping if k not in required]
@@ -123,7 +151,7 @@ class GayerTwoPole(SellmeierSet):
     def __init__(self, **coeffs: float):
         _require_keys(coeffs, self._KEYS, "gayer_two_pole")
         for key in self._KEYS:
-            setattr(self, key, float(coeffs[key]))
+            setattr(self, key, _coefficient(coeffs[key], f"gayer_two_pole: {key}"))
 
     def _f(self, t_c):
         return (t_c - self.t_ref_c) * (t_c + self.t_ref_c + 2.0 * 273.16)
@@ -176,12 +204,12 @@ class StandardSellmeier(SellmeierSet):
 
     def __init__(self, **coeffs: float | list):
         _require_keys(coeffs, self._KEYS, "sellmeier_standard")
-        self.a = float(coeffs["a"])
-        self.b = tuple(float(v) for v in coeffs["b"])
-        self.c = tuple(float(v) for v in coeffs["c"])
-        self.d = float(coeffs["d"])
-        self.dn_dt = float(coeffs["dn_dt"])
-        self.t_ref_c = float(coeffs["t_ref_c"])
+        self.a = _coefficient(coeffs["a"], "sellmeier_standard: a")
+        self.b = _coefficient_list(coeffs["b"], "sellmeier_standard: b")
+        self.c = _coefficient_list(coeffs["c"], "sellmeier_standard: c")
+        self.d = _coefficient(coeffs["d"], "sellmeier_standard: d")
+        self.dn_dt = _coefficient(coeffs["dn_dt"], "sellmeier_standard: dn_dt")
+        self.t_ref_c = _coefficient(coeffs["t_ref_c"], "sellmeier_standard: t_ref_c")
         if len(self.b) != len(self.c):
             raise ValidationError(
                 "sellmeier_standard: b and c pole lists differ in length")
@@ -296,16 +324,18 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
 
     rng = doc["valid_range_um"]
     if (not isinstance(rng, (list, tuple)) or len(rng) != 2
-            or not all(isinstance(v, (int, float)) for v in rng)):
-        raise ValidationError("valid_range_um must be a [lo, hi] pair in µm")
+            or not all(_is_real(v) for v in rng)):
+        raise ValidationError(
+            f"valid_range_um must be a [lo, hi] pair of finite numbers in µm, got {rng!r}")
     lo, hi = float(rng[0]), float(rng[1])
     if not (0.0 < lo < hi):
         raise ValidationError(
             f"valid_range_um must be a non-empty positive interval, got [{lo}, {hi}]")
 
     d_eff = doc["d_eff_pm_per_V"]
-    if not isinstance(d_eff, (int, float)) or not d_eff > 0:
-        raise ValidationError(f"d_eff_pm_per_V must be > 0, got {d_eff!r}")
+    if not _is_real(d_eff) or not d_eff > 0:
+        raise ValidationError(
+            f"d_eff_pm_per_V must be a finite number > 0, got {d_eff!r}")
 
     t_model = str(doc["temperature_model"])
     if t_model not in _TEMPERATURE_MODELS:

@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c
 
 from . import dispersion as _dispersion
 from . import phasematch as _phasematch
+from .constants import c
 from .errors import DomainError, ValidationError
 from .phasematch import PdcConfig
 

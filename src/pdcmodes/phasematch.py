@@ -16,13 +16,13 @@ substituted for the full form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c
-from scipy.optimize import brentq
 
 from . import dispersion
+from .constants import c
 from .dispersion import CrystalModel
 from .errors import DomainError, SolverError
 
@@ -49,6 +49,10 @@ _MAX_POLING_PERIOD_M = 1.0
 _CGVM_XTOL_UM = 1e-9
 _CGVM_GTOL = 1e-9
 _TEMP_XTOL_C = 1e-3
+
+# relative tolerance floor and iteration cap of the Brent solver
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -254,6 +258,70 @@ def walkoff_time(config: PdcConfig) -> float:
     return dk1 * config.length_m / 2.0
 
 
+def _brentq(f, a: float, b: float, xtol: float,
+            maxiter: int = _BRENT_MAXITER) -> float:
+    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    The step-for-step iteration of the reference C implementation of
+    ``brentq``: the same bracket swap, secant and inverse quadratic steps,
+    stopping test |x − root| ≲ xtol + 4ε·|x| and defaults, so it returns
+    the same root bit for bit (the test suite checks this against that
+    implementation). ``f(a)`` and ``f(b)`` must differ in sign. Raises
+    :class:`SolverError` when ``f`` returns NaN or after ``maxiter``
+    iterations without convergence.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise SolverError(f"root search hit a NaN function value at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise SolverError(f"f({xpre!r}) and f({xcur!r}) have the same sign")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant interpolation
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise SolverError(
+        f"root search did not converge in {maxiter} iterations (last x = {xcur!r})")
+
+
 def _group_index_gap(crystal: CrystalModel, pump_axis: str, signal_axis: str,
                      lam_um: float, temperature_c: float) -> float:
     """m_pump(λ/2) − m_signal(λ): zero at complete group velocity matching."""
@@ -279,7 +347,7 @@ def solve_cgvm(crystal: CrystalModel, pump_axis: str, signal_axis: str,
             f"no cGVM point: group-index gap does not change sign over "
             f"[{a:g}, {b:g}] µm at {temperature_c:g} °C "
             f"(gap {ga:.3e} → {gb:.3e})")
-    lam = brentq(
+    lam = _brentq(
         lambda l: _group_index_gap(crystal, pump_axis, signal_axis, l, temperature_c),
         a, b, xtol=_CGVM_XTOL_UM)
     gap = _group_index_gap(crystal, pump_axis, signal_axis, lam, temperature_c)
@@ -315,5 +383,5 @@ def solve_cgvm_temperature(crystal: CrystalModel, pump_axis: str,
         raise SolverError(
             f"cGVM wavelength {target_um:g} µm unreachable over "
             f"[{a:g}, {b:g}] °C (offset {ga:.3e} → {gb:.3e} µm)")
-    t_c = brentq(gap, a, b, xtol=_TEMP_XTOL_C)
+    t_c = _brentq(gap, a, b, xtol=_TEMP_XTOL_C)
     return float(t_c)

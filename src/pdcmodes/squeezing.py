@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c, epsilon_0, hbar
 
 from . import dispersion as _dispersion
 from . import jsa as _jsa
+from .constants import c, epsilon_0, hbar
 from .errors import ValidationError
 from .jsa import FrequencyGrid, PumpPulse
 from .phasematch import PdcConfig

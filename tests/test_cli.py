@@ -107,6 +107,15 @@ def test_child_imports_package_under_test(tmp_path):
     assert Path(result.stdout.strip()).resolve() == Path(p.__file__).resolve()
 
 
+def test_import_pulls_in_no_scipy(tmp_path):
+    code = ("import json, sys, pdcmodes, pdcmodes.cli; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                            env=child_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, workdir):
         for out in ("det_a", "det_b"):
@@ -392,6 +401,30 @@ class TestErrorPaths:
         assert explicit.returncode == 0, explicit.stderr
         assert (workdir / "pb" / "poling.json").read_text() == \
             (workdir / "pe" / "poling.json").read_text()
+
+    @pytest.mark.parametrize("old, bad", [
+        ("temperature_c: 11.0", "temperature_c: .nan"),
+        ("crystal_length_mm: 80.0", "crystal_length_mm: .inf"),
+    ], ids=["nan_temperature", "inf_length"])
+    def test_non_finite_config_number_is_validity_error(self, workdir, old, bad):
+        (workdir / "nonfinite.yaml").write_text(MATCHED_YAML.replace(old, bad),
+                                               encoding="utf-8")
+        result = run_cli("squeeze", "--config", "nonfinite.yaml", "--grid-n",
+                         "64", "--out", "nonfinite", cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("error[validity]:"), result.stderr
+        assert bad.split(":")[0] in result.stderr
+        assert "Warning" not in result.stderr
+
+    def test_text_crystal_coefficient_is_validity_error(self, workdir):
+        crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
+        (workdir / "text_coeff.yaml").write_text(
+            crystal.replace("a1: 5.653", "a1: x", 1), encoding="utf-8")
+        result = run_cli("poling", "--config", "matched.yaml", "--crystal",
+                         "text_coeff.yaml", cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.startswith("error[validity]:"), result.stderr
+        assert "a1" in result.stderr
 
     def test_domain_error_from_bad_wavelength(self, workdir):
         bad = workdir / "uv.yaml"

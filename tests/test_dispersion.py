@@ -211,6 +211,23 @@ class TestLoadCrystal:
         with pytest.raises(p.ValidationError, match="d_eff"):
             p.load_crystal(text)
 
+    @pytest.mark.parametrize("old, bad", [
+        ("a1: 5.653", "a1: x"),
+        ("a1: 5.653", "a1: null"),
+        ("valid_range_um: [0.5, 4.0]", "valid_range_um: [true, 4.0]"),
+        ("d_eff_pm_per_V: 4.64", "d_eff_pm_per_V: true"),
+    ], ids=["text_coefficient", "null_coefficient", "bool_range", "bool_d_eff"])
+    def test_malformed_number_rejected(self, old, bad):
+        text = p.bundled_crystal_path().read_text(encoding="utf-8")
+        assert old in text
+        with pytest.raises(p.ValidationError, match=bad.split(":")[0]):
+            p.load_crystal(text.replace(old, bad, 1))
+
+    def test_pole_coefficients_must_be_a_list(self):
+        text = _MINIMAL.format(a=4.84, b="3.0", c="[]")
+        with pytest.raises(p.ValidationError, match="b must be a list"):
+            p.load_crystal(text)
+
     def test_standard_sellmeier_round_trip(self):
         text = _MINIMAL.format(a=1.0, b="[2.5, 1.0]", c="[0.01, 100.0]")
         xtl = p.load_crystal(text)

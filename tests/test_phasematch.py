@@ -5,10 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c
+from scipy.optimize import brentq
 
 import pdcmodes as p
 from pdcmodes.dispersion import k_double_prime, k_prime
+from pdcmodes.phasematch import (_CGVM_XTOL_UM, _TEMP_XTOL_C, _brentq,
+                                 _group_index_gap)
 
 from conftest import ROOM_T_C, assert_within
 
@@ -249,3 +253,61 @@ class TestSolveCgvmTemperature:
     def test_unreachable_target_raises(self, crystal):
         with pytest.raises(p.SolverError):
             p.solve_cgvm_temperature(crystal, "e", "o", 3.0, (20.0, 30.0))
+
+
+class TestBrentSolver:
+    """The in-package Brent solver against scipy's ``brentq`` as an oracle:
+    the same iteration must give the same root, bit for bit."""
+
+    @pytest.mark.parametrize("t_c", [-20.0, 0.0, 11.0, ROOM_T_C, 40.0, 60.0])
+    def test_cgvm_gap_root_equals_reference(self, crystal, t_c):
+        def gap(lam):
+            return _group_index_gap(crystal, "e", "o", lam, t_c)
+
+        ours = _brentq(gap, 1.2, 2.0, xtol=_CGVM_XTOL_UM)
+        assert ours == brentq(gap, 1.2, 2.0, xtol=_CGVM_XTOL_UM)
+        assert ours == p.solve_cgvm(crystal, "e", "o", t_c, (1.2, 2.0))
+
+    def test_temperature_root_equals_reference(self, crystal):
+        # the solve behind `cgvm --target-um 1.55` with its default brackets
+        target = 1.55
+
+        def gap(t_c):
+            return p.solve_cgvm(crystal, "e", "o", t_c,
+                                (0.75 * target, 1.25 * target)) - target
+
+        ours = _brentq(gap, -20.0, 60.0, xtol=_TEMP_XTOL_C)
+        assert ours == brentq(gap, -20.0, 60.0, xtol=_TEMP_XTOL_C)
+        assert ours == p.solve_cgvm_temperature(crystal, "e", "o", target,
+                                                (-20.0, 60.0))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(root=st.floats(-10.0, 10.0),
+           slope=st.floats(0.01, 100.0),
+           cubic=st.floats(0.0, 10.0),
+           growth=st.floats(0.0, 1.0),
+           sign=st.sampled_from([1.0, -1.0]),
+           left=st.floats(1e-3, 10.0),
+           right=st.floats(1e-3, 10.0),
+           xtol=st.sampled_from([2e-12, 1e-9, 1e-6, 1e-3]))
+    def test_smooth_bracketed_roots_equal_reference(
+            self, root, slope, cubic, growth, sign, left, right, xtol):
+        # every term increases through x = root, so [root − left,
+        # root + right] brackets exactly one sign change
+        def f(x):
+            u = x - root
+            return sign * (math.atan(slope * u) + cubic * u ** 3
+                           + growth * math.expm1(u))
+
+        a, b = root - left, root + right
+        assert _brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+
+    def test_iteration_cap_is_solver_error(self):
+        with pytest.raises(p.SolverError, match="did not converge"):
+            _brentq(lambda x: math.atan(x - 0.3), 0.0, 1.0, xtol=1e-12,
+                    maxiter=3)
+
+    def test_nan_gap_is_solver_error(self):
+        with pytest.raises(p.SolverError, match="NaN"):
+            _brentq(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
+                    0.0, 1.0, xtol=1e-12)
