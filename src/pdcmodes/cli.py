@@ -220,24 +220,25 @@ def _cmd_jsa(args, run: RunConfig, out_dir: Path) -> int:
     meta = _jsa_meta(config, grid, decomp, eta)
     f_thz = _signal_axis_thz(config, grid)
     precision = run.output.precision
-    magnitude = np.abs(amplitude.values)
+    values = amplitude.values
+    magnitude = np.abs(values)
     if run.output.format == "csv":
         _write_csv(out_dir / "jsa_abs.csv", None, _matrix_rows(magnitude), precision)
         _write_csv(out_dir / "jsa_axis_thz.csv", ["f_thz"],
                    ([v] for v in f_thz.tolist()), precision)
         if args.include_complex:
             _write_csv(out_dir / "jsa_real.csv", None,
-                       _matrix_rows(amplitude.values.real), precision)
+                       _matrix_rows(values.real), precision)
             _write_csv(out_dir / "jsa_imag.csv", None,
-                       _matrix_rows(amplitude.values.imag), precision)
+                       _matrix_rows(values.imag), precision)
         _write_json(out_dir / "jsa_meta.json", meta)
     else:
         payload = dict(meta)
         payload["f_thz"] = f_thz.tolist()
         payload["abs"] = magnitude.tolist()
         if args.include_complex:
-            payload["real"] = amplitude.values.real.tolist()
-            payload["imag"] = amplitude.values.imag.tolist()
+            payload["real"] = values.real.tolist()
+            payload["imag"] = values.imag.tolist()
         _write_json(out_dir / "jsa.json", payload)
         _write_json(out_dir / "jsa_meta.json", meta)
     print(f"schmidt_number = {_fmt(decomp.schmidt_number, precision)}")
@@ -442,6 +443,15 @@ def _merge_run_config(args) -> RunConfig:
     return run
 
 
+def _check_finite(args) -> None:
+    """Reject nan/inf in float options, which argparse's float() accepts."""
+    for dest, value in vars(args).items():
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise UsageError(f"--{dest.replace('_', '-')} must be a "
+                                 f"finite number, got {item}")
+
+
 def _single_line(message: str) -> str:
     return " ".join(str(message).split())
 
@@ -450,6 +460,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_finite(args)
         run = _merge_run_config(args)
         out_dir = Path(run.output.directory)
         return args.handler(args, run, out_dir)

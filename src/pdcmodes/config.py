@@ -15,8 +15,8 @@ from typing import Any, Mapping
 
 import yaml
 
-from .dispersion import (CrystalModel, _is_real, load_bundled_crystal,
-                         load_crystal_file)
+from .dispersion import (CrystalModel, _is_real, _read_utf8,
+                         load_bundled_crystal, load_crystal_file)
 from .errors import ValidationError
 from .jsa import PumpPulse
 from .phasematch import PdcConfig
@@ -228,7 +228,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     """Load and validate a run-configuration file (None → all defaults)."""
     if path is None:
         return RunConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_utf8(path, "run config")
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:

@@ -403,10 +403,22 @@ def _validate_physical(model: CrystalModel) -> None:
                     f"(min n = {n.min():.6g})")
 
 
+def _read_utf8(path: str | Path, what: str) -> str:
+    """Text of a UTF-8 file; other bytes are a ValidationError naming it.
+
+    I/O errors propagate as OSError.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{what} {str(path)!r} is not UTF-8 text: {exc.reason} at byte "
+            f"{exc.start}") from exc
+
+
 def load_crystal_file(path: str | Path) -> CrystalModel:
     """Load a crystal data file from disk (I/O errors propagate as OSError)."""
-    text = Path(path).read_text(encoding="utf-8")
-    return load_crystal(text)
+    return load_crystal(_read_utf8(path, "crystal file"))
 
 
 def bundled_crystal_path(name: str = "mgoln_5pct") -> Path:
@@ -426,7 +438,11 @@ def load_bundled_crystal(name: str = "mgoln_5pct") -> CrystalModel:
 def _check_range(crystal: CrystalModel, lam_um, strict: bool) -> None:
     lo, hi = crystal.valid_range_um
     lam = np.asarray(lam_um, dtype=float)
-    bad = (lam < lo) | (lam > hi) if not strict else (lam <= lo) | (lam >= hi)
+    # written as "not inside" so that NaN counts as out of range
+    if strict:
+        bad = ~((lam > lo) & (lam < hi))
+    else:
+        bad = ~((lam >= lo) & (lam <= hi))
     if np.any(bad):
         offender = float(lam[bad].flat[0]) if lam.ndim else float(lam)
         raise DomainError(

@@ -8,12 +8,13 @@ symmetric grid of signal detunings Ω (rad/s):
 with the dimensionless gain prefactor stripped off. α̃ is the pump spectral
 amplitude normalized to ∫α̃ dΩ/2π = 1 (unit time-domain peak), the unique
 convention under which the double-Gaussian closed forms used as test oracles
-hold. :class:`JsaGrid` carries both the complex entries above and the real
-envelope α̃·sinc; the Schmidt decomposition acts on the envelope, i.e. with
-the propagation chirp exp(iΔ̃L/2) removed. That chirp is a reference-plane
-artifact of writing the interaction from the crystal input face; keeping it
-would fold pump-dispersion phase into the mode functions and inflate the
-mode count without changing any generated-light observable derived here.
+hold. :class:`JsaGrid` stores the real envelope α̃·sinc and Δ̃, and builds
+the complex entries above only when they are read. The Schmidt
+decomposition acts on the envelope, i.e. with the propagation chirp
+exp(iΔ̃L/2) removed. That chirp is a reference-plane artifact of writing
+the interaction from the crystal input face; keeping it would fold
+pump-dispersion phase into the mode functions and inflate the mode count
+without changing any generated-light observable derived here.
 
 Singular values are normalized to Σ s_n² = 1; the pre-normalization weight
 ∬|J|² dΩ₁dΩ₂/(2π)² is kept as ``raw_norm`` so shape efficiencies and gain
@@ -51,6 +52,13 @@ __all__ = [
 _MIN_GRID_POINTS = 64
 _DEFAULT_GRID_POINTS = 512
 
+# Working set of the JSA → Schmidt pipeline per grid cell: the peak RSS of
+# squeezing_spectrum at n = 1024 above the interpreter's own, (128 − 30) MB
+# over 1024² cells. Grids whose estimate exceeds the budget are refused
+# before anything is allocated.
+_BYTES_PER_CELL = 95
+_GRID_BUDGET_BYTES = 8 * 2 ** 30
+
 # |sinc(x)| stays above 0.05 for |x| < 20; used to size the default grid
 _SINC_SUPPORT_X = 20.0
 
@@ -58,9 +66,14 @@ _SINC_SUPPORT_X = 20.0
 def sinc(x):
     """sin(x)/x with the removable singularity expanded below |x| = 1e-8."""
     arr = np.asarray(x, dtype=float)
+    # the mask first, so that its |x| temporary is freed before `out` exists;
+    # out= keeps a 0-d result an array that can be written in place
     small = np.abs(arr) < 1e-8
-    safe = np.where(small, 1.0, arr)
-    out = np.where(small, 1.0 - arr * arr / 6.0, np.sin(safe) / safe)
+    out = np.sin(arr, out=np.empty_like(arr))
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, overwritten below
+        out /= arr
+    tiny = arr[small]
+    out[small] = 1.0 - tiny * tiny / 6.0
     if np.isscalar(x):
         return float(out)
     return out
@@ -106,6 +119,12 @@ class FrequencyGrid:
         if self.n < _MIN_GRID_POINTS:
             raise ValidationError(
                 f"grid needs at least {_MIN_GRID_POINTS} points per axis, got {self.n}")
+        need = self.n ** 2 * _BYTES_PER_CELL
+        if need > _GRID_BUDGET_BYTES:
+            raise ValidationError(
+                f"a grid of {self.n} points per axis needs about "
+                f"{need / 2 ** 30:.1f} GiB, above the "
+                f"{_GRID_BUDGET_BYTES / 2 ** 30:g} GiB budget")
         if not self.omega_max_rad_s > 0:
             raise ValidationError(
                 f"grid extent must be > 0, got {self.omega_max_rad_s}")
@@ -158,18 +177,31 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
 class JsaGrid:
     """Sampled two-photon amplitude with its phase-free envelope.
 
-    ``values[i, j]`` = α̃(Ωᵢ+Ωⱼ)·exp(i·x)·sinc(x) with x = Δ̃(Ωᵢ,Ωⱼ)·L/2;
-    ``envelope`` is the same without the exp(i·x) chirp; ``mismatch`` holds
-    Δ̃ in rad/m. ``config``/``pump`` are None for synthetic amplitudes.
-    All arrays are read-only.
+    ``envelope[i, j]`` = α̃(Ωᵢ+Ωⱼ)·sinc(x) with x = Δ̃(Ωᵢ,Ωⱼ)·L/2;
+    ``mismatch`` holds Δ̃ in rad/m. ``config``/``pump`` are None for
+    synthetic amplitudes. All arrays are read-only.
     """
 
-    values: np.ndarray
     envelope: np.ndarray
     mismatch: np.ndarray
     grid: FrequencyGrid
     config: PdcConfig | None = None
     pump: PumpPulse | None = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """Read-only ``values[i, j]`` = α̃(Ωᵢ+Ωⱼ)·exp(i·x)·sinc(x).
+
+        Built anew on each access (16 bytes per cell), since only the
+        exported grid reads it. Synthetic amplitudes carry no chirp.
+        """
+        if self.config is None:
+            values = self.envelope.astype(complex)
+        else:
+            values = self.envelope * np.exp(
+                1j * (self.mismatch * (self.config.length_m / 2.0)))
+        values.setflags(write=False)
+        return values
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -193,12 +225,10 @@ def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaG
     total = om[:, None] + om[None, :]
     alpha = pump_spectral_amplitude(pump, total)
     delta = _phasematch.phase_mismatch(config, om[:, None], om[None, :])
-    x = delta * (config.length_m / 2.0)
-    envelope = alpha * sinc(x)
-    values = envelope * np.exp(1j * x)
-    _freeze(values, envelope, delta)
-    return JsaGrid(values=values, envelope=envelope, mismatch=delta,
-                   grid=grid, config=config, pump=pump)
+    envelope = alpha * sinc(delta * (config.length_m / 2.0))
+    _freeze(envelope, delta)
+    return JsaGrid(envelope=envelope, mismatch=delta, grid=grid,
+                   config=config, pump=pump)
 
 
 @dataclass(frozen=True)
@@ -269,11 +299,10 @@ def double_gaussian_jsa(omega_p_rad_s: float, r_ratio: float,
     envelope = ((math.sqrt(math.pi) / omega_p_rad_s)
                 * np.exp(-total ** 2 / (4.0 * omega_p_rad_s ** 2))
                 * np.exp(-diff ** 2 / (4.0 * (r_ratio * omega_p_rad_s) ** 2)))
-    values = envelope.astype(complex)
     mismatch = np.zeros_like(envelope)
-    _freeze(values, envelope, mismatch)
-    return JsaGrid(values=values, envelope=envelope, mismatch=mismatch,
-                   grid=grid, config=None, pump=None)
+    _freeze(envelope, mismatch)
+    return JsaGrid(envelope=envelope, mismatch=mismatch, grid=grid,
+                   config=None, pump=None)
 
 
 def double_gaussian_analytics(r_ratio: float) -> tuple[float, float]:

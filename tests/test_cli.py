@@ -416,6 +416,44 @@ class TestErrorPaths:
         assert bad.split(":")[0] in result.stderr
         assert "Warning" not in result.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("dispersion", "--lambda-min-um", "1.0", "--lambda-max-um", "nan"),
+        ("cgvm", "--pump-axis", "e", "--signal-axis", "o", "--temperature-c", "nan"),
+        ("cgvm", "--pump-axis", "e", "--signal-axis", "o", "--target-um", "nan"),
+        ("cgvm", "--pump-axis", "e", "--signal-axis", "o", "--bracket-um", "1.2", "inf"),
+        ("scan", "--config", "matched.yaml", "--lengths-mm", "10", "nan"),
+    ], ids=["lambda_max", "temperature", "target", "bracket", "lengths"])
+    def test_non_finite_option_is_usage_error(self, workdir, tmp_path, args):
+        option = next(a for a in reversed(args) if a.startswith("--"))
+        out = tmp_path / "out"
+        result = run_cli(*args, "--out", str(out), cwd=workdir)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.splitlines() == [
+            f"error[usage]: {option} must be a finite number, got {args[-1]}"]
+        assert not out.exists()
+
+    def test_non_utf8_config_is_validity_error(self, workdir, tmp_path):
+        (workdir / "latin1.yaml").write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        result = run_cli("poling", "--config", "latin1.yaml", "--out", str(out),
+                         cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error[validity]:"), result.stderr
+        assert "latin1.yaml" in result.stderr
+        assert not out.exists()
+
+    def test_oversized_grid_is_validity_error(self, workdir, tmp_path):
+        # refused from the memory estimate, before any array is allocated
+        out = tmp_path / "out"
+        result = run_cli("squeeze", "--config", "matched.yaml", "--grid-n",
+                         "200000", "--out", str(out), cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error[validity]:"), result.stderr
+        assert "GiB budget" in result.stderr
+        assert not out.exists()
+
     def test_text_crystal_coefficient_is_validity_error(self, workdir):
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
         (workdir / "text_coeff.yaml").write_text(

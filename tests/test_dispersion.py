@@ -55,6 +55,16 @@ class TestRefractiveIndex:
         with pytest.raises(p.DomainError, match=r"\[0\.5, 4\] µm"):
             p.refractive_index(crystal, "e", 25.0, ROOM_T_C)
 
+    @pytest.mark.parametrize("lam", [math.nan, np.array([1.0, math.nan, 1.5])],
+                             ids=["scalar", "array"])
+    def test_nan_wavelength_is_out_of_range(self, crystal, lam):
+        with pytest.raises(p.DomainError, match="nan µm outside"):
+            p.refractive_index(crystal, "e", lam, ROOM_T_C)
+        with pytest.raises(p.DomainError, match="nan µm outside"):
+            wavevector_at_omega(crystal, "e", 2.0e6 * math.pi * c / lam, ROOM_T_C)
+        with pytest.raises(p.DomainError, match="nan µm outside"):
+            k_prime(crystal, "e", lam, ROOM_T_C)
+
     def test_unknown_axis(self, crystal):
         with pytest.raises(p.DomainError, match="axis"):
             p.refractive_index(crystal, "z", 1.0, ROOM_T_C)
@@ -222,6 +232,12 @@ class TestLoadCrystal:
         assert old in text
         with pytest.raises(p.ValidationError, match=bad.split(":")[0]):
             p.load_crystal(text.replace(old, bad, 1))
+
+    def test_non_utf8_file_is_validation_error(self, tmp_path):
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(p.ValidationError, match="latin1.yaml.*not UTF-8"):
+            p.load_crystal_file(path)
 
     def test_pole_coefficients_must_be_a_list(self):
         text = _MINIMAL.format(a=4.84, b="3.0", c="[]")

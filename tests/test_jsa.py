@@ -1,6 +1,8 @@
 """JSA construction, Schmidt decomposition, and the double-Gaussian oracle."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,15 @@ import pdcmodes as p
 from pdcmodes.jsa import sinc
 
 from conftest import assert_within
+
+
+def _sinc_two_branches(x):
+    """Reference sinc: both branches over the whole array, then a select."""
+    arr = np.asarray(x, dtype=float)
+    small = np.abs(arr) < 1e-8
+    safe = np.where(small, 1.0, arr)
+    with np.errstate(over="ignore"):  # the unused x²/6 branch at |x| > 1e154
+        return np.where(small, 1.0 - arr * arr / 6.0, np.sin(safe) / safe)
 
 
 def _dg_grid(r_ratio, width, n=512, n_sigma=4.5):
@@ -29,6 +40,24 @@ class TestSinc:
         x = np.linspace(-30, 30, 1001)
         x = x[np.abs(x) > 1e-3]
         assert np.allclose(sinc(x), np.sin(x) / x, rtol=0, atol=1e-15)
+
+    def test_equals_two_branch_formula_bit_for_bit(self):
+        x = np.array([0.0, -0.0, 1e-9, -1e-9, 1e-8, -1e-8,
+                      np.nextafter(1e-8, 0.0), -np.nextafter(1e-8, 0.0),
+                      1e-7, 0.5, -2.0, 3.7, 1e3, -1e6, 1e300, np.nan])
+        grid = np.add.outer(x, x[::-1])
+        for arr in (x, grid):
+            assert np.array_equal(sinc(arr), _sinc_two_branches(arr),
+                                  equal_nan=True)
+        for scalar in (0.0, 1e-9, 2.0):
+            assert sinc(scalar) == float(_sinc_two_branches(scalar))
+        assert math.isnan(sinc(float("nan")))
+
+    def test_zero_emits_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sinc(np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+            assert sinc(0.0) == 1.0
 
 
 class TestPumpPulse:
@@ -83,6 +112,12 @@ class TestDefaultGrid:
     def test_minimum_points_enforced(self):
         with pytest.raises(p.ValidationError, match="64"):
             p.FrequencyGrid(n=32, omega_max_rad_s=1e13)
+
+    def test_memory_budget_enforced(self):
+        # the estimate alone decides; no grid is ever sampled here
+        with pytest.raises(p.ValidationError, match="GiB budget"):
+            p.FrequencyGrid(n=200_000, omega_max_rad_s=1e13)
+        assert p.FrequencyGrid(n=2048, omega_max_rad_s=1e13).n == 2048
 
     def test_grid_is_symmetric(self, matched_config, pump775):
         grid = p.default_grid(matched_config, pump775)
@@ -139,6 +174,28 @@ class TestComputeJsa:
         with pytest.raises(ValueError):
             matched_jsa.values[0, 0] = 0.0
 
+    def test_holds_only_envelope_and_mismatch(self, matched_config, pump775):
+        n = 256
+        amplitude = p.compute_jsa(matched_config, pump775,
+                                  p.default_grid(matched_config, pump775, n=n))
+        held = {name: getattr(amplitude, name).nbytes
+                for name in amplitude.__dataclass_fields__
+                if isinstance(getattr(amplitude, name), np.ndarray)}
+        assert held == {"envelope": 8 * n * n, "mismatch": 8 * n * n}
+
+    def test_squeezing_peak_allocation(self, matched_config, pump775):
+        n = 256
+        grid = p.default_grid(matched_config, pump775, n=n)
+        p.squeezing_spectrum(matched_config, pump775, grid=grid)  # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p.squeezing_spectrum(matched_config, pump775, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n² doubles"
+
 
 class TestSchmidtDecompose:
     def test_walk_off_design_mode_count(self, walkoff_decomp):
@@ -173,8 +230,7 @@ class TestSchmidtDecompose:
     def test_all_zero_input_raises(self):
         grid = p.FrequencyGrid(n=64, omega_max_rad_s=1e13)
         dummy = p.double_gaussian_jsa(1e12, 1.0, grid)
-        zero = p.JsaGrid(values=np.zeros_like(dummy.values),
-                         envelope=np.zeros_like(dummy.envelope),
+        zero = p.JsaGrid(envelope=np.zeros_like(dummy.envelope),
                          mismatch=dummy.mismatch, grid=grid)
         with pytest.raises(p.DomainError, match="zero"):
             p.schmidt_decompose(zero)
