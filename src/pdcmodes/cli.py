@@ -58,8 +58,6 @@ def _write_csv(path: Path, header: list[str] | None, rows, precision: int) -> No
         for cell in row:
             if isinstance(cell, bool):
                 cells.append("true" if cell else "false")
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
             elif isinstance(cell, (float, np.floating)):
                 cells.append(_fmt(cell, precision))
             else:
@@ -85,12 +83,37 @@ def _thz(omega_rad_s):
 # pipeline helpers shared by the jsa/modes/squeeze/scan commands
 
 
-def _build_grid(run: RunConfig, config, pump) -> jsamod.FrequencyGrid:
-    override = run.omega_max_override_rad_s()
-    if override is not None:
-        return jsamod.FrequencyGrid(n=run.grid.points_per_axis,
-                                    omega_max_rad_s=override)
-    return jsamod.default_grid(config, pump, n=run.grid.points_per_axis)
+def _pinned_grid(run: RunConfig) -> jsamod.FrequencyGrid | None:
+    """The grid that ``detuning_extent_thz`` fixes, or None when it is unset."""
+    extent = run.grid.detuning_extent_thz
+    if extent is None:
+        return None
+    return jsamod.FrequencyGrid(n=run.grid.points_per_axis,
+                                omega_max_rad_s=2.0 * math.pi * extent * 1e12)
+
+
+def _design(run: RunConfig):
+    """The configured design, its pump pulse and its grid."""
+    crystal = run.load_crystal()
+    config = run.to_pdc_config(crystal)
+    pump = run.to_pump_pulse()
+    grid = _pinned_grid(run) or jsamod.default_grid(
+        config, pump, n=run.grid.points_per_axis)
+    return config, pump, grid
+
+
+def _period_um(config) -> float:
+    """The given poling period, else the computed one."""
+    if config.poling_period_um is not None:
+        return config.poling_period_um
+    return pm.poling_period(config)
+
+
+def _temperature_c(args, run: RunConfig) -> float:
+    """``--temperature-c``, else the configured temperature, else 24.5 °C."""
+    if args.temperature_c is not None:
+        return args.temperature_c
+    return run.pdc.temperature_c if run.pdc is not None else 24.5
 
 
 def _signal_axis_thz(config, grid) -> np.ndarray:
@@ -109,9 +132,7 @@ def _cmd_dispersion(args, run: RunConfig, out_dir: Path) -> int:
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
     axes = args.axes.split(",") if args.axes else sorted(crystal.axes)
-    t_c = args.temperature_c
-    if t_c is None:
-        t_c = run.pdc.temperature_c if run.pdc is not None else 24.5
+    t_c = _temperature_c(args, run)
     lam = np.linspace(args.lambda_min_um, args.lambda_max_um, args.samples)
     rows = []
     for axis in axes:
@@ -137,9 +158,7 @@ def _cmd_dispersion(args, run: RunConfig, out_dir: Path) -> int:
 
 def _cmd_cgvm(args, run: RunConfig, out_dir: Path) -> int:
     crystal = run.load_crystal()
-    t_c = args.temperature_c
-    if t_c is None:
-        t_c = run.pdc.temperature_c if run.pdc is not None else 24.5
+    t_c = _temperature_c(args, run)
     lam_cgvm = pm.solve_cgvm(crystal, args.pump_axis, args.signal_axis, t_c,
                              tuple(args.bracket_um))
     pdc_type = "type-0" if args.pump_axis == args.signal_axis else "type-I"
@@ -188,13 +207,10 @@ def _cmd_poling(args, run: RunConfig, out_dir: Path) -> int:
 
 
 def _run_pipeline(run: RunConfig):
-    crystal = run.load_crystal()
-    config = run.to_pdc_config(crystal)
-    pump = run.to_pump_pulse()
-    grid = _build_grid(run, config, pump)
+    config, pump, grid = _design(run)
     amplitude = jsamod.compute_jsa(config, pump, grid)
     decomp = jsamod.schmidt_decompose(amplitude)
-    return config, pump, grid, amplitude, decomp
+    return config, grid, amplitude, decomp
 
 
 def _jsa_meta(config, grid, decomp, eta) -> dict:
@@ -203,9 +219,7 @@ def _jsa_meta(config, grid, decomp, eta) -> dict:
         "pump_wavelength_um": config.pump_wavelength_um,
         "temperature_c": config.temperature_c,
         "crystal_length_mm": config.length_m * 1e3,
-        "poling_period_um": (config.poling_period_um
-                             if config.poling_period_um is not None
-                             else pm.poling_period(config)),
+        "poling_period_um": _period_um(config),
         "grid_n": grid.n,
         "detuning_extent_thz": float(_thz(grid.omega_max_rad_s)),
         "schmidt_number": decomp.schmidt_number,
@@ -215,8 +229,8 @@ def _jsa_meta(config, grid, decomp, eta) -> dict:
 
 
 def _cmd_jsa(args, run: RunConfig, out_dir: Path) -> int:
-    config, _, grid, amplitude, decomp = _run_pipeline(run)
-    eta = jsamod.jsa_efficiency(amplitude, decomp)
+    config, grid, amplitude, decomp = _run_pipeline(run)
+    eta = jsamod.jsa_efficiency(decomp)
     meta = _jsa_meta(config, grid, decomp, eta)
     f_thz = _signal_axis_thz(config, grid)
     precision = run.output.precision
@@ -249,7 +263,7 @@ def _cmd_jsa(args, run: RunConfig, out_dir: Path) -> int:
 def _cmd_modes(args, run: RunConfig, out_dir: Path) -> int:
     if args.modes < 1:
         raise UsageError("--modes must be at least 1")
-    config, _, grid, amplitude, decomp = _run_pipeline(run)
+    config, grid, _, decomp = _run_pipeline(run)
     if args.modes > decomp.s.size:
         raise DomainError(
             f"requested {args.modes} modes but the decomposition has rank "
@@ -284,9 +298,7 @@ def _squeeze_payload(config, result: sqz.SqueezingResult) -> dict:
         "pump_wavelength_um": config.pump_wavelength_um,
         "temperature_c": config.temperature_c,
         "crystal_length_mm": config.length_m * 1e3,
-        "poling_period_um": (config.poling_period_um
-                             if config.poling_period_um is not None
-                             else pm.poling_period(config)),
+        "poling_period_um": _period_um(config),
         "schmidt_number": result.schmidt_number,
         "eta_jsa": result.eta_jsa,
         "eta_pdc_per_w": result.eta_pdc_per_w,
@@ -303,10 +315,7 @@ def _squeeze_payload(config, result: sqz.SqueezingResult) -> dict:
 
 
 def _cmd_squeeze(args, run: RunConfig, out_dir: Path) -> int:
-    crystal = run.load_crystal()
-    config = run.to_pdc_config(crystal)
-    pump = run.to_pump_pulse()
-    grid = _build_grid(run, config, pump)
+    config, pump, grid = _design(run)
     result = sqz.squeezing_spectrum(config, pump, grid=grid)
     _write_json(out_dir / "squeeze.json", _squeeze_payload(config, result))
     precision = run.output.precision
@@ -324,11 +333,7 @@ def _cmd_scan(args, run: RunConfig, out_dir: Path) -> int:
     config = run.to_pdc_config(crystal)
     pump = run.to_pump_pulse()
     lengths_m = [l * 1e-3 for l in args.lengths_mm]
-    override = run.omega_max_override_rad_s()
-    pinned = (jsamod.FrequencyGrid(n=run.grid.points_per_axis,
-                                   omega_max_rad_s=override)
-              if override is not None else None)
-    results = sqz.length_scan(config, pump, lengths_m, grid=pinned,
+    results = sqz.length_scan(config, pump, lengths_m, grid=_pinned_grid(run),
                               grid_n=run.grid.points_per_axis)
     header = ["l_mm", "k", "eta_jsa", "eta_pdc_per_w", "r0", "s_db",
               "validity_flag"]
@@ -367,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json"),
                         help="tabular output format (default from config, else csv)")
     common.add_argument("--grid-n", type=int, metavar="N",
-                        help="grid points per axis (default from config, else 512)")
+                        help="grid points per axis (default from config, else "
+                             f"{jsamod._DEFAULT_GRID_POINTS})")
 
     parser = argparse.ArgumentParser(
         prog="pdcmodes",
@@ -429,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_run_config(args) -> RunConfig:
     run = load_run_config(args.config)
     if args.crystal is not None:
-        run = RunConfig(crystal_file=args.crystal, pdc=run.pdc, pump=run.pump,
-                        grid=run.grid, output=run.output)
+        run = replace(run, crystal_file=args.crystal)
     if args.grid_n is not None:
         run = replace(run, grid=replace(run.grid, points_per_axis=args.grid_n))
     if args.format is not None or args.out is not None:

@@ -8,7 +8,6 @@ mode in this domain, and a typo like ``pump_wavelength_um`` must fail loud.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -18,7 +17,7 @@ import yaml
 from .dispersion import (CrystalModel, _is_real, _read_utf8,
                          load_bundled_crystal, load_crystal_file)
 from .errors import ValidationError
-from .jsa import PumpPulse
+from .jsa import _DEFAULT_GRID_POINTS, PumpPulse
 from .phasematch import PdcConfig
 
 __all__ = [
@@ -104,7 +103,7 @@ class PumpSettings:
 
 @dataclass(frozen=True)
 class GridSettings:
-    points_per_axis: int = 512
+    points_per_axis: int = _DEFAULT_GRID_POINTS
     detuning_extent_thz: float | None = None
 
     _KEYS = ("points_per_axis", "detuning_extent_thz")
@@ -112,7 +111,7 @@ class GridSettings:
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "GridSettings":
         _reject_unknown(doc, cls._KEYS, "grid")
-        n = doc.get("points_per_axis", 512)
+        n = doc.get("points_per_axis", _DEFAULT_GRID_POINTS)
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValidationError(
                 f"grid: points_per_axis must be an integer, got {n!r}")
@@ -217,11 +216,6 @@ class RunConfig:
             mean_power_w=self.pump.mean_power_mw * 1e-3,
             rep_rate_hz=self.pump.repetition_rate_mhz * 1e6,
         )
-
-    def omega_max_override_rad_s(self) -> float | None:
-        if self.grid.detuning_extent_thz is None:
-            return None
-        return 2.0 * math.pi * self.grid.detuning_extent_thz * 1e12
 
 
 def load_run_config(path: str | Path | None) -> RunConfig:

@@ -36,7 +36,6 @@ from .constants import c
 from .errors import DomainError, ValidationError
 
 __all__ = [
-    "SellmeierSet",
     "GayerTwoPole",
     "StandardSellmeier",
     "CrystalModel",
@@ -59,41 +58,6 @@ BIAXIAL_AXES = ("x", "y", "z")
 # temperatures (°C) at which the n > 1 invariant is checked on load
 _VALIDATION_TEMPS = (0.0, 100.0, 200.0)
 _VALIDATION_SAMPLES = 64
-
-
-class SellmeierSet:
-    """One optical axis' dispersion model.
-
-    Subclasses implement n(λ, T) and its closed-form wavelength derivatives
-    for a specific functional form; λ in µm, T in °C, derivatives per µm.
-    """
-
-    form: str = ""
-
-    def n_squared(self, lam_um, t_c):
-        raise NotImplementedError
-
-    def dn2_dlam(self, lam_um, t_c):
-        raise NotImplementedError
-
-    def d2n2_dlam2(self, lam_um, t_c):
-        raise NotImplementedError
-
-    def n(self, lam_um, t_c):
-        return np.sqrt(self.n_squared(lam_um, t_c))
-
-    def dn_dlam(self, lam_um, t_c):
-        g = self.n_squared(lam_um, t_c)
-        return self.dn2_dlam(lam_um, t_c) / (2.0 * np.sqrt(g))
-
-    def d2n_dlam2(self, lam_um, t_c):
-        g = self.n_squared(lam_um, t_c)
-        gp = self.dn2_dlam(lam_um, t_c)
-        gpp = self.d2n2_dlam2(lam_um, t_c)
-        return gpp / (2.0 * np.sqrt(g)) - gp * gp / (4.0 * g ** 1.5)
-
-    def coefficients(self) -> dict:
-        raise NotImplementedError
 
 
 def _is_real(value) -> bool:
@@ -132,7 +96,7 @@ def _require_keys(mapping: Mapping, required: tuple, context: str) -> None:
         raise ValidationError(f"{context}: unknown coefficient(s) {unknown}")
 
 
-class GayerTwoPole(SellmeierSet):
+class GayerTwoPole:
     """Two-pole Sellmeier with a quadratic temperature parameter.
 
         n² = a1 + b1·f + (a2 + b2·f)/(λ² − (a3 + b3·f)²)
@@ -185,11 +149,21 @@ class GayerTwoPole(SellmeierSet):
                 + (self.a4 + self.b4 * f) * (6.0 * lam2 + 2.0 * q2) / d2 ** 3
                 - 2.0 * self.a6)
 
-    def coefficients(self) -> dict:
-        return {k: getattr(self, k) for k in self._KEYS}
+    def n(self, lam_um, t_c):
+        return np.sqrt(self.n_squared(lam_um, t_c))
+
+    def dn_dlam(self, lam_um, t_c):
+        g = self.n_squared(lam_um, t_c)
+        return self.dn2_dlam(lam_um, t_c) / (2.0 * np.sqrt(g))
+
+    def d2n_dlam2(self, lam_um, t_c):
+        g = self.n_squared(lam_um, t_c)
+        gp = self.dn2_dlam(lam_um, t_c)
+        gpp = self.d2n2_dlam2(lam_um, t_c)
+        return gpp / (2.0 * np.sqrt(g)) - gp * gp / (4.0 * g ** 1.5)
 
 
-class StandardSellmeier(SellmeierSet):
+class StandardSellmeier:
     """Classic pole-sum Sellmeier with an optional linear thermo-optic term.
 
         n²(λ) = a + Σᵢ bᵢ·λ²/(λ² − cᵢ) − d·λ²
@@ -245,11 +219,8 @@ class StandardSellmeier(SellmeierSet):
         nl = self._n_lam(lam_um)
         return gpp / (2.0 * nl) - gp * gp / (4.0 * nl ** 3)
 
-    def coefficients(self) -> dict:
-        return {"a": self.a, "b": list(self.b), "c": list(self.c),
-                "d": self.d, "dn_dt": self.dn_dt, "t_ref_c": self.t_ref_c}
 
-
+# each form gives n, n², dn/dλ and d²n/dλ² at λ in µm and T in °C
 _FORMS = {cls.form: cls for cls in (GayerTwoPole, StandardSellmeier)}
 
 # temperature-model identifiers compatible with each functional form
@@ -269,13 +240,13 @@ class CrystalModel:
 
     name: str
     crystal_class: str                     # "uniaxial" | "biaxial"
-    axes: Mapping[str, SellmeierSet]       # "o"/"e" or "x"/"y"/"z"
+    axes: Mapping[str, GayerTwoPole | StandardSellmeier]  # "o"/"e" or "x"/"y"/"z"
     temperature_model: str
     d_eff_pm_per_v: float
     valid_range_um: tuple[float, float]
     provenance: str = field(repr=False, default="")
 
-    def axis(self, label: str) -> SellmeierSet:
+    def axis(self, label: str) -> GayerTwoPole | StandardSellmeier:
         try:
             return self.axes[label]
         except KeyError:
@@ -346,7 +317,7 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
     blocks = doc["sellmeier"]
     if not isinstance(blocks, Mapping) or not blocks:
         raise ValidationError("sellmeier must map at least one axis to a coefficient block")
-    axes: dict[str, SellmeierSet] = {}
+    axes: dict[str, GayerTwoPole | StandardSellmeier] = {}
     for label, block in blocks.items():
         if label not in allowed_axes:
             raise ValidationError(
@@ -364,9 +335,9 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
             raise ValidationError(
                 f"temperature_model {t_model!r} is incompatible with form {form!r}")
         coeffs = block["coefficients"]
-        if not isinstance(coeffs, Mapping):
+        if not isinstance(coeffs, Mapping) or not all(isinstance(k, str) for k in coeffs):
             raise ValidationError(
-                f"coefficients for axis {label!r} must be a mapping")
+                f"coefficients for axis {label!r} must be a mapping with text keys")
         axes[label] = _FORMS[form](**coeffs)
 
     model = CrystalModel(
@@ -388,8 +359,11 @@ def _validate_physical(model: CrystalModel) -> None:
     lam = np.linspace(lo, hi, _VALIDATION_SAMPLES)
     for label, sell in model.axes.items():
         for t_c in _VALIDATION_TEMPS:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                n2 = np.asarray(sell.n_squared(lam, t_c), dtype=float)
+            try:
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    n2 = np.asarray(sell.n_squared(lam, t_c), dtype=float)
+            except OverflowError:  # a float ** 2 of a huge coefficient
+                n2 = np.array(np.inf)
             if not np.all(np.isfinite(n2)) or np.any(n2 <= 0):
                 raise ValidationError(
                     f"crystal {model.name!r}, axis {label!r}: n² is not finite "

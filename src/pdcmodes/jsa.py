@@ -274,7 +274,7 @@ def schmidt_decompose(jsa: JsaGrid) -> SchmidtDecomposition:
                                 raw_norm=raw_norm)
 
 
-def jsa_efficiency(jsa: JsaGrid, decomp: SchmidtDecomposition) -> float:
+def jsa_efficiency(decomp: SchmidtDecomposition) -> float:
     """Shape efficiency η = s₀²·∬|J|² dΩ₁dΩ₂/(2π)² of the dominant mode."""
     return float(decomp.s[0] ** 2 * decomp.raw_norm)
 

@@ -71,7 +71,6 @@ class PdcConfig:
     temperature_c: float
     length_m: float
     poling_period_um: float | None = None
-    qpm_order: int = -1
 
     def __post_init__(self):
         if self.pdc_type not in PDC_TYPES:
@@ -88,8 +87,6 @@ class PdcConfig:
         if self.poling_period_um is not None and not self.poling_period_um > 0:
             raise DomainError(
                 f"poling period must be > 0 when given, got {self.poling_period_um}")
-        if self.qpm_order != -1:
-            raise DomainError("only quasi-phase-matching order -1 is modeled")
         lo, hi = self.crystal.valid_range_um
         for lam in (self.pump_wavelength_um, self.signal_wavelength_um):
             if not (lo < lam < hi):
@@ -190,12 +187,17 @@ class TaylorDispersion:
     omega_d_rad_s: float
 
 
+def _dk1(config: PdcConfig) -> float:
+    """Group-delay mismatch dk₁ = k_p′ − k_s′ (s/m) at the central wavelengths."""
+    return (dispersion.k_prime(config.crystal, config.pump_axis,
+                               config.pump_wavelength_um, config.temperature_c)
+            - dispersion.k_prime(config.crystal, config.signal_axis,
+                                 config.signal_wavelength_um, config.temperature_c))
+
+
 def taylor_dispersion(config: PdcConfig) -> TaylorDispersion:
     """Evaluate the quadratic-expansion coefficients for a design."""
-    dk1 = (dispersion.k_prime(config.crystal, config.pump_axis,
-                              config.pump_wavelength_um, config.temperature_c)
-           - dispersion.k_prime(config.crystal, config.signal_axis,
-                                config.signal_wavelength_um, config.temperature_c))
+    dk1 = _dk1(config)
     kp2 = dispersion.k_double_prime(config.crystal, config.pump_axis,
                                     config.pump_wavelength_um, config.temperature_c)
     ks2 = dispersion.k_double_prime(config.crystal, config.signal_axis,
@@ -251,11 +253,7 @@ def phasematch_hyperbola(config: PdcConfig, omega_minus_rad_s):
 
 def walkoff_time(config: PdcConfig) -> float:
     """Pump-signal temporal walk-off τ_w = (k_p′ − k_s′)·L/2 in seconds."""
-    dk1 = (dispersion.k_prime(config.crystal, config.pump_axis,
-                              config.pump_wavelength_um, config.temperature_c)
-           - dispersion.k_prime(config.crystal, config.signal_axis,
-                                config.signal_wavelength_um, config.temperature_c))
-    return dk1 * config.length_m / 2.0
+    return _dk1(config) * config.length_m / 2.0
 
 
 def _brentq(f, a: float, b: float, xtol: float,

@@ -27,8 +27,7 @@ import numpy as np
 from . import dispersion as _dispersion
 from . import jsa as _jsa
 from .constants import c, epsilon_0, hbar
-from .errors import ValidationError
-from .jsa import FrequencyGrid, PumpPulse
+from .jsa import _DEFAULT_GRID_POINTS, FrequencyGrid, PumpPulse
 from .phasematch import PdcConfig
 
 __all__ = [
@@ -103,22 +102,17 @@ def pdc_efficiency(config: PdcConfig, eta_jsa: float) -> float:
 
 def squeezing_spectrum(config: PdcConfig, pump: PumpPulse,
                        grid: FrequencyGrid | None = None,
-                       grid_n: int = 512) -> SqueezingResult:
+                       grid_n: int = _DEFAULT_GRID_POINTS) -> SqueezingResult:
     """Run the full pipeline: JSA → Schmidt modes → per-mode squeezing.
 
     ``grid`` defaults to :func:`pdcmodes.jsa.default_grid` with ``grid_n``
     points per axis.
     """
-    if not math.isclose(pump.wavelength_um, config.pump_wavelength_um,
-                        rel_tol=1e-12):
-        raise ValidationError(
-            f"pump record wavelength {pump.wavelength_um:g} µm does not match "
-            f"the design pump wavelength {config.pump_wavelength_um:g} µm")
     if grid is None:
         grid = _jsa.default_grid(config, pump, n=grid_n)
     amplitude = _jsa.compute_jsa(config, pump, grid)
     decomp = _jsa.schmidt_decompose(amplitude)
-    eta_jsa = _jsa.jsa_efficiency(amplitude, decomp)
+    eta_jsa = _jsa.jsa_efficiency(decomp)
     eta_pdc = pdc_efficiency(config, eta_jsa)
     p_peak = peak_power(pump)
     r0 = math.sqrt(eta_pdc * p_peak)
@@ -149,7 +143,7 @@ def squeezing_spectrum(config: PdcConfig, pump: PumpPulse,
 
 def length_scan(config: PdcConfig, pump: PumpPulse, lengths_m,
                 grid: FrequencyGrid | None = None,
-                grid_n: int = 512) -> list[tuple[float, SqueezingResult]]:
+                grid_n: int = _DEFAULT_GRID_POINTS) -> list[tuple[float, SqueezingResult]]:
     """Re-run the full pipeline for each crystal length, in input order.
 
     By default each point rebuilds the grid (its extent depends on L) along

@@ -77,7 +77,7 @@ def test_criterion_5_mode_counts(walkoff_decomp, matched_decomp,
 
 
 def test_criterion_6_shape_efficiency(matched_jsa, matched_decomp):
-    eta = p.jsa_efficiency(matched_jsa, matched_decomp)
+    eta = p.jsa_efficiency(matched_decomp)
     ok = abs(eta - 0.75) <= 0.05
     _report(6, "shape efficiency", ok, f"η_JSA = {eta:.4f} (0.75 ± 0.05)")
 
@@ -129,7 +129,7 @@ def test_criterion_9_double_gaussian_oracle():
         worst_k = max(worst_k,
                       abs(decomp.schmidt_number - k_exact) / k_exact)
         worst_eta = max(worst_eta,
-                        abs(p.jsa_efficiency(amplitude, decomp) - eta_exact)
+                        abs(p.jsa_efficiency(decomp) - eta_exact)
                         / eta_exact)
         worst_norm = max(worst_norm,
                          abs(decomp.raw_norm - r_ratio / 4) / (r_ratio / 4))

@@ -79,6 +79,35 @@ def run_cli(*args, cwd):
                           cwd=cwd, env=child_env(), capture_output=True, text=True)
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Runs every cli-design and cli-export reference op of the benchmark through
+# cli.main in one process and prints the artifacts that differ from
+# perfbench/golden.json, as one JSON list on the last line.
+GOLDEN_CHILD = """\
+import json, os, shutil, sys
+from pathlib import Path
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+import checks, ops
+os.environ.update(ops.BLAS_ENV)  # the threads the hashes were recorded with
+from pdcmodes import cli
+golden, problems = checks.golden(), []
+for op in ops.reference_ops("cli-design") + ops.reference_ops("cli-export"):
+    op_dir = Path(sys.argv[2]) / op["kind"].replace("/", "_")
+    op_dir.mkdir()
+    config, out = op_dir / "design.yaml", op_dir / "out"
+    config.write_text(op["yaml"], encoding="utf-8")
+    if cli.main([*op["args"], "--config", str(config), "--out", str(out)]) != 0:
+        problems.append(op["kind"] + ": nonzero exit")
+    else:
+        problems += checks.compare_hashes(op["kind"], checks.sha256_files(out),
+                                          golden)
+    shutil.rmtree(op_dir)
+print(json.dumps(problems))
+"""
+
+
 def load_schema(name):
     path = resources.files("pdcmodes").joinpath(f"schemas/{name}")
     return json.loads(path.read_text(encoding="utf-8"))
@@ -136,6 +165,15 @@ class TestDeterminism:
             assert result.returncode == 0, result.stderr
         assert (workdir / "ddet_a" / "dispersion.csv").read_bytes() == \
             (workdir / "ddet_b" / "dispersion.csv").read_bytes()
+
+    def test_reference_artifacts_match_benchmark_golden(self, tmp_path):
+        # 16 ops: both designs of every (command, format) pair in cli-design
+        # and cli-export, jsa --include-complex as CSV and JSON included
+        result = subprocess.run(
+            [sys.executable, "-c", GOLDEN_CHILD, str(PERFBENCH), str(tmp_path)],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == []
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +409,25 @@ class TestSqueezeAndScan:
         axis = np.loadtxt(workdir / "jsao" / "jsa_axis_thz.csv", skiprows=1)
         assert axis[-1] - axis[0] == pytest.approx(30.0, rel=1e-6)
 
+    def test_scan_on_pinned_grid_matches_squeeze(self, workdir):
+        # detuning_extent_thz pins one grid for every length of the scan
+        (workdir / "pinned.yaml").write_text(
+            MATCHED_YAML + "grid:\n  points_per_axis: 128\n"
+                           "  detuning_extent_thz: 15.0\n", encoding="utf-8")
+        scan = run_cli("scan", "--config", "pinned.yaml", "--lengths-mm", "20",
+                       "80", "--out", "scan_pinned", cwd=workdir)
+        squeeze = run_cli("squeeze", "--config", "pinned.yaml", "--out",
+                          "sq_pinned", cwd=workdir)
+        assert scan.returncode == 0, scan.stderr
+        assert squeeze.returncode == 0, squeeze.stderr
+        _, rows = read_csv(workdir / "scan_pinned" / "scan.csv")
+        payload = json.loads((workdir / "sq_pinned" / "squeeze.json").read_text())
+        expected = [payload["schmidt_number"], payload["eta_jsa"],
+                    payload["eta_pdc_per_w"], payload["r"][0], payload["s_db"][0]]
+        assert rows[1][0] == "80"
+        assert rows[1][1:6] == [format(v, ".9g") for v in expected]
+        assert rows[0][1:6] != rows[1][1:6]
+
 
 class TestErrorPaths:
     def test_unknown_config_key_is_validity_error(self, workdir):
@@ -463,6 +520,24 @@ class TestErrorPaths:
         assert result.returncode == 3, result.stderr
         assert result.stderr.startswith("error[validity]:"), result.stderr
         assert "a1" in result.stderr
+
+    @pytest.mark.parametrize("old, bad", [
+        ("a1: 5.653", "a1: 5.653\n      1: 2.0"),
+        ("a3: 0.2091", "a3: 1.0e+200"),
+    ], ids=["integer_key", "overflowing_coefficient"])
+    def test_malformed_crystal_coefficients_are_validity_errors(
+            self, workdir, tmp_path, old, bad):
+        crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
+        assert old in crystal
+        path = tmp_path / "crystal.yaml"
+        path.write_text(crystal.replace(old, bad, 1), encoding="utf-8")
+        out = tmp_path / "out"
+        result = run_cli("cgvm", "--pump-axis", "e", "--signal-axis", "o",
+                         "--crystal", str(path), "--out", str(out), cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error[validity]:"), result.stderr
+        assert not out.exists()
 
     def test_domain_error_from_bad_wavelength(self, workdir):
         bad = workdir / "uv.yaml"

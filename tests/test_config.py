@@ -1,0 +1,38 @@
+"""Run-configuration parsing: every malformed mapping is a package error."""
+
+from hypothesis import given, settings, strategies as st
+
+import pdcmodes as p
+from pdcmodes.config import (GridSettings, OutputSettings, PdcSettings,
+                             PumpSettings, RunConfig)
+
+_ODD_KEYS = st.text(max_size=4) | st.integers()
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=6) | st.sampled_from(["type-I", "e", "o", "json"]))
+_VALUES = (_LEAVES | st.lists(_LEAVES, max_size=2)
+           | st.dictionaries(_ODD_KEYS, _LEAVES, max_size=2))
+
+
+def _section(keys):
+    """A mapping shaped like one config section, with arbitrary values."""
+    return st.dictionaries(st.sampled_from(keys) | _ODD_KEYS, _VALUES,
+                           max_size=len(keys) + 1)
+
+
+# the shape of a run config, so that generated documents reach every check
+_DOCS = st.fixed_dictionaries({}, optional={
+    "crystal_file": st.none() | st.text(max_size=6) | _LEAVES,
+    "pdc": _section(PdcSettings._KEYS) | _LEAVES,
+    "pump": _section(PumpSettings._KEYS) | _LEAVES,
+    "grid": _section(GridSettings._KEYS) | _LEAVES,
+    "output": _section(OutputSettings._KEYS) | _LEAVES,
+})
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(doc=_DOCS)
+def test_from_mapping_raises_only_package_errors(doc):
+    try:
+        RunConfig.from_mapping(doc)
+    except p.PdcModesError:
+        pass

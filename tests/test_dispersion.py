@@ -1,9 +1,12 @@
 """Dispersion module: Sellmeier evaluation, derivatives, crystal loading."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c
 
 import pdcmodes as p
@@ -159,6 +162,28 @@ class TestClosedFormDerivatives:
             assert abs(m - fd) < 1e-6 * abs(fd)
 
 
+def _node_paths(node, prefix=()):
+    """Key paths of every node below a parsed YAML document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+_BUNDLED = yaml.safe_load(p.bundled_crystal_path().read_text(encoding="utf-8"))
+_BUNDLED_PATHS = list(_node_paths(_BUNDLED))
+
+# what a YAML document can hold, plus numeric text and extreme numbers
+_YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["1.0e8", "1e400", "nan", "-inf", "0x10"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4) | st.integers(), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
 _MINIMAL = """
 name: test-crystal
 class: uniaxial
@@ -238,6 +263,43 @@ class TestLoadCrystal:
         path.write_bytes(b"\xff\xfe")
         with pytest.raises(p.ValidationError, match="latin1.yaml.*not UTF-8"):
             p.load_crystal_file(path)
+
+    @pytest.mark.parametrize("old, bad", [
+        ("a1: 5.653", "a1: 5.653\n      1: 2.0"),
+        ("a3: 0.2091", "a3: 1.0e+200"),
+        ("a5: 10.85", "a5: 1.0e+200"),
+        ("b3: -4.641e-9", "b3: 1.0e+200"),
+    ], ids=["integer_key", "huge_a3", "huge_a5", "huge_b3"])
+    def test_malformed_coefficient_block_rejected(self, old, bad):
+        # an integer key cannot name a coefficient; a squared coefficient
+        # beyond the float range must not escape as OverflowError
+        text = p.bundled_crystal_path().read_text(encoding="utf-8")
+        assert old in text
+        with pytest.raises(p.ValidationError, match="text keys|not finite"):
+            p.load_crystal(text.replace(old, bad, 1))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(path=st.sampled_from(_BUNDLED_PATHS),
+           action=st.sampled_from(["replace", "delete", "insert"]),
+           key=st.text(max_size=4) | st.integers(), value=_YAML_VALUES)
+    def test_mutated_bundled_document_raises_only_package_errors(
+            self, path, action, key, value):
+        doc = copy.deepcopy(_BUNDLED)
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if action == "replace":
+            parent[path[-1]] = value
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent, dict):
+            parent[key] = value
+        else:
+            parent.insert(path[-1], value)
+        try:
+            p.load_crystal(doc)
+        except p.PdcModesError:
+            pass
 
     def test_pole_coefficients_must_be_a_list(self):
         text = _MINIMAL.format(a=4.84, b="3.0", c="[]")

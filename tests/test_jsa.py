@@ -3,9 +3,11 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c
 
 import pdcmodes as p
@@ -244,23 +246,49 @@ class TestSchmidtDecompose:
             assert changes == n, f"mode {n}: {changes} sign changes"
 
 
+def _assert_normalized(decomp):
+    assert abs(math.fsum(decomp.s ** 2) - 1.0) <= 1e-12
+    assert decomp.schmidt_number >= 1.0
+
+
+class TestSchmidtInvariants:
+    """Σs² = 1 within 1e-12 and K ≥ 1 on any amplitude."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(r_ratio=st.floats(1.0, 20.0), n=st.integers(64, 160))
+    def test_double_gaussian(self, r_ratio, n):
+        amplitude = p.double_gaussian_jsa(1e12, r_ratio, _dg_grid(r_ratio, 1e12, n=n))
+        _assert_normalized(p.schmidt_decompose(amplitude))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(design=st.sampled_from(["walkoff", "matched"]),
+           n=st.integers(64, 128), dt_c=st.floats(-0.5, 0.5))
+    def test_small_grid_reference_designs(self, walkoff_config, matched_config,
+                                          pump740, pump775, design, n, dt_c):
+        config, pump = ((walkoff_config, pump740) if design == "walkoff"
+                        else (matched_config, pump775))
+        config = replace(config, temperature_c=config.temperature_c + dt_c)
+        grid = p.default_grid(config, pump, n=n)
+        _assert_normalized(p.schmidt_decompose(p.compute_jsa(config, pump, grid)))
+
+
 class TestJsaEfficiency:
     def test_matched_design(self, matched_jsa, matched_decomp):
-        eta = p.jsa_efficiency(matched_jsa, matched_decomp)
+        eta = p.jsa_efficiency(matched_decomp)
         assert abs(eta - 0.75) < 0.05
 
     def test_single_mode_limit(self):
         grid = _dg_grid(1.0, 1e12)
         amplitude = p.double_gaussian_jsa(1e12, 1.0, grid)
         decomp = p.schmidt_decompose(amplitude)
-        assert_within(p.jsa_efficiency(amplitude, decomp), 0.25, 0.01,
+        assert_within(p.jsa_efficiency(decomp), 0.25, 0.01,
                       "η at R = 1")
 
     def test_highly_multimode_limit(self):
         grid = _dg_grid(50.0, 1e12, n=1024, n_sigma=4.0)
         amplitude = p.double_gaussian_jsa(1e12, 50.0, grid)
         decomp = p.schmidt_decompose(amplitude)
-        assert abs(p.jsa_efficiency(amplitude, decomp) - 1.0) < 0.05
+        assert abs(p.jsa_efficiency(decomp) - 1.0) < 0.05
 
 
 class TestDoubleGaussian:
@@ -297,6 +325,6 @@ class TestDoubleGaussian:
         decomp = p.schmidt_decompose(amplitude)
         k_exact, eta_exact = p.double_gaussian_analytics(r_ratio)
         assert_within(decomp.schmidt_number, k_exact, 0.01, f"K at R={r_ratio}")
-        assert_within(p.jsa_efficiency(amplitude, decomp), eta_exact, 0.01,
+        assert_within(p.jsa_efficiency(decomp), eta_exact, 0.01,
                       f"η at R={r_ratio}")
         assert_within(decomp.raw_norm, r_ratio / 4, 0.01, f"norm at R={r_ratio}")
