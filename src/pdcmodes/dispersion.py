@@ -22,6 +22,7 @@ cross-check lives in the test suite).
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +55,9 @@ __all__ = [
 
 UNIAXIAL_AXES = ("o", "e")
 BIAXIAL_AXES = ("x", "y", "z")
+
+# elements per block of an in-place Sellmeier evaluation (256 KiB buffers)
+_BLOCK = 1 << 15
 
 # temperatures (°C) at which the n > 1 invariant is checked on load
 _VALIDATION_TEMPS = (0.0, 100.0, 200.0)
@@ -96,6 +100,20 @@ def _require_keys(mapping: Mapping, required: tuple, context: str) -> None:
         raise ValidationError(f"{context}: unknown coefficient(s) {unknown}")
 
 
+def _not_finite(t_c) -> DomainError:
+    return DomainError(
+        f"gayer_two_pole: the index is not finite at {t_c:g} °C; the "
+        "crystal's coefficients do not extend to this temperature")
+
+
+def _check_finite(t_c, value) -> None:
+    """A DomainError unless every number in ``value`` is finite: an
+    evaluation at t_c that overflows or meets a pole is no index."""
+    if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
+            else math.isfinite(value)):
+        raise _not_finite(t_c)
+
+
 class GayerTwoPole:
     """Two-pole Sellmeier with a quadratic temperature parameter.
 
@@ -120,37 +138,75 @@ class GayerTwoPole:
     def _f(self, t_c):
         return (t_c - self.t_ref_c) * (t_c + self.t_ref_c + 2.0 * 273.16)
 
-    def n_squared(self, lam_um, t_c):
+    def _terms(self, t_c):
+        """The temperature-dependent scalars at T = t_c (a scalar):
+        a1 + b1·f, a2 + b2·f, (a3 + b3·f)², a4 + b4·f and a5²."""
         f = self._f(t_c)
-        lam2 = np.square(lam_um)
-        pole1 = (self.a3 + self.b3 * f) ** 2
-        return (self.a1 + self.b1 * f
-                + (self.a2 + self.b2 * f) / (lam2 - pole1)
-                + (self.a4 + self.b4 * f) / (lam2 - self.a5 ** 2)
-                - self.a6 * lam2)
+        try:
+            terms = (self.a1 + self.b1 * f, self.a2 + self.b2 * f,
+                     (self.a3 + self.b3 * f) ** 2, self.a4 + self.b4 * f,
+                     self.a5 ** 2)
+        except OverflowError:  # a float ** 2 beyond the float range
+            raise _not_finite(t_c) from None
+        if not all(map(math.isfinite, terms)):
+            raise _not_finite(t_c)
+        return terms
+
+    def n_squared(self, lam_um, t_c):
+        c1, c2, q1, c4, q2 = self._terms(t_c)
+        if not (isinstance(lam_um, np.ndarray) and lam_um.ndim):
+            lam2 = np.square(lam_um)
+            value = c1 + c2 / (lam2 - q1) + c4 / (lam2 - q2) - self.a6 * lam2
+            _check_finite(t_c, value)
+            return value
+        # an array: the same operations in the same order, in place and
+        # block by block, so that the only full-size array is the result
+        out = np.empty(lam_um.shape)
+        lam_flat, out_flat = lam_um.reshape(-1), out.reshape(-1)
+        buffer = np.empty(min(lam_flat.size, _BLOCK))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for start in range(0, lam_flat.size, _BLOCK):
+                lam_b = lam_flat[start:start + _BLOCK]
+                acc = out_flat[start:start + _BLOCK]
+                tmp = buffer[:lam_b.size]
+                np.square(lam_b, out=acc)
+                acc -= q1
+                np.divide(c2, acc, out=acc)
+                acc += c1
+                np.square(lam_b, out=tmp)
+                tmp -= q2
+                np.divide(c4, tmp, out=tmp)
+                acc += tmp
+                np.square(lam_b, out=tmp)
+                tmp *= self.a6
+                acc -= tmp
+        _check_finite(t_c, out)
+        return out
 
     def dn2_dlam(self, lam_um, t_c):
-        f = self._f(t_c)
+        _, c2, q1, c4, q2 = self._terms(t_c)
         lam2 = np.square(lam_um)
-        d1 = lam2 - (self.a3 + self.b3 * f) ** 2
-        d2 = lam2 - self.a5 ** 2
-        return -2.0 * lam_um * ((self.a2 + self.b2 * f) / d1 ** 2
-                                + (self.a4 + self.b4 * f) / d2 ** 2
-                                + self.a6)
-
-    def d2n2_dlam2(self, lam_um, t_c):
-        f = self._f(t_c)
-        lam2 = np.square(lam_um)
-        q1 = (self.a3 + self.b3 * f) ** 2
-        q2 = self.a5 ** 2
         d1 = lam2 - q1
         d2 = lam2 - q2
-        return ((self.a2 + self.b2 * f) * (6.0 * lam2 + 2.0 * q1) / d1 ** 3
-                + (self.a4 + self.b4 * f) * (6.0 * lam2 + 2.0 * q2) / d2 ** 3
-                - 2.0 * self.a6)
+        value = -2.0 * lam_um * (c2 / d1 ** 2 + c4 / d2 ** 2 + self.a6)
+        _check_finite(t_c, value)
+        return value
+
+    def d2n2_dlam2(self, lam_um, t_c):
+        _, c2, q1, c4, q2 = self._terms(t_c)
+        lam2 = np.square(lam_um)
+        d1 = lam2 - q1
+        d2 = lam2 - q2
+        value = (c2 * (6.0 * lam2 + 2.0 * q1) / d1 ** 3
+                 + c4 * (6.0 * lam2 + 2.0 * q2) / d2 ** 3
+                 - 2.0 * self.a6)
+        _check_finite(t_c, value)
+        return value
 
     def n(self, lam_um, t_c):
-        return np.sqrt(self.n_squared(lam_um, t_c))
+        g = self.n_squared(lam_um, t_c)
+        # an array from n_squared is new: take its root in place
+        return np.sqrt(g, out=g) if isinstance(g, np.ndarray) else np.sqrt(g)
 
     def dn_dlam(self, lam_um, t_c):
         g = self.n_squared(lam_um, t_c)
@@ -362,7 +418,7 @@ def _validate_physical(model: CrystalModel) -> None:
             try:
                 with np.errstate(invalid="ignore", divide="ignore"):
                     n2 = np.asarray(sell.n_squared(lam, t_c), dtype=float)
-            except OverflowError:  # a float ** 2 of a huge coefficient
+            except DomainError:  # a non-finite or overflowing evaluation
                 n2 = np.array(np.inf)
             if not np.all(np.isfinite(n2)) or np.any(n2 <= 0):
                 raise ValidationError(
@@ -445,10 +501,14 @@ def wavevector(crystal: CrystalModel, axis: str, wavelength_um,
 def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
                         temperature_c: float):
     """Wavevector k(ω) in rad/m at angular frequency ω (rad/s, SI)."""
-    lam_um = 2.0e6 * np.pi * c / np.asarray(omega_rad_s, dtype=float)
+    omega = np.asarray(omega_rad_s, dtype=float)
+    lam_um = 2.0e6 * np.pi * c / omega
     sell = crystal.axis(axis)
     _check_range(crystal, lam_um, strict=False)
-    k = sell.n(lam_um, temperature_c) * np.asarray(omega_rad_s, dtype=float) / c
+    # n·ω/c in place: multiply by ω, then divide by c
+    k = sell.n(lam_um, temperature_c)
+    k *= omega
+    k /= c
     return float(k) if np.isscalar(omega_rad_s) else k
 
 

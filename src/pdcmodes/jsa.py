@@ -8,13 +8,14 @@ symmetric grid of signal detunings Ω (rad/s):
 with the dimensionless gain prefactor stripped off. α̃ is the pump spectral
 amplitude normalized to ∫α̃ dΩ/2π = 1 (unit time-domain peak), the unique
 convention under which the double-Gaussian closed forms used as test oracles
-hold. :class:`JsaGrid` stores the real envelope α̃·sinc and Δ̃, and builds
-the complex entries above only when they are read. The Schmidt
-decomposition acts on the envelope, i.e. with the propagation chirp
-exp(iΔ̃L/2) removed. That chirp is a reference-plane artifact of writing
-the interaction from the crystal input face; keeping it would fold
-pump-dispersion phase into the mode functions and inflate the mode count
-without changing any generated-light observable derived here.
+hold. :class:`JsaGrid` holds one array, the real envelope α̃·sinc times the
+quadrature weight δΩ/2π, and recomputes the envelope, Δ̃ and the complex
+entries above only when they are read. The Schmidt decomposition acts on
+the envelope, i.e. with the propagation chirp exp(iΔ̃L/2) removed. That
+chirp is a reference-plane artifact of writing the interaction from the
+crystal input face; keeping it would fold pump-dispersion phase into the
+mode functions and inflate the mode count without changing any
+generated-light observable derived here.
 
 Singular values are normalized to Σ s_n² = 1; the pre-normalization weight
 ∬|J|² dΩ₁dΩ₂/(2π)² is kept as ``raw_norm`` so shape efficiencies and gain
@@ -53,10 +54,10 @@ _MIN_GRID_POINTS = 64
 _DEFAULT_GRID_POINTS = 512
 
 # Working set of the JSA → Schmidt pipeline per grid cell: the peak RSS of
-# squeezing_spectrum at n = 1024 above the interpreter's own, (128 − 30) MB
+# squeezing_spectrum at n = 1024 above the interpreter's own, (111 − 30) MB
 # over 1024² cells. Grids whose estimate exceeds the budget are refused
 # before anything is allocated.
-_BYTES_PER_CELL = 95
+_BYTES_PER_CELL = 77
 _GRID_BUDGET_BYTES = 8 * 2 ** 30
 
 # |sinc(x)| stays above 0.05 for |x| < 20; used to size the default grid
@@ -146,7 +147,12 @@ def pump_spectral_amplitude(pump: PumpPulse, omega_rad_s):
     """Normalized pump amplitude α̃(Ω) in seconds, ∫α̃ dΩ/2π = 1."""
     sig = pump.sigma_plus_rad_s
     om = np.asarray(omega_rad_s, dtype=float)
-    out = (math.sqrt(math.pi) / sig) * np.exp(-om ** 2 / (4.0 * sig ** 2))
+    # (√π/σ)·exp(−Ω²/(4σ²)) in place, in that operation order
+    out = np.square(om, out=np.empty_like(om))
+    np.negative(out, out=out)
+    out /= 4.0 * sig ** 2
+    np.exp(out, out=out)
+    out *= math.sqrt(math.pi) / sig
     if np.isscalar(omega_rad_s):
         return float(out)
     return out
@@ -175,38 +181,79 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
 
 @dataclass(frozen=True)
 class JsaGrid:
-    """Sampled two-photon amplitude with its phase-free envelope.
+    """Sampled two-photon amplitude, held as its Schmidt kernel.
 
-    ``envelope[i, j]`` = α̃(Ωᵢ+Ωⱼ)·sinc(x) with x = Δ̃(Ωᵢ,Ωⱼ)·L/2;
-    ``mismatch`` holds Δ̃ in rad/m. ``config``/``pump`` are None for
-    synthetic amplitudes. All arrays are read-only.
+    ``kernel[i, j]`` = α̃(Ωᵢ+Ωⱼ)·sinc(x)·δΩ/2π with x = Δ̃(Ωᵢ,Ωⱼ)·L/2, the
+    chirp-free envelope with the quadrature weight folded in: the matrix
+    whose singular values are the Schmidt coefficients, and the only array
+    held. ``envelope``, ``mismatch`` and ``values`` are recomputed from
+    ``config``, ``pump`` and ``grid`` on each access, by the expressions
+    that built the kernel. ``config``/``pump`` are None for synthetic
+    amplitudes. All arrays are read-only.
     """
 
-    envelope: np.ndarray
-    mismatch: np.ndarray
+    kernel: np.ndarray
     grid: FrequencyGrid
     config: PdcConfig | None = None
     pump: PumpPulse | None = None
 
     @property
+    def mismatch(self) -> np.ndarray:
+        """Δ̃(Ωᵢ, Ωⱼ) in rad/m; zero for synthetic amplitudes."""
+        if self.config is None:
+            return _frozen(np.zeros_like(self.kernel))
+        return _frozen(_mismatch(self.config, self.grid))
+
+    @property
+    def envelope(self) -> np.ndarray:
+        """α̃(Ωᵢ+Ωⱼ)·sinc(x); a synthetic amplitude's kernel over δΩ/2π."""
+        if self.config is None:
+            return _frozen(self.kernel / _weight(self.grid))
+        return _frozen(_envelope(self.pump, self.grid,
+                                 _half_phase(self.config, self.grid)))
+
+    @property
     def values(self) -> np.ndarray:
-        """Read-only ``values[i, j]`` = α̃(Ωᵢ+Ωⱼ)·exp(i·x)·sinc(x).
+        """``values[i, j]`` = α̃(Ωᵢ+Ωⱼ)·exp(i·x)·sinc(x).
 
         Built anew on each access (16 bytes per cell), since only the
         exported grid reads it. Synthetic amplitudes carry no chirp.
         """
         if self.config is None:
-            values = self.envelope.astype(complex)
-        else:
-            values = self.envelope * np.exp(
-                1j * (self.mismatch * (self.config.length_m / 2.0)))
-        values.setflags(write=False)
-        return values
+            return _frozen(self.envelope.astype(complex))
+        x = _half_phase(self.config, self.grid)
+        return _frozen(_envelope(self.pump, self.grid, x) * np.exp(1j * x))
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.setflags(write=False)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _weight(grid: FrequencyGrid) -> float:
+    """The quadrature weight δΩ/2π of one grid step."""
+    return grid.step_rad_s / (2.0 * math.pi)
+
+
+def _mismatch(config: PdcConfig, grid: FrequencyGrid) -> np.ndarray:
+    """Δ̃(Ωᵢ, Ωⱼ) on the grid."""
+    om = grid.detunings()
+    return _phasematch.phase_mismatch(config, om[:, None], om[None, :])
+
+
+def _half_phase(config: PdcConfig, grid: FrequencyGrid) -> np.ndarray:
+    """x = Δ̃(Ωᵢ, Ωⱼ)·L/2, scaled in place."""
+    x = _mismatch(config, grid)
+    x *= config.length_m / 2.0
+    return x
+
+
+def _envelope(pump: PumpPulse, grid: FrequencyGrid, x: np.ndarray) -> np.ndarray:
+    """α̃(Ωᵢ+Ωⱼ)·sinc(x) as a new array."""
+    om = grid.detunings()
+    envelope = pump_spectral_amplitude(pump, om[:, None] + om[None, :])
+    envelope *= sinc(x)
+    return envelope
 
 
 def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaGrid:
@@ -221,14 +268,10 @@ def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaG
         raise ValidationError(
             f"pump record wavelength {pump.wavelength_um:g} µm does not match "
             f"the design pump wavelength {config.pump_wavelength_um:g} µm")
-    om = grid.detunings()
-    total = om[:, None] + om[None, :]
-    alpha = pump_spectral_amplitude(pump, total)
-    delta = _phasematch.phase_mismatch(config, om[:, None], om[None, :])
-    envelope = alpha * sinc(delta * (config.length_m / 2.0))
-    _freeze(envelope, delta)
-    return JsaGrid(envelope=envelope, mismatch=delta, grid=grid,
-                   config=config, pump=pump)
+    # x is freed once the envelope holds α̃·sinc(x); the weight goes in place
+    kernel = _envelope(pump, grid, _half_phase(config, grid))
+    kernel *= _weight(grid)
+    return JsaGrid(kernel=_frozen(kernel), grid=grid, config=config, pump=pump)
 
 
 @dataclass(frozen=True)
@@ -249,29 +292,30 @@ class SchmidtDecomposition:
 def schmidt_decompose(jsa: JsaGrid) -> SchmidtDecomposition:
     """Singular-value decomposition of the (chirp-free) JSA envelope.
 
-    The quadrature weight δΩ/2π is folded into the matrix, so the singular
-    values approximate the continuous Schmidt coefficients and the mode
-    functions carry the continuous normalization.
+    The decomposed matrix is ``jsa.kernel``, which has the quadrature
+    weight δΩ/2π folded in, so the singular values approximate the
+    continuous Schmidt coefficients and the mode functions carry the
+    continuous normalization.
     """
-    weight = jsa.grid.step_rad_s / (2.0 * math.pi)
-    matrix = jsa.envelope * weight
+    matrix = jsa.kernel
     if not np.all(np.isfinite(matrix)):
         raise DomainError("JSA contains non-finite entries")
     if not np.any(matrix):
         raise DomainError("JSA is identically zero; nothing to decompose")
-    u, sv, _ = np.linalg.svd(matrix)
+    u, sv = np.linalg.svd(matrix)[:2]   # V† (= U up to signs) is dropped
     raw_norm = float(np.sum(sv ** 2))
     s = sv / math.sqrt(raw_norm)
     k = 1.0 / float(np.sum(s ** 4))
-    modes = (u / math.sqrt(weight)).T
-    # deterministic sign: largest-magnitude sample of each mode is positive
-    peak = np.argmax(np.abs(modes), axis=1)
+    u /= math.sqrt(_weight(jsa.grid))
+    modes = u.T
+    # deterministic sign: largest-magnitude sample of each mode is positive;
+    # |modes| in C order, so that argmax along a row copies nothing
+    peak = np.argmax(np.abs(modes, out=np.empty(modes.shape)), axis=1)
     signs = np.sign(modes[np.arange(modes.shape[0]), peak])
     signs[signs == 0] = 1.0
-    modes = modes * signs[:, None]
-    _freeze(s, modes)
-    return SchmidtDecomposition(s=s, modes=modes, schmidt_number=k,
-                                raw_norm=raw_norm)
+    modes *= signs[:, None]
+    return SchmidtDecomposition(s=_frozen(s), modes=_frozen(modes),
+                                schmidt_number=k, raw_norm=raw_norm)
 
 
 def jsa_efficiency(decomp: SchmidtDecomposition) -> float:
@@ -296,13 +340,11 @@ def double_gaussian_jsa(omega_p_rad_s: float, r_ratio: float,
     om = grid.detunings()
     total = om[:, None] + om[None, :]
     diff = om[:, None] - om[None, :]
-    envelope = ((math.sqrt(math.pi) / omega_p_rad_s)
-                * np.exp(-total ** 2 / (4.0 * omega_p_rad_s ** 2))
-                * np.exp(-diff ** 2 / (4.0 * (r_ratio * omega_p_rad_s) ** 2)))
-    mismatch = np.zeros_like(envelope)
-    _freeze(envelope, mismatch)
-    return JsaGrid(envelope=envelope, mismatch=mismatch, grid=grid,
-                   config=None, pump=None)
+    kernel = ((math.sqrt(math.pi) / omega_p_rad_s)
+              * np.exp(-total ** 2 / (4.0 * omega_p_rad_s ** 2))
+              * np.exp(-diff ** 2 / (4.0 * (r_ratio * omega_p_rad_s) ** 2)))
+    kernel *= _weight(grid)
+    return JsaGrid(kernel=_frozen(kernel), grid=grid)
 
 
 def double_gaussian_analytics(r_ratio: float) -> tuple[float, float]:

@@ -155,18 +155,23 @@ def phase_mismatch(config: PdcConfig, omega1_rad_s, omega2_rad_s):
     om1 = np.asarray(omega1_rad_s, dtype=float)
     om2 = np.asarray(omega2_rad_s, dtype=float)
     kappa = grating_wavevector(config)
-    kp = dispersion.wavevector_at_omega(
-        config.crystal, config.pump_axis,
-        config.omega_p_rad_s + (om1 + om2), config.temperature_c)
+    # the pump frequency ω_p + (Ω₁ + Ω₂), built in place
+    omega_p = om1 + om2
+    omega_p += config.omega_p_rad_s
+    delta = dispersion.wavevector_at_omega(
+        config.crystal, config.pump_axis, omega_p, config.temperature_c)
+    del omega_p
     ks1 = dispersion.wavevector_at_omega(
         config.crystal, config.signal_axis,
         config.omega_s_rad_s + om1, config.temperature_c)
     ks2 = dispersion.wavevector_at_omega(
         config.crystal, config.signal_axis,
         config.omega_s_rad_s + om2, config.temperature_c)
-    # sum the signal terms first: (ks1 + ks2) commutes exactly in floating
-    # point, so Δ̃(Ω₁, Ω₂) == Δ̃(Ω₂, Ω₁) bit for bit
-    delta = kp - (ks1 + ks2) - kappa
+    # kp − (ks1 + ks2) − κ in place; the signal terms are summed first:
+    # (ks1 + ks2) commutes exactly in floating point, so
+    # Δ̃(Ω₁, Ω₂) == Δ̃(Ω₂, Ω₁) bit for bit
+    delta -= ks1 + ks2
+    delta -= kappa
     if np.isscalar(omega1_rad_s) and np.isscalar(omega2_rad_s):
         return float(delta)
     return delta

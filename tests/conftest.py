@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import pdcmodes as p
+from pdcmodes.constants import c
+from pdcmodes.phasematch import grating_wavevector
 
 ROOM_T_C = 24.5
 
@@ -110,3 +112,39 @@ def assert_within(value, target, rel, label=""):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240814)
+
+
+# One-expression forms of the n² evaluations that the library evaluates in
+# place. Each element must go through the same operations in the same
+# order, so the library must equal these bit for bit.
+
+def expression_n_squared(sell, lam_um, t_c):
+    """GayerTwoPole.n_squared as a single expression."""
+    f = (t_c - sell.t_ref_c) * (t_c + sell.t_ref_c + 2.0 * 273.16)
+    lam2 = np.square(lam_um)
+    pole1 = (sell.a3 + sell.b3 * f) ** 2
+    return (sell.a1 + sell.b1 * f
+            + (sell.a2 + sell.b2 * f) / (lam2 - pole1)
+            + (sell.a4 + sell.b4 * f) / (lam2 - sell.a5 ** 2)
+            - sell.a6 * lam2)
+
+
+def expression_wavevector_at_omega(crystal, axis, omega_rad_s, t_c):
+    """dispersion.wavevector_at_omega as a single expression."""
+    omega = np.asarray(omega_rad_s, dtype=float)
+    lam_um = 2.0e6 * np.pi * c / omega
+    return np.sqrt(expression_n_squared(crystal.axis(axis), lam_um, t_c)) * omega / c
+
+
+def expression_phase_mismatch(config, omega1_rad_s, omega2_rad_s):
+    """phasematch.phase_mismatch as a single expression."""
+    om1 = np.asarray(omega1_rad_s, dtype=float)
+    om2 = np.asarray(omega2_rad_s, dtype=float)
+    t_c = config.temperature_c
+    kp = expression_wavevector_at_omega(
+        config.crystal, config.pump_axis, config.omega_p_rad_s + (om1 + om2), t_c)
+    ks1 = expression_wavevector_at_omega(
+        config.crystal, config.signal_axis, config.omega_s_rad_s + om1, t_c)
+    ks2 = expression_wavevector_at_omega(
+        config.crystal, config.signal_axis, config.omega_s_rad_s + om2, t_c)
+    return kp - (ks1 + ks2) - grating_wavevector(config)

@@ -108,6 +108,20 @@ print(json.dumps(problems))
 """
 
 
+# The build perfbench/golden.json was recorded with. The low bits of an SVD,
+# and so the spectral artifacts, can differ on another numpy or BLAS build.
+GOLDEN_BUILD = "numpy 2.4.6, OpenBLAS 0.3.31"
+
+
+def numpy_build() -> str:
+    """The running numpy and the BLAS it was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # numpy < 1.25 has no mode="dicts"
+        return f"numpy {np.__version__}, BLAS unknown"
+    return f"numpy {np.__version__}, {blas.get('name')} {blas.get('version')}"
+
+
 def load_schema(name):
     path = resources.files("pdcmodes").joinpath(f"schemas/{name}")
     return json.loads(path.read_text(encoding="utf-8"))
@@ -173,7 +187,10 @@ class TestDeterminism:
             [sys.executable, "-c", GOLDEN_CHILD, str(PERFBENCH), str(tmp_path)],
             cwd=tmp_path, env=child_env(), capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == []
+        problems = json.loads(result.stdout.splitlines()[-1])
+        assert problems == [], (
+            f"{problems}; the hashes were recorded with {GOLDEN_BUILD}, this "
+            f"run used {numpy_build()}")
 
 
 @pytest.fixture(scope="module")
@@ -537,6 +554,25 @@ class TestErrorPaths:
         assert result.returncode == 3, result.stderr
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert result.stderr.startswith("error[validity]:"), result.stderr
+        assert not out.exists()
+
+    def test_high_temperature_overflow_is_domain_error(self, workdir, tmp_path):
+        # b3 = 1e148 passes the 0–200 °C load check; (a3 + b3·f)² overflows
+        # at 1000 °C
+        crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
+        for old in ("b3: -4.641e-9", "b3: 6.113e-8"):
+            assert old in crystal
+            crystal = crystal.replace(old, "b3: 1.0e+148", 1)
+        path = tmp_path / "crystal.yaml"
+        path.write_text(crystal, encoding="utf-8")
+        out = tmp_path / "out"
+        result = run_cli("dispersion", "--crystal", str(path), "--lambda-min-um",
+                         "0.6", "--lambda-max-um", "3.6", "--temperature-c",
+                         "1000", "--out", str(out), cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error[domain]:"), result.stderr
+        assert "1000 °C" in result.stderr
         assert not out.exists()
 
     def test_domain_error_from_bad_wavelength(self, workdir):

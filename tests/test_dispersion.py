@@ -12,7 +12,8 @@ from scipy.constants import c
 import pdcmodes as p
 from pdcmodes.dispersion import k_double_prime, k_prime, wavevector_at_omega
 
-from conftest import ROOM_T_C, assert_within
+from conftest import (ROOM_T_C, assert_within, expression_n_squared,
+                      expression_wavevector_at_omega)
 
 
 # Independent evaluation of the published two-pole polynomial for 5% MgO:LN
@@ -121,6 +122,73 @@ class TestGvd:
 # step large enough that k(ω) roundoff (~eps·k/h²) stays below the 1e-5
 # relative target even near the GVD zero crossing; truncation of the
 # fourth-order stencils is negligible for these smooth curves
+class TestInPlaceEvaluation:
+    """The in-place array paths equal their one-expression forms bit for bit,
+    on both axes, at 0–200 °C, across the validity range."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(axis=st.sampled_from(["o", "e"]), t_c=st.floats(0.0, 200.0),
+           lo=st.floats(0.5, 4.0), hi=st.floats(0.5, 4.0), n=st.integers(1, 40))
+    def test_n_squared(self, crystal, axis, t_c, lo, hi, n):
+        sell = crystal.axis(axis)
+        lam = np.linspace(lo, hi, n)
+        grid = np.add.outer(lam, lam[::-1]) / 2.0   # a 2-D input, like the pump grid
+        for arr in (lam, grid):
+            expected = expression_n_squared(sell, arr, t_c)
+            assert np.array_equal(sell.n_squared(arr, t_c), expected)
+            assert np.array_equal(sell.n(arr, t_c), np.sqrt(expected))
+        scalar = float(lam[0])
+        expected = expression_n_squared(sell, scalar, t_c)
+        assert type(sell.n_squared(scalar, t_c)) is type(expected)
+        assert sell.n_squared(scalar, t_c) == expected
+        assert sell.n(scalar, t_c) == np.sqrt(expected)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(axis=st.sampled_from(["o", "e"]), t_c=st.floats(0.0, 200.0),
+           lo=st.floats(0.51, 3.99), hi=st.floats(0.51, 3.99), n=st.integers(1, 40))
+    def test_wavevector_at_omega(self, crystal, axis, t_c, lo, hi, n):
+        omega = 2.0e6 * np.pi * c / np.linspace(lo, hi, n)
+        grid = np.add.outer(omega, omega[::-1]) / 2.0
+        for arr in (omega, grid):
+            assert np.array_equal(
+                wavevector_at_omega(crystal, axis, arr, t_c),
+                expression_wavevector_at_omega(crystal, axis, arr, t_c))
+        scalar = float(omega[0])
+        assert wavevector_at_omega(crystal, axis, scalar, t_c) == \
+            expression_wavevector_at_omega(crystal, axis, scalar, t_c)
+
+
+def _hot_crystal():
+    """The bundled crystal with b3 = 1e148 on both axes: finite at 0–200 °C,
+    so it loads, but (a3 + b3·f)² overflows at 1000 °C."""
+    text = p.bundled_crystal_path().read_text(encoding="utf-8")
+    for old in ("b3: -4.641e-9", "b3: 6.113e-8"):
+        assert old in text
+        text = text.replace(old, "b3: 1.0e+148", 1)
+    return p.load_crystal(text)
+
+
+class TestNonFiniteEvaluation:
+    def test_high_temperature_overflow_is_domain_error(self):
+        xtl = _hot_crystal()
+        assert 2.0 < p.refractive_index(xtl, "o", 1.55, 200.0) < 2.4
+        for lam in (1.55, np.linspace(0.6, 3.0, 5)):
+            with pytest.raises(p.DomainError, match="not finite at 1000 °C"):
+                p.refractive_index(xtl, "o", lam, 1000.0)
+        for method in ("n_squared", "dn2_dlam", "d2n2_dlam2"):
+            with pytest.raises(p.DomainError, match="not finite at 1000 °C"):
+                getattr(xtl.axis("e"), method)(1.55, 1000.0)
+
+    def test_pole_on_the_sample_is_domain_error(self, crystal):
+        # λ = a5 puts the second pole exactly on the sample: c4/0; the
+        # derivatives' divide-by-zero warning comes before the error
+        sell = crystal.axis("o")
+        for method in ("n_squared", "dn2_dlam", "d2n2_dlam2"):
+            with pytest.raises(p.DomainError, match="not finite"), \
+                    np.errstate(divide="ignore"):
+                getattr(sell, method)(np.array([1.0, sell.a5]), ROOM_T_C)
+
+
 def _fd_k_prime(crystal, axis, omega, t_c):
     h = 1e-3 * omega
     k = [wavevector_at_omega(crystal, axis, omega + i * h, t_c)

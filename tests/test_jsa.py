@@ -94,6 +94,14 @@ class TestPumpSpectralAmplitude:
         assert np.array_equal(p.pump_spectral_amplitude(pump775, om),
                               p.pump_spectral_amplitude(pump775, -om))
 
+    def test_in_place_equals_expression_bit_for_bit(self, pump740):
+        sig = pump740.sigma_plus_rad_s
+        om = np.linspace(-12, 12, 97) * sig
+        for arg in (om, np.add.outer(om, om), 0.0, float(om[3])):
+            expected = (math.sqrt(math.pi) / sig) * np.exp(
+                -np.asarray(arg) ** 2 / (4.0 * sig ** 2))
+            assert np.array_equal(p.pump_spectral_amplitude(pump740, arg), expected)
+
 
 class TestDefaultGrid:
     def test_covers_reported_band(self, matched_config, pump775):
@@ -133,6 +141,18 @@ class TestComputeJsa:
         for amplitude in (walkoff_jsa, matched_jsa):
             assert np.array_equal(amplitude.values, amplitude.values.T)
             assert np.array_equal(amplitude.envelope, amplitude.envelope.T)
+
+    def test_kernel_is_weighted_envelope_bit_for_bit(self, walkoff_jsa, matched_jsa):
+        for amplitude in (walkoff_jsa, matched_jsa):
+            config, om = amplitude.config, amplitude.grid.detunings()
+            # the envelope as one expression: α̃(Ωᵢ+Ωⱼ)·sinc(Δ̃·L/2)
+            expected = p.pump_spectral_amplitude(
+                amplitude.pump, om[:, None] + om[None, :]) * sinc(
+                p.phase_mismatch(config, om[:, None], om[None, :])
+                * (config.length_m / 2.0))
+            weight = amplitude.grid.step_rad_s / (2 * math.pi)
+            assert np.array_equal(amplitude.envelope, expected)
+            assert np.array_equal(amplitude.envelope * weight, amplitude.kernel)
 
     def test_values_carry_the_mismatch_chirp(self, matched_jsa):
         x = matched_jsa.mismatch * matched_jsa.config.length_m / 2.0
@@ -176,14 +196,14 @@ class TestComputeJsa:
         with pytest.raises(ValueError):
             matched_jsa.values[0, 0] = 0.0
 
-    def test_holds_only_envelope_and_mismatch(self, matched_config, pump775):
+    def test_holds_one_n2_array(self, matched_config, pump775):
         n = 256
         amplitude = p.compute_jsa(matched_config, pump775,
                                   p.default_grid(matched_config, pump775, n=n))
         held = {name: getattr(amplitude, name).nbytes
                 for name in amplitude.__dataclass_fields__
                 if isinstance(getattr(amplitude, name), np.ndarray)}
-        assert held == {"envelope": 8 * n * n, "mismatch": 8 * n * n}
+        assert held == {"kernel": 8 * n * n}
 
     def test_squeezing_peak_allocation(self, matched_config, pump775):
         n = 256
@@ -196,7 +216,7 @@ class TestComputeJsa:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 8.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n² doubles"
+        assert peak <= 4.1 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n² doubles"
 
 
 class TestSchmidtDecompose:
@@ -232,8 +252,7 @@ class TestSchmidtDecompose:
     def test_all_zero_input_raises(self):
         grid = p.FrequencyGrid(n=64, omega_max_rad_s=1e13)
         dummy = p.double_gaussian_jsa(1e12, 1.0, grid)
-        zero = p.JsaGrid(envelope=np.zeros_like(dummy.envelope),
-                         mismatch=dummy.mismatch, grid=grid)
+        zero = p.JsaGrid(kernel=np.zeros_like(dummy.kernel), grid=grid)
         with pytest.raises(p.DomainError, match="zero"):
             p.schmidt_decompose(zero)
 

@@ -14,7 +14,7 @@ from pdcmodes.dispersion import k_double_prime, k_prime
 from pdcmodes.phasematch import (_CGVM_XTOL_UM, _TEMP_XTOL_C, _brentq,
                                  _group_index_gap)
 
-from conftest import ROOM_T_C, assert_within
+from conftest import ROOM_T_C, assert_within, expression_phase_mismatch
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,22 @@ class TestPhaseMismatch:
         config = walkoff_config if design == "walkoff" else matched_config
         assert (p.phase_mismatch(config, om1, om2)
                 == p.phase_mismatch(config, om2, om1))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(design=st.sampled_from(["walkoff", "matched"]),
+           t_c=st.floats(0.0, 200.0), n=st.integers(1, 48))
+    def test_in_place_grid_equals_expression_bit_for_bit(
+            self, walkoff_config, matched_config, pump740, pump775, design, t_c, n):
+        config, pump = ((walkoff_config, pump740) if design == "walkoff"
+                        else (matched_config, pump775))
+        config = replace(config, temperature_c=t_c)
+        om = np.linspace(-1, 1, n) * p.default_grid(config, pump).omega_max_rad_s
+        assert np.array_equal(p.phase_mismatch(config, om[:, None], om[None, :]),
+                              expression_phase_mismatch(config, om[:, None], om[None, :]))
+        assert np.array_equal(p.phase_mismatch(config, om, om[::-1]),
+                              expression_phase_mismatch(config, om, om[::-1]))
+        assert p.phase_mismatch(config, float(om[0]), float(om[-1])) == \
+            expression_phase_mismatch(config, float(om[0]), float(om[-1]))
 
     def test_broadcasting_matches_scalars(self, matched_config):
         om = np.linspace(-5e13, 5e13, 7)
