@@ -4,98 +4,52 @@ Crystal dispersion from Sellmeier data files, quasi-phase-matching and
 group-velocity-matching design, joint spectral amplitudes with their
 Schmidt-mode structure, and squeezing budgets versus crystal length and
 pump power. See the ``pdcmodes`` command-line tool for file-based runs.
+
+Public names resolve on first access: ``import pdcmodes`` loads no layer,
+and reading a name loads only the submodule that defines it and what that
+submodule imports. ``pdcmodes.load_bundled_crystal``, for instance, loads
+the dispersion layer but not the JSA or squeezing layers.
 """
 
-from .errors import DomainError, PdcModesError, SolverError, ValidationError
-from .dispersion import (
-    CrystalModel,
-    bundled_crystal_path,
-    group_index,
-    gvd,
-    load_bundled_crystal,
-    load_crystal,
-    load_crystal_file,
-    refractive_index,
-    wavevector,
-)
-from .phasematch import (
-    PdcConfig,
-    TaylorDispersion,
-    phase_mismatch,
-    phasematch_hyperbola,
-    poling_period,
-    solve_cgvm,
-    solve_cgvm_temperature,
-    taylor_dispersion,
-    taylor_phase_mismatch,
-    walkoff_time,
-)
-from .jsa import (
-    FrequencyGrid,
-    JsaGrid,
-    PumpPulse,
-    SchmidtDecomposition,
-    compute_jsa,
-    default_grid,
-    double_gaussian_analytics,
-    double_gaussian_jsa,
-    jsa_efficiency,
-    pump_spectral_amplitude,
-    schmidt_decompose,
-)
-from .squeezing import (
-    SqueezingResult,
-    beam_waist,
-    length_scan,
-    pdc_efficiency,
-    peak_power,
-    pulse_duration,
-    squeezing_spectrum,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "PdcModesError",
-    "DomainError",
-    "ValidationError",
-    "SolverError",
-    "CrystalModel",
-    "load_crystal",
-    "load_crystal_file",
-    "load_bundled_crystal",
-    "bundled_crystal_path",
-    "refractive_index",
-    "wavevector",
-    "group_index",
-    "gvd",
-    "PdcConfig",
-    "TaylorDispersion",
-    "poling_period",
-    "phase_mismatch",
-    "taylor_dispersion",
-    "taylor_phase_mismatch",
-    "phasematch_hyperbola",
-    "walkoff_time",
-    "solve_cgvm",
-    "solve_cgvm_temperature",
-    "PumpPulse",
-    "FrequencyGrid",
-    "JsaGrid",
-    "SchmidtDecomposition",
-    "pump_spectral_amplitude",
-    "default_grid",
-    "compute_jsa",
-    "schmidt_decompose",
-    "jsa_efficiency",
-    "double_gaussian_jsa",
-    "double_gaussian_analytics",
-    "SqueezingResult",
-    "pulse_duration",
-    "peak_power",
-    "beam_waist",
-    "pdc_efficiency",
-    "squeezing_spectrum",
-    "length_scan",
-]
+# Every public name and the submodule that defines it.
+_HOMES = {
+    **dict.fromkeys(("PdcModesError", "DomainError", "ValidationError",
+                     "SolverError"), "errors"),
+    **dict.fromkeys(("CrystalModel", "load_crystal", "load_crystal_file",
+                     "load_bundled_crystal", "bundled_crystal_path",
+                     "refractive_index", "wavevector", "group_index", "gvd"),
+                    "dispersion"),
+    **dict.fromkeys(("PdcConfig", "TaylorDispersion", "poling_period",
+                     "phase_mismatch", "taylor_dispersion",
+                     "taylor_phase_mismatch", "phasematch_hyperbola",
+                     "walkoff_time", "solve_cgvm", "solve_cgvm_temperature"),
+                    "phasematch"),
+    **dict.fromkeys(("PumpPulse", "FrequencyGrid", "JsaGrid",
+                     "SchmidtDecomposition", "pump_spectral_amplitude",
+                     "default_grid", "compute_jsa", "schmidt_decompose",
+                     "jsa_efficiency", "double_gaussian_jsa",
+                     "double_gaussian_analytics"), "jsa"),
+    **dict.fromkeys(("SqueezingResult", "pulse_duration", "peak_power",
+                     "beam_waist", "pdc_efficiency", "squeezing_spectrum",
+                     "length_scan"), "squeezing"),
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Read from the submodule on every access, never stored here: a tracer
+    # that rebinds the submodule's functions, and later restores them, is
+    # then seen by every caller that goes through the package.
+    return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

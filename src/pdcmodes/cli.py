@@ -8,6 +8,10 @@ atomically (temp file + rename).
 
 Exit codes: 0 success, 2 usage, 3 domain/validity, 4 solver failure, 5 I/O.
 Every error path prints a single line ``error[<kind>]: <message>``.
+
+Only the commands that run the JSA pipeline (jsa, modes, squeeze, scan)
+import the JSA and squeezing layers, so dispersion, cgvm and poling start
+without them.
 """
 
 from __future__ import annotations
@@ -17,19 +21,23 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 from . import dispersion as disp
-from . import jsa as jsamod
 from . import phasematch as pm
-from . import squeezing as sqz
 from .config import RunConfig, load_run_config
-from .constants import c
+from .constants import DEFAULT_GRID_POINTS
 from .errors import DomainError, SolverError, ValidationError
+
+if TYPE_CHECKING:
+    from .jsa import FrequencyGrid
+    from .squeezing import SqueezingResult
 
 __all__ = ["main", "build_parser"]
 
@@ -42,37 +50,52 @@ def _fmt(value: float, precision: int) -> str:
     return format(float(value), f".{precision}g")
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+@contextmanager
+def _atomic_open(path: Path):
+    """A text file that appears at ``path`` only once the block completes.
+
+    It is written under a temporary name and renamed into place; a block
+    that raises leaves neither file behind.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
 def _write_csv(path: Path, header: list[str] | None, rows, precision: int) -> None:
-    lines = []
-    if header is not None:
-        lines.append(",".join(header))
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, (float, np.floating)):
-                cells.append(_fmt(cell, precision))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Stream rows of floats and text to a CSV file.
+
+    One template formats every row: ``%.<precision>g`` for each cell that is
+    a float in the first row, ``%s`` for the others, so a column keeps the
+    kind of its first cell. A matrix may be passed as ``rows`` directly.
+    """
+    with _atomic_open(path) as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        template = None
+        for row in rows:
+            if template is None:
+                template = ",".join(f"%.{precision}g" if isinstance(cell, float)
+                                    else "%s" for cell in row) + "\n"
+            fh.write(template % tuple(row))
+        if header is None and template is None:   # an empty file still ends a line
+            fh.write("\n")
 
 
 def _write_json(path: Path, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
-
-
-def _matrix_rows(matrix: np.ndarray):
-    for row in matrix:
-        yield row.tolist()
+    with _atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _thz(omega_rad_s):
@@ -83,21 +106,23 @@ def _thz(omega_rad_s):
 # pipeline helpers shared by the jsa/modes/squeeze/scan commands
 
 
-def _pinned_grid(run: RunConfig) -> jsamod.FrequencyGrid | None:
+def _pinned_grid(run: RunConfig) -> FrequencyGrid | None:
     """The grid that ``detuning_extent_thz`` fixes, or None when it is unset."""
+    from .jsa import FrequencyGrid
     extent = run.grid.detuning_extent_thz
     if extent is None:
         return None
-    return jsamod.FrequencyGrid(n=run.grid.points_per_axis,
-                                omega_max_rad_s=2.0 * math.pi * extent * 1e12)
+    return FrequencyGrid(n=run.grid.points_per_axis,
+                         omega_max_rad_s=2.0 * math.pi * extent * 1e12)
 
 
 def _design(run: RunConfig):
     """The configured design, its pump pulse and its grid."""
+    from .jsa import default_grid
     crystal = run.load_crystal()
     config = run.to_pdc_config(crystal)
     pump = run.to_pump_pulse()
-    grid = _pinned_grid(run) or jsamod.default_grid(
+    grid = _pinned_grid(run) or default_grid(
         config, pump, n=run.grid.points_per_axis)
     return config, pump, grid
 
@@ -207,9 +232,10 @@ def _cmd_poling(args, run: RunConfig, out_dir: Path) -> int:
 
 
 def _run_pipeline(run: RunConfig):
+    from .jsa import compute_jsa, schmidt_decompose
     config, pump, grid = _design(run)
-    amplitude = jsamod.compute_jsa(config, pump, grid)
-    decomp = jsamod.schmidt_decompose(amplitude)
+    amplitude = compute_jsa(config, pump, grid)
+    decomp = schmidt_decompose(amplitude)
     return config, grid, amplitude, decomp
 
 
@@ -229,22 +255,21 @@ def _jsa_meta(config, grid, decomp, eta) -> dict:
 
 
 def _cmd_jsa(args, run: RunConfig, out_dir: Path) -> int:
+    from .jsa import jsa_efficiency
     config, grid, amplitude, decomp = _run_pipeline(run)
-    eta = jsamod.jsa_efficiency(decomp)
+    eta = jsa_efficiency(decomp)
     meta = _jsa_meta(config, grid, decomp, eta)
     f_thz = _signal_axis_thz(config, grid)
     precision = run.output.precision
     values = amplitude.values
     magnitude = np.abs(values)
     if run.output.format == "csv":
-        _write_csv(out_dir / "jsa_abs.csv", None, _matrix_rows(magnitude), precision)
+        _write_csv(out_dir / "jsa_abs.csv", None, magnitude, precision)
         _write_csv(out_dir / "jsa_axis_thz.csv", ["f_thz"],
                    ([v] for v in f_thz.tolist()), precision)
         if args.include_complex:
-            _write_csv(out_dir / "jsa_real.csv", None,
-                       _matrix_rows(values.real), precision)
-            _write_csv(out_dir / "jsa_imag.csv", None,
-                       _matrix_rows(values.imag), precision)
+            _write_csv(out_dir / "jsa_real.csv", None, values.real, precision)
+            _write_csv(out_dir / "jsa_imag.csv", None, values.imag, precision)
         _write_json(out_dir / "jsa_meta.json", meta)
     else:
         payload = dict(meta)
@@ -292,7 +317,7 @@ def _cmd_modes(args, run: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _squeeze_payload(config, result: sqz.SqueezingResult) -> dict:
+def _squeeze_payload(config, result: SqueezingResult) -> dict:
     return {
         "crystal": config.crystal.name,
         "pump_wavelength_um": config.pump_wavelength_um,
@@ -315,26 +340,28 @@ def _squeeze_payload(config, result: sqz.SqueezingResult) -> dict:
 
 
 def _cmd_squeeze(args, run: RunConfig, out_dir: Path) -> int:
+    from .squeezing import squeezing_spectrum
     config, pump, grid = _design(run)
-    result = sqz.squeezing_spectrum(config, pump, grid=grid)
+    result = squeezing_spectrum(config, pump, grid=grid)
     _write_json(out_dir / "squeeze.json", _squeeze_payload(config, result))
     precision = run.output.precision
     print(f"s_db_0 = {_fmt(result.s_db[0], precision)}")
     print(f"schmidt_number = {_fmt(result.schmidt_number, precision)}")
     print(f"eta_jsa = {_fmt(result.eta_jsa, precision)}")
-    print(f"beyond_validity = {'true' if result.beyond_validity else 'false'}")
+    print(f"beyond_validity = {_flag(result.beyond_validity)}")
     return 0
 
 
 def _cmd_scan(args, run: RunConfig, out_dir: Path) -> int:
+    from .squeezing import length_scan
     if not args.lengths_mm:
         raise UsageError("--lengths-mm needs at least one length")
     crystal = run.load_crystal()
     config = run.to_pdc_config(crystal)
     pump = run.to_pump_pulse()
     lengths_m = [l * 1e-3 for l in args.lengths_mm]
-    results = sqz.length_scan(config, pump, lengths_m, grid=_pinned_grid(run),
-                              grid_n=run.grid.points_per_axis)
+    results = length_scan(config, pump, lengths_m, grid=_pinned_grid(run),
+                          grid_n=run.grid.points_per_axis)
     header = ["l_mm", "k", "eta_jsa", "eta_pdc_per_w", "r0", "s_db",
               "validity_flag"]
     rows = []
@@ -344,7 +371,8 @@ def _cmd_scan(args, run: RunConfig, out_dir: Path) -> int:
                      float(result.s_db[0]), result.beyond_validity))
     precision = run.output.precision
     if run.output.format == "csv":
-        _write_csv(out_dir / "scan.csv", header, rows, precision)
+        _write_csv(out_dir / "scan.csv", header,
+                   [(*row[:-1], _flag(row[-1])) for row in rows], precision)
     else:
         _write_json(out_dir / "scan.json",
                     {"columns": header, "rows": [list(row) for row in rows]})
@@ -373,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tabular output format (default from config, else csv)")
     common.add_argument("--grid-n", type=int, metavar="N",
                         help="grid points per axis (default from config, else "
-                             f"{jsamod._DEFAULT_GRID_POINTS})")
+                             f"{DEFAULT_GRID_POINTS})")
 
     parser = argparse.ArgumentParser(
         prog="pdcmodes",

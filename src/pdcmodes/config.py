@@ -10,15 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Mapping
 
-import yaml
-
-from .dispersion import (CrystalModel, _is_real, _read_utf8,
+from .constants import DEFAULT_GRID_POINTS
+from .dispersion import (CrystalModel, _is_real, _load_yaml, _read_utf8,
                          load_bundled_crystal, load_crystal_file)
 from .errors import ValidationError
-from .jsa import _DEFAULT_GRID_POINTS, PumpPulse
 from .phasematch import PdcConfig
+
+if TYPE_CHECKING:
+    from .jsa import PumpPulse
 
 __all__ = [
     "PdcSettings",
@@ -103,7 +104,7 @@ class PumpSettings:
 
 @dataclass(frozen=True)
 class GridSettings:
-    points_per_axis: int = _DEFAULT_GRID_POINTS
+    points_per_axis: int = DEFAULT_GRID_POINTS
     detuning_extent_thz: float | None = None
 
     _KEYS = ("points_per_axis", "detuning_extent_thz")
@@ -111,7 +112,7 @@ class GridSettings:
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "GridSettings":
         _reject_unknown(doc, cls._KEYS, "grid")
-        n = doc.get("points_per_axis", _DEFAULT_GRID_POINTS)
+        n = doc.get("points_per_axis", DEFAULT_GRID_POINTS)
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValidationError(
                 f"grid: points_per_axis must be an integer, got {n!r}")
@@ -210,6 +211,7 @@ class RunConfig:
         if self.pdc is None or self.pump is None:
             raise ValidationError(
                 "run config needs both 'pdc' and 'pump' sections for this command")
+        from .jsa import PumpPulse   # the JSA layer loads only when a command needs it
         return PumpPulse(
             wavelength_um=self.pdc.pump_wavelength_nm * 1e-3,
             bandwidth_fwhm_nm=self.pump.bandwidth_fwhm_nm,
@@ -222,11 +224,7 @@ def load_run_config(path: str | Path | None) -> RunConfig:
     """Load and validate a run-configuration file (None → all defaults)."""
     if path is None:
         return RunConfig()
-    text = _read_utf8(path, "run config")
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"run config is not valid YAML: {exc}") from exc
+    doc = _load_yaml(_read_utf8(path, "run config"), "run config")
     if doc is None:
         return RunConfig()
     if not isinstance(doc, Mapping):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dispersion as _dispersion
 from . import phasematch as _phasematch
-from .constants import c
+from .constants import DEFAULT_GRID_POINTS, c
 from .errors import DomainError, ValidationError
 from .phasematch import PdcConfig
 
@@ -51,7 +51,6 @@ __all__ = [
 ]
 
 _MIN_GRID_POINTS = 64
-_DEFAULT_GRID_POINTS = 512
 
 # Working set of the JSA → Schmidt pipeline per grid cell: the peak RSS of
 # squeezing_spectrum at n = 1024 above the interpreter's own, (111 − 30) MB
@@ -159,7 +158,7 @@ def pump_spectral_amplitude(pump: PumpPulse, omega_rad_s):
 
 
 def default_grid(config: PdcConfig, pump: PumpPulse,
-                 n: int = _DEFAULT_GRID_POINTS) -> FrequencyGrid:
+                 n: int = DEFAULT_GRID_POINTS) -> FrequencyGrid:
     """Grid sized to hold both the pump ridge and the phase-matching band.
 
     Per-axis extent is the larger of 4·√2·σ₊ (pump support) and

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import dispersion as _dispersion
 from . import jsa as _jsa
-from .constants import c, epsilon_0, hbar
-from .jsa import _DEFAULT_GRID_POINTS, FrequencyGrid, PumpPulse
+from .constants import DEFAULT_GRID_POINTS, c, epsilon_0, hbar
+from .jsa import FrequencyGrid, PumpPulse
 from .phasematch import PdcConfig
 
 __all__ = [
@@ -102,7 +102,7 @@ def pdc_efficiency(config: PdcConfig, eta_jsa: float) -> float:
 
 def squeezing_spectrum(config: PdcConfig, pump: PumpPulse,
                        grid: FrequencyGrid | None = None,
-                       grid_n: int = _DEFAULT_GRID_POINTS) -> SqueezingResult:
+                       grid_n: int = DEFAULT_GRID_POINTS) -> SqueezingResult:
     """Run the full pipeline: JSA → Schmidt modes → per-mode squeezing.
 
     ``grid`` defaults to :func:`pdcmodes.jsa.default_grid` with ``grid_n``
@@ -143,7 +143,7 @@ def squeezing_spectrum(config: PdcConfig, pump: PumpPulse,
 
 def length_scan(config: PdcConfig, pump: PumpPulse, lengths_m,
                 grid: FrequencyGrid | None = None,
-                grid_n: int = _DEFAULT_GRID_POINTS) -> list[tuple[float, SqueezingResult]]:
+                grid_n: int = DEFAULT_GRID_POINTS) -> list[tuple[float, SqueezingResult]]:
     """Re-run the full pipeline for each crystal length, in input order.
 
     By default each point rebuilds the grid (its extent depends on L) along

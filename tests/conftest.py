@@ -148,3 +148,16 @@ def expression_phase_mismatch(config, omega1_rad_s, omega2_rad_s):
     ks2 = expression_wavevector_at_omega(
         config.crystal, config.signal_axis, config.omega_s_rad_s + om2, t_c)
     return kp - (ks1 + ks2) - grating_wavevector(config)
+
+
+def joined_csv(header, rows, precision):
+    """cli._write_csv's file as the per-cell joiner it replaced built it:
+    every float through ``format(float(v), ".<precision>g")``, every other
+    cell through ``str``."""
+    lines = [] if header is None else [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            format(float(cell), f".{precision}g")
+            if isinstance(cell, (float, np.floating)) else str(cell)
+            for cell in row))
+    return "\n".join(lines) + "\n"

@@ -6,14 +6,20 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 import pdcmodes as p
+from conftest import joined_csv
+from pdcmodes import cli
+from pdcmodes.config import load_run_config
 
 MATCHED_YAML = """\
 pdc:
@@ -157,6 +163,174 @@ def test_import_pulls_in_no_scipy(tmp_path):
                             env=child_env(), capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+def loaded_modules(code, cwd):
+    """The pdcmodes modules a fresh interpreter has loaded after ``code``."""
+    code += ("\nimport json, sys; print(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'pdcmodes')))")
+    result = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                            env=child_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+class TestLazyImports:
+    def test_bundled_crystal_loads_only_the_dispersion_layer(self, tmp_path):
+        code = "import pdcmodes; pdcmodes.load_bundled_crystal()"
+        assert loaded_modules(code, tmp_path) == [
+            "pdcmodes", "pdcmodes.constants", "pdcmodes.dispersion",
+            "pdcmodes.errors"]
+
+    @pytest.mark.parametrize("args", [
+        ["dispersion", "--lambda-min-um", "0.6", "--lambda-max-um", "3.6",
+         "--samples", "5"],
+        ["cgvm", "--pump-axis", "e", "--signal-axis", "o"],
+        ["poling", "--config", "matched.yaml"],
+    ], ids=["dispersion", "cgvm", "poling"])
+    def test_design_commands_skip_the_pipeline(self, workdir, tmp_path, args):
+        code = ("from pdcmodes import cli; "
+                f"assert cli.main({[*args, '--out', str(tmp_path)]!r}) == 0")
+        loaded = loaded_modules(code, workdir)
+        assert "pdcmodes.phasematch" in loaded
+        assert "pdcmodes.jsa" not in loaded
+        assert "pdcmodes.squeezing" not in loaded
+
+    def test_every_public_name_resolves(self):
+        for name in p.__all__:
+            assert getattr(p, name) is not None, name
+        namespace = {}
+        exec("from pdcmodes import *", namespace)
+        assert set(p.__all__) <= set(namespace)
+        assert set(p.__all__) <= set(dir(p))
+        assert p.squeezing_spectrum is p.squeezing.squeezing_spectrum
+
+    def test_names_follow_a_rebinding_of_their_submodule(self, monkeypatch):
+        # what perfbench/spans.py does when it installs and removes its tracer
+        original = p.gvd
+        monkeypatch.setattr(p.dispersion, "gvd", lambda *args: None)
+        assert p.gvd is p.dispersion.gvd
+        monkeypatch.undo()
+        assert p.gvd is original
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            p.no_such_name
+        assert not hasattr(p, "load_run_config")
+
+
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+class TestYamlLoaders:
+    """The libyaml loader builds the same documents as the pure-Python one."""
+
+    @pytest.fixture(autouse=True)
+    def need_libyaml(self):
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml; only one loader")
+
+    def load_each(self, monkeypatch, load):
+        results = []
+        for loader in LOADERS:
+            monkeypatch.setattr(p.dispersion, "_YAML_LOADER", loader)
+            results.append(load())
+        return results
+
+    @staticmethod
+    def fields(model):
+        """A crystal model as comparable values: its Sellmeier forms define
+        no equality of their own."""
+        return (replace(model, axes={}),
+                {label: (type(sell), vars(sell)) for label, sell in model.axes.items()})
+
+    @pytest.mark.parametrize("text", [None, CONSTANT_INDEX_YAML],
+                             ids=["bundled", "constant_index"])
+    def test_crystal_is_the_same_model(self, monkeypatch, text):
+        python, libyaml = self.load_each(
+            monkeypatch, lambda: p.load_crystal(text or p.bundled_crystal_path()
+                                                .read_text(encoding="utf-8")))
+        assert self.fields(python) == self.fields(libyaml)
+
+    @pytest.mark.parametrize("name", ["matched.yaml", "walkoff.yaml", "full.yaml"])
+    def test_run_config_is_the_same(self, workdir, monkeypatch, name):
+        (workdir / "full.yaml").write_text(
+            MATCHED_YAML + "grid:\n  points_per_axis: 128\n"
+            "  detuning_extent_thz: 12.5\noutput:\n  directory: o\n"
+            "  format: json\n  precision: 17\n", encoding="utf-8")
+        python, libyaml = self.load_each(
+            monkeypatch, lambda: load_run_config(workdir / name))
+        assert python == libyaml
+        assert python.pdc is not None
+
+    @pytest.mark.parametrize("option, what", [("--config", "run config"),
+                                              ("--crystal", "crystal file")])
+    @pytest.mark.parametrize("text", ["pdc: [unclosed\n", "a: b: c\n",
+                                      "--- 1\n--- 2\n"],
+                             ids=["unclosed", "nested_colon", "two_documents"])
+    def test_malformed_yaml_is_one_validity_line(self, tmp_path, monkeypatch,
+                                                 capsys, option, what, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text, encoding="utf-8")
+        argv = ["poling", option, str(bad), "--out", str(tmp_path / "out")]
+        for loader in LOADERS:
+            monkeypatch.setattr(p.dispersion, "_YAML_LOADER", loader)
+            assert cli.main(argv) == 3
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1, (loader, lines)
+            assert lines[0].startswith(f"error[validity]: {what} is not valid YAML")
+
+
+# one cell of each kind the CLI writes; the floats include ±0, subnormals,
+# ±inf, nan and ±1e308
+_FLOAT_CELLS = (st.floats() | st.floats().map(np.float64)
+                | st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, math.inf,
+                                   -math.inf, math.nan, 1e308, -1e308]))
+_TEXT_CELLS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
+@st.composite
+def _tables(draw):
+    """A header or None, and rows whose columns each keep one kind of cell."""
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*(_FLOAT_CELLS if is_float else _TEXT_CELLS
+                                     for is_float in kinds)), max_size=4))
+    header = draw(st.none() | st.lists(st.text("abc_", min_size=1),
+                                       min_size=len(kinds), max_size=len(kinds)))
+    return header, rows
+
+
+class TestWriters:
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("writers")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(table=_tables(), precision=st.integers(1, 17))
+    def test_csv_matches_per_cell_joiner(self, out_dir, table, precision):
+        header, rows = table
+        path = out_dir / "table.csv"
+        cli._write_csv(path, header, rows, precision)
+        assert path.read_bytes() == joined_csv(header, rows, precision).encode()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(matrix=st.lists(st.lists(_FLOAT_CELLS, min_size=3, max_size=3),
+                           max_size=3),
+           precision=st.integers(1, 17))
+    def test_csv_of_a_matrix_matches_per_cell_joiner(self, out_dir, matrix,
+                                                    precision):
+        array = np.array(matrix, dtype=float).reshape(-1, 3)
+        path = out_dir / "matrix.csv"
+        cli._write_csv(path, None, array, precision)
+        assert path.read_bytes() == \
+            joined_csv(None, array.tolist(), precision).encode()
+
+    def test_failed_write_leaves_no_file(self, out_dir):
+        path = out_dir / "nan.json"
+        with pytest.raises(ValueError):
+            cli._write_json(path, {"a": [1.0, math.nan]})
+        assert not path.exists()
+        assert not path.with_name(path.name + ".tmp").exists()
 
 
 class TestDeterminism:
