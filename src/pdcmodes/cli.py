@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from . import dispersion as disp
 from . import phasematch as pm
-from .config import RunConfig, load_run_config
+from .config import _FORMATS, RunConfig, load_run_config
 from .constants import DEFAULT_GRID_POINTS
 from .errors import DomainError, SolverError, ValidationError
 
@@ -125,13 +125,6 @@ def _design(run: RunConfig):
     grid = _pinned_grid(run) or default_grid(
         config, pump, n=run.grid.points_per_axis)
     return config, pump, grid
-
-
-def _period_um(config) -> float:
-    """The given poling period, else the computed one."""
-    if config.poling_period_um is not None:
-        return config.poling_period_um
-    return pm.poling_period(config)
 
 
 def _temperature_c(args, run: RunConfig) -> float:
@@ -239,13 +232,21 @@ def _run_pipeline(run: RunConfig):
     return config, grid, amplitude, decomp
 
 
-def _jsa_meta(config, grid, decomp, eta) -> dict:
+def _design_fields(config) -> dict:
+    """The design as the jsa and squeeze artifacts both record it; the
+    poling period is the given one (always > 0), else the computed one."""
     return {
         "crystal": config.crystal.name,
         "pump_wavelength_um": config.pump_wavelength_um,
         "temperature_c": config.temperature_c,
         "crystal_length_mm": config.length_m * 1e3,
-        "poling_period_um": _period_um(config),
+        "poling_period_um": config.poling_period_um or pm.poling_period(config),
+    }
+
+
+def _jsa_meta(config, grid, decomp, eta) -> dict:
+    return {
+        **_design_fields(config),
         "grid_n": grid.n,
         "detuning_extent_thz": float(_thz(grid.omega_max_rad_s)),
         "schmidt_number": decomp.schmidt_number,
@@ -302,10 +303,9 @@ def _cmd_modes(args, run: RunConfig, out_dir: Path) -> int:
         "s": decomp.s.tolist(),
     }
     header = ["f_thz", "re_psi", "im_psi", "abs_psi"]
-    for n in range(args.modes):
-        mode = np.asarray(decomp.modes[n], dtype=complex)
-        rows = zip(f_thz.tolist(), mode.real.tolist(), mode.imag.tolist(),
-                   np.abs(mode).tolist())
+    zeros = [0.0] * f_thz.size       # the modes are real
+    for n, mode in enumerate(decomp.modes[:args.modes]):
+        rows = zip(f_thz.tolist(), mode.tolist(), zeros, np.abs(mode).tolist())
         if run.output.format == "csv":
             _write_csv(out_dir / f"mode_{n}.csv", header, rows, precision)
         else:
@@ -319,11 +319,7 @@ def _cmd_modes(args, run: RunConfig, out_dir: Path) -> int:
 
 def _squeeze_payload(config, result: SqueezingResult) -> dict:
     return {
-        "crystal": config.crystal.name,
-        "pump_wavelength_um": config.pump_wavelength_um,
-        "temperature_c": config.temperature_c,
-        "crystal_length_mm": config.length_m * 1e3,
-        "poling_period_um": _period_um(config),
+        **_design_fields(config),
         "schmidt_number": result.schmidt_number,
         "eta_jsa": result.eta_jsa,
         "eta_pdc_per_w": result.eta_pdc_per_w,
@@ -397,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run configuration file (YAML)")
     common.add_argument("--out", metavar="DIR",
                         help="output directory (default from config, else 'out')")
-    common.add_argument("--format", choices=("csv", "json"),
+    common.add_argument("--format", choices=_FORMATS,
                         help="tabular output format (default from config, else csv)")
     common.add_argument("--grid-n", type=int, metavar="N",
                         help="grid points per axis (default from config, else "

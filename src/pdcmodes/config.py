@@ -112,7 +112,7 @@ class GridSettings:
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "GridSettings":
         _reject_unknown(doc, cls._KEYS, "grid")
-        n = doc.get("points_per_axis", DEFAULT_GRID_POINTS)
+        n = doc.get("points_per_axis", cls.points_per_axis)
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValidationError(
                 f"grid: points_per_axis must be an integer, got {n!r}")
@@ -134,16 +134,16 @@ class OutputSettings:
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "OutputSettings":
         _reject_unknown(doc, cls._KEYS, "output")
-        fmt = doc.get("format", "csv")
+        fmt = doc.get("format", cls.format)
         if fmt not in _FORMATS:
             raise ValidationError(
                 f"output: format must be one of {_FORMATS}, got {fmt!r}")
-        precision = doc.get("precision", 9)
+        precision = doc.get("precision", cls.precision)
         if not isinstance(precision, int) or isinstance(precision, bool) \
                 or not 1 <= precision <= 17:
             raise ValidationError(
                 f"output: precision must be an integer in [1, 17], got {precision!r}")
-        directory = doc.get("directory", "out")
+        directory = doc.get("directory", cls.directory)
         if not isinstance(directory, str):
             raise ValidationError(
                 f"output: directory must be text, got {directory!r}")

@@ -59,6 +59,8 @@ BIAXIAL_AXES = ("x", "y", "z")
 # elements per block of an in-place Sellmeier evaluation (256 KiB buffers)
 _BLOCK = 1 << 15
 
+_ABSOLUTE_ZERO_C = -273.15
+
 # temperatures (°C) at which the n > 1 invariant is checked on load
 _VALIDATION_TEMPS = (0.0, 100.0, 200.0)
 _VALIDATION_SAMPLES = 64
@@ -460,21 +462,30 @@ def load_crystal_file(path: str | Path) -> CrystalModel:
     return load_crystal(_read_utf8(path, "crystal file"))
 
 
-def bundled_crystal_path(name: str = "mgoln_5pct") -> Path:
-    """Filesystem path of a crystal file shipped with the package."""
-    return Path(resources.files("pdcmodes").joinpath(f"data/{name}.yaml"))
+def bundled_crystal_path() -> Path:
+    """Filesystem path of the crystal file shipped with the package."""
+    return Path(resources.files("pdcmodes").joinpath("data/mgoln_5pct.yaml"))
 
 
-def load_bundled_crystal(name: str = "mgoln_5pct") -> CrystalModel:
-    """Load a crystal shipped with the package (default: 5% MgO:LN)."""
-    return load_crystal(bundled_crystal_path(name).read_text(encoding="utf-8"))
+def load_bundled_crystal() -> CrystalModel:
+    """Load the crystal shipped with the package, 5% MgO:LN."""
+    return load_crystal(bundled_crystal_path().read_text(encoding="utf-8"))
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def _check_range(crystal: CrystalModel, lam_um, strict: bool) -> None:
+def _check_range(crystal: CrystalModel, lam_um, temperature_c: float,
+                 strict: bool) -> None:
+    """A DomainError unless every wavelength lies in the crystal's valid
+    range and the temperature lies above absolute zero."""
+    # "not above" so that a NaN temperature is rejected too; no upper bound,
+    # since a crystal file carries no fitted temperature range
+    if not temperature_c > _ABSOLUTE_ZERO_C:
+        raise DomainError(
+            f"temperature {temperature_c:g} °C is not above absolute zero "
+            f"({_ABSOLUTE_ZERO_C:g} °C)")
     lo, hi = crystal.valid_range_um
     lam = np.asarray(lam_um, dtype=float)
     # written as "not inside" so that NaN counts as out of range
@@ -493,7 +504,7 @@ def refractive_index(crystal: CrystalModel, axis: str, wavelength_um,
                      temperature_c: float):
     """Refractive index n(λ, T); λ in µm, T in °C. Scalar in, scalar out."""
     sell = crystal.axis(axis)
-    _check_range(crystal, wavelength_um, strict=False)
+    _check_range(crystal, wavelength_um, temperature_c, strict=False)
     n = sell.n(wavelength_um, temperature_c)
     return float(n) if np.isscalar(wavelength_um) else n
 
@@ -502,7 +513,7 @@ def wavevector(crystal: CrystalModel, axis: str, wavelength_um,
                temperature_c: float):
     """Wavevector k = n·ω/c in rad/m at vacuum wavelength λ (µm)."""
     sell = crystal.axis(axis)
-    _check_range(crystal, wavelength_um, strict=False)
+    _check_range(crystal, wavelength_um, temperature_c, strict=False)
     k = 2.0e6 * np.pi * sell.n(wavelength_um, temperature_c) / np.asarray(wavelength_um, dtype=float)
     return float(k) if np.isscalar(wavelength_um) else k
 
@@ -513,7 +524,7 @@ def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
     omega = np.asarray(omega_rad_s, dtype=float)
     lam_um = 2.0e6 * np.pi * c / omega
     sell = crystal.axis(axis)
-    _check_range(crystal, lam_um, strict=False)
+    _check_range(crystal, lam_um, temperature_c, strict=False)
     # n·ω/c in place: multiply by ω, then divide by c
     k = sell.n(lam_um, temperature_c)
     k *= omega
@@ -525,7 +536,7 @@ def k_prime(crystal: CrystalModel, axis: str, wavelength_um,
             temperature_c: float):
     """dk/dω in s/m (inverse group velocity), closed form."""
     sell = crystal.axis(axis)
-    _check_range(crystal, wavelength_um, strict=True)
+    _check_range(crystal, wavelength_um, temperature_c, strict=True)
     n = sell.n(wavelength_um, temperature_c)
     dn = sell.dn_dlam(wavelength_um, temperature_c)
     kp = (n - np.asarray(wavelength_um, dtype=float) * dn) / c
@@ -536,7 +547,7 @@ def k_double_prime(crystal: CrystalModel, axis: str, wavelength_um,
                    temperature_c: float):
     """d²k/dω² in s²/m (group-velocity dispersion), closed form."""
     sell = crystal.axis(axis)
-    _check_range(crystal, wavelength_um, strict=True)
+    _check_range(crystal, wavelength_um, temperature_c, strict=True)
     lam_m = np.asarray(wavelength_um, dtype=float) * 1e-6
     d2n_per_m2 = sell.d2n_dlam2(wavelength_um, temperature_c) * 1e12
     kpp = lam_m ** 3 * d2n_per_m2 / (2.0 * np.pi * c ** 2)

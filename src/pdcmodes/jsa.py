@@ -9,13 +9,12 @@ with the dimensionless gain prefactor stripped off. α̃ is the pump spectral
 amplitude normalized to ∫α̃ dΩ/2π = 1 (unit time-domain peak), the unique
 convention under which the double-Gaussian closed forms used as test oracles
 hold. :class:`JsaGrid` holds one array, the real envelope α̃·sinc times the
-quadrature weight δΩ/2π, and recomputes the envelope, Δ̃ and the complex
-entries above only when they are read. The Schmidt decomposition acts on
-the envelope, i.e. with the propagation chirp exp(iΔ̃L/2) removed. That
-chirp is a reference-plane artifact of writing the interaction from the
-crystal input face; keeping it would fold pump-dispersion phase into the
-mode functions and inflate the mode count without changing any
-generated-light observable derived here.
+quadrature weight δΩ/2π, and recomputes the complex entries above only when
+they are read. The Schmidt decomposition acts on the envelope, i.e. with the
+propagation chirp exp(iΔ̃L/2) removed. That chirp is a reference-plane
+artifact of writing the interaction from the crystal input face; keeping it
+would fold pump-dispersion phase into the mode functions and inflate the
+mode count without changing any generated-light observable derived here.
 
 Singular values are normalized to Σ s_n² = 1; the pre-normalization weight
 ∬|J|² dΩ₁dΩ₂/(2π)² is kept as ``raw_norm`` so shape efficiencies and gain
@@ -130,10 +129,6 @@ class FrequencyGrid:
                 f"grid extent must be > 0, got {self.omega_max_rad_s}")
 
     @property
-    def omega_min_rad_s(self) -> float:
-        return -self.omega_max_rad_s
-
-    @property
     def step_rad_s(self) -> float:
         return 2.0 * self.omega_max_rad_s / (self.n - 1)
 
@@ -185,10 +180,10 @@ class JsaGrid:
     ``kernel[i, j]`` = α̃(Ωᵢ+Ωⱼ)·sinc(x)·δΩ/2π with x = Δ̃(Ωᵢ,Ωⱼ)·L/2, the
     chirp-free envelope with the quadrature weight folded in: the matrix
     whose singular values are the Schmidt coefficients, and the only array
-    held. ``envelope``, ``mismatch`` and ``values`` are recomputed from
-    ``config``, ``pump`` and ``grid`` on each access, by the expressions
-    that built the kernel. ``config``/``pump`` are None for synthetic
-    amplitudes. All arrays are read-only.
+    held. ``values`` is recomputed from ``config``, ``pump`` and ``grid``
+    on each access, by the expressions that built the kernel.
+    ``config``/``pump`` are None for synthetic amplitudes. All arrays are
+    read-only.
     """
 
     kernel: np.ndarray
@@ -197,29 +192,15 @@ class JsaGrid:
     pump: PumpPulse | None = None
 
     @property
-    def mismatch(self) -> np.ndarray:
-        """Δ̃(Ωᵢ, Ωⱼ) in rad/m; zero for synthetic amplitudes."""
-        if self.config is None:
-            return _frozen(np.zeros_like(self.kernel))
-        return _frozen(_mismatch(self.config, self.grid))
-
-    @property
-    def envelope(self) -> np.ndarray:
-        """α̃(Ωᵢ+Ωⱼ)·sinc(x); a synthetic amplitude's kernel over δΩ/2π."""
-        if self.config is None:
-            return _frozen(self.kernel / _weight(self.grid))
-        return _frozen(_envelope(self.pump, self.grid,
-                                 _half_phase(self.config, self.grid)))
-
-    @property
     def values(self) -> np.ndarray:
         """``values[i, j]`` = α̃(Ωᵢ+Ωⱼ)·exp(i·x)·sinc(x).
 
         Built anew on each access (16 bytes per cell), since only the
-        exported grid reads it. Synthetic amplitudes carry no chirp.
+        exported grid reads it. Synthetic amplitudes carry no chirp: their
+        values are the kernel over δΩ/2π.
         """
         if self.config is None:
-            return _frozen(self.envelope.astype(complex))
+            return _frozen((self.kernel / _weight(self.grid)).astype(complex))
         x = _half_phase(self.config, self.grid)
         return _frozen(_envelope(self.pump, self.grid, x) * np.exp(1j * x))
 
@@ -234,15 +215,10 @@ def _weight(grid: FrequencyGrid) -> float:
     return grid.step_rad_s / (2.0 * math.pi)
 
 
-def _mismatch(config: PdcConfig, grid: FrequencyGrid) -> np.ndarray:
-    """Δ̃(Ωᵢ, Ωⱼ) on the grid."""
-    om = grid.detunings()
-    return _phasematch.phase_mismatch(config, om[:, None], om[None, :])
-
-
 def _half_phase(config: PdcConfig, grid: FrequencyGrid) -> np.ndarray:
-    """x = Δ̃(Ωᵢ, Ωⱼ)·L/2, scaled in place."""
-    x = _mismatch(config, grid)
+    """x = Δ̃(Ωᵢ, Ωⱼ)·L/2 on the grid, scaled in place."""
+    om = grid.detunings()
+    x = _phasematch.phase_mismatch(config, om[:, None], om[None, :])
     x *= config.length_m / 2.0
     return x
 

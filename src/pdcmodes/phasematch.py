@@ -50,6 +50,10 @@ _CGVM_XTOL_UM = 1e-9
 _CGVM_GTOL = 1e-9
 _TEMP_XTOL_C = 1e-3
 
+# the cGVM wavelength bracket of each trial temperature, as fractions of
+# the target wavelength (±25 %)
+_TEMP_WAVELENGTH_BRACKET = (0.75, 1.25)
+
 # relative tolerance floor and iteration cap of the Brent solver
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
@@ -362,17 +366,14 @@ def solve_cgvm(crystal: CrystalModel, pump_axis: str, signal_axis: str,
 
 def solve_cgvm_temperature(crystal: CrystalModel, pump_axis: str,
                            signal_axis: str, target_um: float,
-                           bracket_c: tuple[float, float],
-                           wavelength_bracket_um: tuple[float, float] | None = None,
-                           ) -> float:
+                           bracket_c: tuple[float, float]) -> float:
     """Temperature (°C) at which the cGVM wavelength equals ``target_um``.
 
-    Each trial temperature re-solves the cGVM wavelength over
-    ``wavelength_bracket_um`` (default ±25% around the target). Raises
-    :class:`SolverError` when the target is unreachable in the bracket.
+    Each trial temperature re-solves the cGVM wavelength within ±25 % of
+    the target. Raises :class:`SolverError` when the target is unreachable
+    in the bracket.
     """
-    if wavelength_bracket_um is None:
-        wavelength_bracket_um = (0.75 * target_um, 1.25 * target_um)
+    wavelength_bracket_um = tuple(f * target_um for f in _TEMP_WAVELENGTH_BRACKET)
 
     def gap(t_c: float) -> float:
         return solve_cgvm(crystal, pump_axis, signal_axis, t_c,

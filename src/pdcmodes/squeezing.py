@@ -27,6 +27,7 @@ import numpy as np
 from . import dispersion as _dispersion
 from . import jsa as _jsa
 from .constants import DEFAULT_GRID_POINTS, c, epsilon_0, hbar
+from .errors import DomainError
 from .jsa import FrequencyGrid, PumpPulse
 from .phasematch import PdcConfig
 
@@ -119,7 +120,12 @@ def squeezing_spectrum(config: PdcConfig, pump: PumpPulse,
     r = r0 * decomp.s / decomp.s[0]
     s_db = _DB_PER_R * r
     gain_pb = r0 ** 2 / (4.0 * decomp.s[0] ** 2)
-    mean_photons = np.sinh(r) ** 2
+    with np.errstate(over="ignore"):   # an overflow is reported below
+        mean_photons = np.sinh(r) ** 2
+    if not np.isfinite(mean_photons).all():
+        raise DomainError(
+            f"squeezing r₀ = {r0:.6g} (S₀ = {s_db[0]:.6g} dB) puts the mean "
+            "photon number sinh²r beyond the float range; lower the pump power")
     pulse_energy = pump.mean_power_w / pump.rep_rate_hz
     pump_photons = pulse_energy / (hbar * config.omega_p_rad_s)
     r.setflags(write=False)

@@ -533,6 +533,19 @@ class TestModesCommand:
         assert abs(norm - 1.0) < 1e-6
         assert abs(overlap) < 1e-6
 
+    def test_json_modes_are_real(self, workdir):
+        result = run_cli("modes", "--config", "matched.yaml", "--modes", "2",
+                         "--grid-n", "128", "--format", "json",
+                         "--out", "modes_json", cwd=workdir)
+        assert result.returncode == 0, result.stderr
+        for n in range(2):
+            payload = json.loads((workdir / "modes_json" / f"mode_{n}.json").read_text())
+            assert payload["columns"] == ["f_thz", "re_psi", "im_psi", "abs_psi"]
+            assert len(payload["rows"]) == 128
+            for _, re_psi, im_psi, abs_psi in payload["rows"]:
+                assert im_psi == 0.0 and math.copysign(1.0, im_psi) == 1.0
+                assert abs_psi == abs(re_psi)
+
     def test_too_many_modes_is_domain_error(self, workdir):
         result = run_cli("modes", "--config", "matched.yaml", "--modes", "999",
                          "--grid-n", "128", cwd=workdir)
@@ -747,6 +760,38 @@ class TestErrorPaths:
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert result.stderr.startswith("error[domain]:"), result.stderr
         assert "1000 °C" in result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ("dispersion", "--lambda-min-um", "1.0", "--lambda-max-um", "2.0"),
+        ("cgvm", "--pump-axis", "e", "--signal-axis", "o"),
+    ], ids=["dispersion", "cgvm"])
+    def test_temperature_below_absolute_zero_is_domain_error(self, workdir,
+                                                             tmp_path, args):
+        out = tmp_path / "out"
+        result = run_cli(*args, "--temperature-c", "-400", "--out", str(out),
+                         cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.splitlines() == [
+            "error[domain]: temperature -400 °C is not above absolute zero "
+            "(-273.15 °C)"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("squeeze",), ("scan", "--lengths-mm", "80")],
+                             ids=["squeeze", "scan"])
+    def test_overflowing_squeezing_is_domain_error(self, workdir, tmp_path,
+                                                   command):
+        (workdir / "kilowatt.yaml").write_text(
+            MATCHED_YAML.replace("mean_power_mw: 12.0", "mean_power_mw: 1000000.0"),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        result = run_cli(*command, "--config", "kilowatt.yaml", "--grid-n", "64",
+                         "--out", str(out), cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error[domain]: squeezing r₀ = "), result.stderr
+        assert "S₀ = " in lines[0]
         assert not out.exists()
 
     def test_domain_error_from_bad_wavelength(self, workdir):

@@ -179,6 +179,16 @@ class TestNonFiniteEvaluation:
             with pytest.raises(p.DomainError, match="not finite at 1000 °C"):
                 getattr(xtl.axis("e"), method)(1.55, 1000.0)
 
+    @pytest.mark.parametrize("t_c", [-400.0, -273.15, float("nan")])
+    def test_temperature_not_above_absolute_zero_is_domain_error(self, crystal, t_c):
+        evaluations = (p.refractive_index, p.wavevector, p.group_index, p.gvd,
+                       k_prime, k_double_prime)
+        for evaluate in evaluations:
+            with pytest.raises(p.DomainError, match="not above absolute zero"):
+                evaluate(crystal, "o", 1.55, t_c)
+        with pytest.raises(p.DomainError, match="not above absolute zero"):
+            wavevector_at_omega(crystal, "e", np.array([1.2e15, 1.3e15]), t_c)
+
     def test_pole_on_the_sample_is_domain_error(self, crystal):
         # λ = a5 puts the second pole exactly on the sample: c4/0; the
         # derivatives' divide-by-zero warning comes before the error

@@ -133,6 +133,14 @@ class TestSqueezingSpectrum:
         with pytest.raises(p.ValidationError, match="does not match"):
             p.squeezing_spectrum(matched_config, pump740)
 
+    def test_overflowing_photon_number_is_domain_error(self, matched_config,
+                                                       pump775):
+        # 1 kW mean power: r₀ ≈ 390, and sinh²r₀ is beyond the float range
+        kilowatt = replace(pump775, mean_power_w=1e3)
+        grid = p.default_grid(matched_config, kilowatt, n=64)
+        with pytest.raises(p.DomainError, match="r₀ = .*S₀ = "):
+            p.squeezing_spectrum(matched_config, kilowatt, grid=grid)
+
 
 class TestLengthScan:
     def test_matched_design_grows_as_sqrt_length(self, cgvm_scan):
