@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from .constants import DEFAULT_GRID_POINTS
-from .dispersion import (CrystalModel, _is_real, _load_yaml, _read_utf8,
+from .dispersion import (CrystalModel, _load_yaml, _number, _read_utf8,
                          load_bundled_crystal, load_crystal_file)
 from .errors import ValidationError
 from .phasematch import PdcConfig
@@ -46,11 +46,7 @@ def _as_number(mapping: Mapping, key: str, context: str,
         if required:
             raise ValidationError(f"{context}: missing required key {key!r}")
         return default
-    value = mapping[key]
-    if not _is_real(value):
-        raise ValidationError(
-            f"{context}: {key} must be a finite number, got {value!r}")
-    return float(value)
+    return _number(mapping[key], f"{context}: {key}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ cross-check lives in the test suite).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -56,9 +55,6 @@ __all__ = [
 UNIAXIAL_AXES = ("o", "e")
 BIAXIAL_AXES = ("x", "y", "z")
 
-# elements per block of an in-place Sellmeier evaluation (256 KiB buffers)
-_BLOCK = 1 << 15
-
 _ABSOLUTE_ZERO_C = -273.15
 
 # temperatures (°C) at which the n > 1 invariant is checked on load
@@ -66,23 +62,27 @@ _VALIDATION_TEMPS = (0.0, 100.0, 200.0)
 _VALIDATION_SAMPLES = 64
 
 
-def _is_real(value) -> bool:
-    """True for a finite int or float, the numbers that crystal and run
-    configuration files accept; a bool is not a number here."""
-    # abs(value) <= max is False for NaN and ±inf, and for ints beyond the
-    # float range without converting them
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+def _finite_float(value) -> float | None:
+    """``value`` as a finite float, or None when it is no such number.
 
-
-def _coefficient(value, context: str) -> float:
-    """A Sellmeier coefficient as a float; numeric text such as ``1.0e8``
-    (which YAML reads as a string) is accepted, as ``float`` accepts it."""
+    The one number rule of crystal and run-configuration files: an int, a
+    float, or numeric text as ``float`` reads it, such as ``1.2e1``, which
+    YAML 1.1 reads as a string. A bool is not a number here.
+    """
+    if isinstance(value, bool):
+        return None
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
-        number = None
-    if isinstance(value, bool) or not _is_real(number):
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _number(value, context: str) -> float:
+    """``value`` as a finite float; anything else is a ValidationError
+    naming ``context``."""
+    number = _finite_float(value)
+    if number is None:
         raise ValidationError(f"{context} must be a finite number, got {value!r}")
     return number
 
@@ -90,7 +90,7 @@ def _coefficient(value, context: str) -> float:
 def _coefficient_list(value, context: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"{context} must be a list of numbers, got {value!r}")
-    return tuple(_coefficient(v, context) for v in value)
+    return tuple(_number(v, context) for v in value)
 
 
 def _require_keys(mapping: Mapping, required: tuple, context: str) -> None:
@@ -135,7 +135,7 @@ class GayerTwoPole:
     def __init__(self, **coeffs: float):
         _require_keys(coeffs, self._KEYS, "gayer_two_pole")
         for key in self._KEYS:
-            setattr(self, key, _coefficient(coeffs[key], f"gayer_two_pole: {key}"))
+            setattr(self, key, _number(coeffs[key], f"gayer_two_pole: {key}"))
 
     def _f(self, t_c):
         return (t_c - self.t_ref_c) * (t_c + self.t_ref_c + 2.0 * 273.16)
@@ -156,34 +156,12 @@ class GayerTwoPole:
 
     def n_squared(self, lam_um, t_c):
         c1, c2, q1, c4, q2 = self._terms(t_c)
-        if not (isinstance(lam_um, np.ndarray) and lam_um.ndim):
-            lam2 = np.square(lam_um)
-            value = c1 + c2 / (lam2 - q1) + c4 / (lam2 - q2) - self.a6 * lam2
-            _check_finite(t_c, value)
-            return value
-        # an array: the same operations in the same order, in place and
-        # block by block, so that the only full-size array is the result
-        out = np.empty(lam_um.shape)
-        lam_flat, out_flat = lam_um.reshape(-1), out.reshape(-1)
-        buffer = np.empty(min(lam_flat.size, _BLOCK))
+        lam2 = np.square(lam_um)
+        # an overflow or a pole is caught below as a non-finite value
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for start in range(0, lam_flat.size, _BLOCK):
-                lam_b = lam_flat[start:start + _BLOCK]
-                acc = out_flat[start:start + _BLOCK]
-                tmp = buffer[:lam_b.size]
-                np.square(lam_b, out=acc)
-                acc -= q1
-                np.divide(c2, acc, out=acc)
-                acc += c1
-                np.square(lam_b, out=tmp)
-                tmp -= q2
-                np.divide(c4, tmp, out=tmp)
-                acc += tmp
-                np.square(lam_b, out=tmp)
-                tmp *= self.a6
-                acc -= tmp
-        _check_finite(t_c, out)
-        return out
+            value = c1 + c2 / (lam2 - q1) + c4 / (lam2 - q2) - self.a6 * lam2
+        _check_finite(t_c, value)
+        return value
 
     def dn2_dlam(self, lam_um, t_c):
         _, c2, q1, c4, q2 = self._terms(t_c)
@@ -206,9 +184,7 @@ class GayerTwoPole:
         return value
 
     def n(self, lam_um, t_c):
-        g = self.n_squared(lam_um, t_c)
-        # an array from n_squared is new: take its root in place
-        return np.sqrt(g, out=g) if isinstance(g, np.ndarray) else np.sqrt(g)
+        return np.sqrt(self.n_squared(lam_um, t_c))
 
     def dn_dlam(self, lam_um, t_c):
         g = self.n_squared(lam_um, t_c)
@@ -236,12 +212,12 @@ class StandardSellmeier:
 
     def __init__(self, **coeffs: float | list):
         _require_keys(coeffs, self._KEYS, "sellmeier_standard")
-        self.a = _coefficient(coeffs["a"], "sellmeier_standard: a")
+        self.a = _number(coeffs["a"], "sellmeier_standard: a")
         self.b = _coefficient_list(coeffs["b"], "sellmeier_standard: b")
         self.c = _coefficient_list(coeffs["c"], "sellmeier_standard: c")
-        self.d = _coefficient(coeffs["d"], "sellmeier_standard: d")
-        self.dn_dt = _coefficient(coeffs["dn_dt"], "sellmeier_standard: dn_dt")
-        self.t_ref_c = _coefficient(coeffs["t_ref_c"], "sellmeier_standard: t_ref_c")
+        self.d = _number(coeffs["d"], "sellmeier_standard: d")
+        self.dn_dt = _number(coeffs["dn_dt"], "sellmeier_standard: dn_dt")
+        self.t_ref_c = _number(coeffs["t_ref_c"], "sellmeier_standard: t_ref_c")
         if len(self.b) != len(self.c):
             raise ValidationError(
                 "sellmeier_standard: b and c pole lists differ in length")
@@ -346,19 +322,21 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
             f"crystal class must be 'uniaxial' or 'biaxial', got {crystal_class!r}")
 
     rng = doc["valid_range_um"]
-    if (not isinstance(rng, (list, tuple)) or len(rng) != 2
-            or not all(_is_real(v) for v in rng)):
+    lo = hi = None
+    if isinstance(rng, (list, tuple)) and len(rng) == 2:
+        lo, hi = map(_finite_float, rng)
+    if lo is None or hi is None:
         raise ValidationError(
             f"valid_range_um must be a [lo, hi] pair of finite numbers in µm, got {rng!r}")
-    lo, hi = float(rng[0]), float(rng[1])
     if not (0.0 < lo < hi):
         raise ValidationError(
             f"valid_range_um must be a non-empty positive interval, got [{lo}, {hi}]")
 
-    d_eff = doc["d_eff_pm_per_V"]
-    if not _is_real(d_eff) or not d_eff > 0:
+    d_eff = _finite_float(doc["d_eff_pm_per_V"])
+    if d_eff is None or not d_eff > 0:
         raise ValidationError(
-            f"d_eff_pm_per_V must be a finite number > 0, got {d_eff!r}")
+            "d_eff_pm_per_V must be a finite number > 0, "
+            f"got {doc['d_eff_pm_per_V']!r}")
 
     t_model = str(doc["temperature_model"])
     if t_model not in _TEMPERATURE_MODELS:
@@ -397,7 +375,7 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
         crystal_class=crystal_class,
         axes=MappingProxyType(axes),
         temperature_model=t_model,
-        d_eff_pm_per_v=float(d_eff),
+        d_eff_pm_per_v=d_eff,
         valid_range_um=(lo, hi),
         provenance=str(doc["provenance"]),
     )
@@ -525,10 +503,7 @@ def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
     lam_um = 2.0e6 * np.pi * c / omega
     sell = crystal.axis(axis)
     _check_range(crystal, lam_um, temperature_c, strict=False)
-    # n·ω/c in place: multiply by ω, then divide by c
-    k = sell.n(lam_um, temperature_c)
-    k *= omega
-    k /= c
+    k = sell.n(lam_um, temperature_c) * omega / c
     return float(k) if np.isscalar(omega_rad_s) else k
 
 

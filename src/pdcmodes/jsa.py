@@ -58,6 +58,13 @@ _MIN_GRID_POINTS = 64
 _BYTES_PER_CELL = 77
 _GRID_BUDGET_BYTES = 8 * 2 ** 30
 
+# Grid rows per block of JSA assembly: no stage of the Sellmeier → Δ̃ →
+# α̃·sinc chain sees more than _BLOCK_ROWS·n cells at once, so the kernel is
+# the only n² array that compute_jsa allocates. Counted in rows, so that a
+# block stays a small share of the grid at every n ≥ 256; blocks of 8 to 128
+# rows take the same time within noise at n = 512–2048 (2 vCPUs).
+_BLOCK_ROWS = 64
+
 # |sinc(x)| stays above 0.05 for |x| < 20; used to size the default grid
 _SINC_SUPPORT_X = 20.0
 
@@ -65,8 +72,7 @@ _SINC_SUPPORT_X = 20.0
 def sinc(x):
     """sin(x)/x with the removable singularity expanded below |x| = 1e-8."""
     arr = np.asarray(x, dtype=float)
-    # the mask first, so that its |x| temporary is freed before `out` exists;
-    # out= keeps a 0-d result an array that can be written in place
+    # out= keeps a 0-d result an array, so that the mask can write into it
     small = np.abs(arr) < 1e-8
     out = np.sin(arr, out=np.empty_like(arr))
     with np.errstate(invalid="ignore"):  # 0/0 at x = 0, overwritten below
@@ -141,15 +147,10 @@ def pump_spectral_amplitude(pump: PumpPulse, omega_rad_s):
     """Normalized pump amplitude α̃(Ω) in seconds, ∫α̃ dΩ/2π = 1."""
     sig = pump.sigma_plus_rad_s
     om = np.asarray(omega_rad_s, dtype=float)
-    # (√π/σ)·exp(−Ω²/(4σ²)) in place, in that operation order
-    out = np.square(om, out=np.empty_like(om))
-    np.negative(out, out=out)
-    out /= 4.0 * sig ** 2
-    np.exp(out, out=out)
-    out *= math.sqrt(math.pi) / sig
+    amplitude = np.exp(-np.square(om) / (4.0 * sig ** 2)) * (math.sqrt(math.pi) / sig)
     if np.isscalar(omega_rad_s):
-        return float(out)
-    return out
+        return float(amplitude)
+    return amplitude
 
 
 def default_grid(config: PdcConfig, pump: PumpPulse,
@@ -201,8 +202,10 @@ class JsaGrid:
         """
         if self.config is None:
             return _frozen((self.kernel / _weight(self.grid)).astype(complex))
-        x = _half_phase(self.config, self.grid)
-        return _frozen(_envelope(self.pump, self.grid, x) * np.exp(1j * x))
+        values = np.empty((self.grid.n, self.grid.n), dtype=complex)
+        for rows, x, envelope in _blocks(self.config, self.pump, self.grid):
+            values[rows] = envelope * np.exp(1j * x)
+        return _frozen(values)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -215,20 +218,16 @@ def _weight(grid: FrequencyGrid) -> float:
     return grid.step_rad_s / (2.0 * math.pi)
 
 
-def _half_phase(config: PdcConfig, grid: FrequencyGrid) -> np.ndarray:
-    """x = Δ̃(Ωᵢ, Ωⱼ)·L/2 on the grid, scaled in place."""
+def _blocks(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid):
+    """Yield (rows, x, α̃(Ωᵢ+Ωⱼ)·sinc(x)) for successive blocks of
+    ``_BLOCK_ROWS`` grid rows, with x = Δ̃(Ωᵢ, Ωⱼ)·L/2 on those rows."""
     om = grid.detunings()
-    x = _phasematch.phase_mismatch(config, om[:, None], om[None, :])
-    x *= config.length_m / 2.0
-    return x
-
-
-def _envelope(pump: PumpPulse, grid: FrequencyGrid, x: np.ndarray) -> np.ndarray:
-    """α̃(Ωᵢ+Ωⱼ)·sinc(x) as a new array."""
-    om = grid.detunings()
-    envelope = pump_spectral_amplitude(pump, om[:, None] + om[None, :])
-    envelope *= sinc(x)
-    return envelope
+    for start in range(0, grid.n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        x = (_phasematch.phase_mismatch(config, om[rows, None], om[None, :])
+             * (config.length_m / 2.0))
+        envelope = pump_spectral_amplitude(pump, om[rows, None] + om[None, :]) * sinc(x)
+        yield rows, x, envelope
 
 
 def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaGrid:
@@ -243,9 +242,10 @@ def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaG
         raise ValidationError(
             f"pump record wavelength {pump.wavelength_um:g} µm does not match "
             f"the design pump wavelength {config.pump_wavelength_um:g} µm")
-    # x is freed once the envelope holds α̃·sinc(x); the weight goes in place
-    kernel = _envelope(pump, grid, _half_phase(config, grid))
-    kernel *= _weight(grid)
+    weight = _weight(grid)
+    kernel = np.empty((grid.n, grid.n))
+    for rows, _, envelope in _blocks(config, pump, grid):
+        kernel[rows] = envelope * weight
     return JsaGrid(kernel=_frozen(kernel), grid=grid, config=config, pump=pump)
 
 

@@ -120,19 +120,25 @@ def _central_mismatch(config: PdcConfig) -> float:
     return kp0 - 2.0 * ks0
 
 
-def poling_period(config: PdcConfig) -> float:
-    """First-order poling period Λ = 2π/|k_p0 − 2k_s0| in µm.
-
-    Raises :class:`DomainError` when the central mismatch vanishes (no
-    finite first-order grating can phase-match the design).
-    """
+def _period_mismatch(config: PdcConfig) -> float:
+    """The central mismatch that a computed first-order period cancels; a
+    DomainError when it vanishes and no finite period exists."""
     mismatch = _central_mismatch(config)
     if abs(mismatch) < 2.0 * math.pi / _MAX_POLING_PERIOD_M:
         raise DomainError(
             "QPM order -1 impossible here: central phase mismatch is zero "
             f"within 2π rad/m for pump {config.pump_wavelength_um:g} µm at "
             f"{config.temperature_c:g} °C")
-    return 2.0e6 * math.pi / abs(mismatch)
+    return mismatch
+
+
+def poling_period(config: PdcConfig) -> float:
+    """First-order poling period Λ = 2π/|k_p0 − 2k_s0| in µm.
+
+    Raises :class:`DomainError` when the central mismatch vanishes (no
+    finite first-order grating can phase-match the design).
+    """
+    return 2.0e6 * math.pi / abs(_period_mismatch(config))
 
 
 def grating_wavevector(config: PdcConfig) -> float:
@@ -142,11 +148,10 @@ def grating_wavevector(config: PdcConfig) -> float:
     the residual mismatch vanishes at the central frequencies; for a
     user-supplied period the magnitude is 2π/Λ with the matching sign.
     """
-    mismatch = _central_mismatch(config)
     if config.poling_period_um is None:
-        poling_period(config)          # raise if no finite period exists
-        return mismatch
-    return math.copysign(2.0e6 * math.pi / config.poling_period_um, mismatch)
+        return _period_mismatch(config)
+    return math.copysign(2.0e6 * math.pi / config.poling_period_um,
+                         _central_mismatch(config))
 
 
 def phase_mismatch(config: PdcConfig, omega1_rad_s, omega2_rad_s):
@@ -159,23 +164,16 @@ def phase_mismatch(config: PdcConfig, omega1_rad_s, omega2_rad_s):
     om1 = np.asarray(omega1_rad_s, dtype=float)
     om2 = np.asarray(omega2_rad_s, dtype=float)
     kappa = grating_wavevector(config)
-    # the pump frequency ω_p + (Ω₁ + Ω₂), built in place
-    omega_p = om1 + om2
-    omega_p += config.omega_p_rad_s
-    delta = dispersion.wavevector_at_omega(
-        config.crystal, config.pump_axis, omega_p, config.temperature_c)
-    del omega_p
+    crystal, t_c = config.crystal, config.temperature_c
+    kp = dispersion.wavevector_at_omega(
+        crystal, config.pump_axis, om1 + om2 + config.omega_p_rad_s, t_c)
     ks1 = dispersion.wavevector_at_omega(
-        config.crystal, config.signal_axis,
-        config.omega_s_rad_s + om1, config.temperature_c)
+        crystal, config.signal_axis, config.omega_s_rad_s + om1, t_c)
     ks2 = dispersion.wavevector_at_omega(
-        config.crystal, config.signal_axis,
-        config.omega_s_rad_s + om2, config.temperature_c)
-    # kp − (ks1 + ks2) − κ in place; the signal terms are summed first:
+        crystal, config.signal_axis, config.omega_s_rad_s + om2, t_c)
     # (ks1 + ks2) commutes exactly in floating point, so
     # Δ̃(Ω₁, Ω₂) == Δ̃(Ω₂, Ω₁) bit for bit
-    delta -= ks1 + ks2
-    delta -= kappa
+    delta = kp - (ks1 + ks2) - kappa
     if np.isscalar(omega1_rad_s) and np.isscalar(omega2_rad_s):
         return float(delta)
     return delta

@@ -114,9 +114,9 @@ def rng():
     return np.random.default_rng(20240814)
 
 
-# One-expression forms of the n² evaluations that the library evaluates in
-# place. Each element must go through the same operations in the same
-# order, so the library must equal these bit for bit.
+# One-expression forms of the n² evaluations. Each element must go through
+# the same operations in the same order, so the library must equal these
+# bit for bit.
 
 def expression_n_squared(sell, lam_um, t_c):
     """GayerTwoPole.n_squared as a single expression."""

@@ -666,7 +666,9 @@ class TestErrorPaths:
     @pytest.mark.parametrize("old, bad", [
         ("temperature_c: 11.0", "temperature_c: .nan"),
         ("crystal_length_mm: 80.0", "crystal_length_mm: .inf"),
-    ], ids=["nan_temperature", "inf_length"])
+        ("mean_power_mw: 12.0", "mean_power_mw: true"),
+        ("mean_power_mw: 12.0", 'mean_power_mw: "abc"'),
+    ], ids=["nan_temperature", "inf_length", "bool_power", "text_power"])
     def test_non_finite_config_number_is_validity_error(self, workdir, old, bad):
         (workdir / "nonfinite.yaml").write_text(MATCHED_YAML.replace(old, bad),
                                                encoding="utf-8")

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdcmodes as p
 from pdcmodes.config import (GridSettings, OutputSettings, PdcSettings,
-                             PumpSettings, RunConfig)
+                             PumpSettings, RunConfig, load_run_config)
 
 _ODD_KEYS = st.text(max_size=4) | st.integers()
 _LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -36,3 +36,11 @@ def test_from_mapping_raises_only_package_errors(doc):
         RunConfig.from_mapping(doc)
     except p.PdcModesError:
         pass
+
+
+def test_numeric_text_is_a_number(tmp_path):
+    # YAML 1.1 reads 1.2e1 (no exponent sign) as the text "1.2e1"
+    path = tmp_path / "run.yaml"
+    path.write_text("pump: {bandwidth_fwhm_nm: 4.0, mean_power_mw: 1.2e1, "
+                    "repetition_rate_mhz: 100.0}\n", encoding="utf-8")
+    assert load_run_config(path).pump.mean_power_mw == 12.0

@@ -336,6 +336,18 @@ class TestLoadCrystal:
         with pytest.raises(p.ValidationError, match=bad.split(":")[0]):
             p.load_crystal(text.replace(old, bad, 1))
 
+    def test_numeric_text_is_a_number(self):
+        # YAML 1.1 reads 4.64e0 and 5.0e-1 as text; the loader reads them as
+        # the numbers a coefficient written that way would be
+        text = p.bundled_crystal_path().read_text(encoding="utf-8")
+        for old, new in (("d_eff_pm_per_V: 4.64", "d_eff_pm_per_V: 4.64e0"),
+                         ("valid_range_um: [0.5, 4.0]", "valid_range_um: [5.0e-1, 4.0]")):
+            assert old in text
+            text = text.replace(old, new, 1)
+        xtl = p.load_crystal(text)
+        assert xtl.d_eff_pm_per_v == 4.64
+        assert xtl.valid_range_um == (0.5, 4.0)
+
     def test_non_utf8_file_is_validation_error(self, tmp_path):
         path = tmp_path / "latin1.yaml"
         path.write_bytes(b"\xff\xfe")

@@ -35,6 +35,15 @@ def _envelope_and_half_phase(amplitude):
     return envelope, x
 
 
+@pytest.fixture(scope="module")
+def partial_block_jsas(walkoff_config, matched_config, pump740, pump775):
+    """Both designs on a grid whose last row block is partly filled."""
+    n = 200
+    assert n % p.jsa._BLOCK_ROWS
+    return [p.compute_jsa(config, pump, p.default_grid(config, pump, n=n))
+            for config, pump in ((walkoff_config, pump740), (matched_config, pump775))]
+
+
 def _dg_grid(r_ratio, width, n=512, n_sigma=4.5):
     extent = n_sigma * r_ratio * width / math.sqrt(2.0) * 2.0
     return p.FrequencyGrid(n=n, omega_max_rad_s=extent)
@@ -152,15 +161,17 @@ class TestComputeJsa:
             assert np.array_equal(values, values.T)
             assert np.array_equal(amplitude.kernel, amplitude.kernel.T)
 
-    def test_kernel_is_weighted_envelope_bit_for_bit(self, walkoff_jsa, matched_jsa):
-        for amplitude in (walkoff_jsa, matched_jsa):
+    def test_kernel_is_weighted_envelope_bit_for_bit(self, walkoff_jsa, matched_jsa,
+                                                     partial_block_jsas):
+        for amplitude in (walkoff_jsa, matched_jsa, *partial_block_jsas):
             envelope = _envelope_and_half_phase(amplitude)[0]
             weight = amplitude.grid.step_rad_s / (2 * math.pi)
             assert np.array_equal(envelope * weight, amplitude.kernel)
 
-    def test_values_carry_the_mismatch_chirp(self, matched_jsa):
-        envelope, x = _envelope_and_half_phase(matched_jsa)
-        assert np.array_equal(matched_jsa.values, envelope * np.exp(1j * x))
+    def test_values_carry_the_mismatch_chirp(self, matched_jsa, partial_block_jsas):
+        for amplitude in (matched_jsa, *partial_block_jsas):
+            envelope, x = _envelope_and_half_phase(amplitude)
+            assert np.array_equal(amplitude.values, envelope * np.exp(1j * x))
 
     def test_support_is_pump_band_times_phase_matched_band(
             self, walkoff_jsa, pump740):
@@ -207,6 +218,20 @@ class TestComputeJsa:
                 for name in amplitude.__dataclass_fields__
                 if isinstance(getattr(amplitude, name), np.ndarray)}
         assert held == {"kernel": 8 * n * n}
+
+    def test_assembly_peak_allocation(self, matched_config, pump775):
+        # the kernel plus one block of rows, whatever the grid size
+        n = 1024
+        grid = p.default_grid(matched_config, pump775, n=n)
+        p.compute_jsa(matched_config, pump775, grid)  # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            p.compute_jsa(matched_config, pump775, grid)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n² doubles"
 
     def test_squeezing_peak_allocation(self, matched_config, pump775):
         n = 256
