@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from . import dispersion as disp
 from . import phasematch as pm
-from .config import _FORMATS, RunConfig, load_run_config
+from .config import _FORMATS, OutputSettings, RunConfig, load_run_config
 from .constants import DEFAULT_GRID_POINTS
 from .errors import DomainError, SolverError, ValidationError
 
@@ -98,6 +98,17 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _write_table(out_dir: Path, stem: str, header: list[str], rows,
+                 output: OutputSettings, **extra) -> None:
+    """``<stem>.csv``, or ``<stem>.json`` as ``{"columns", **extra, "rows"}``,
+    in the run's output format."""
+    if output.format == "csv":
+        _write_csv(out_dir / f"{stem}.csv", header, rows, output.precision)
+    else:
+        _write_json(out_dir / f"{stem}.json",
+                    {"columns": header, **extra, "rows": [list(r) for r in rows]})
+
+
 def _thz(omega_rad_s):
     return np.asarray(omega_rad_s) / (2.0 * math.pi * 1e12)
 
@@ -116,10 +127,9 @@ def _pinned_grid(run: RunConfig) -> FrequencyGrid | None:
                          omega_max_rad_s=2.0 * math.pi * extent * 1e12)
 
 
-def _design(run: RunConfig):
+def _design(run: RunConfig, crystal):
     """The configured design, its pump pulse and its grid."""
     from .jsa import default_grid
-    crystal = run.load_crystal()
     config = run.to_pdc_config(crystal)
     pump = run.to_pump_pulse()
     grid = _pinned_grid(run) or default_grid(
@@ -143,8 +153,7 @@ def _signal_axis_thz(config, grid) -> np.ndarray:
 # subcommands
 
 
-def _cmd_dispersion(args, run: RunConfig, out_dir: Path) -> int:
-    crystal = run.load_crystal()
+def _cmd_dispersion(args, run: RunConfig, crystal, out_dir: Path) -> int:
     if args.lambda_max_um <= args.lambda_min_um:
         raise UsageError("--lambda-max-um must exceed --lambda-min-um")
     if args.samples < 2:
@@ -157,25 +166,17 @@ def _cmd_dispersion(args, run: RunConfig, out_dir: Path) -> int:
         n = disp.refractive_index(crystal, axis, lam, t_c)
         m = disp.group_index(crystal, axis, lam, t_c)
         g = disp.gvd(crystal, axis, lam, t_c)
-        for i in range(lam.size):
-            rows.append((float(lam[i]), axis, float(n[i]), float(m[i]), float(g[i])))
+        rows += zip(lam.tolist(), [axis] * lam.size, n.tolist(), m.tolist(),
+                    g.tolist())
     header = ["lambda_um", "axis", "n", "group_index", "gvd_ps2_per_m"]
-    precision = run.output.precision
-    if run.output.format == "csv":
-        _write_csv(out_dir / "dispersion.csv", header, rows, precision)
-    else:
-        _write_json(out_dir / "dispersion.json",
-                    {"columns": header,
-                     "temperature_c": t_c,
-                     "crystal": crystal.name,
-                     "rows": [list(r) for r in rows]})
+    _write_table(out_dir, "dispersion", header, rows, run.output,
+                 temperature_c=t_c, crystal=crystal.name)
     print(f"dispersion table: {len(rows)} rows, axes {','.join(axes)}, "
-          f"T = {_fmt(t_c, precision)} C")
+          f"T = {_fmt(t_c, run.output.precision)} C")
     return 0
 
 
-def _cmd_cgvm(args, run: RunConfig, out_dir: Path) -> int:
-    crystal = run.load_crystal()
+def _cmd_cgvm(args, run: RunConfig, crystal, out_dir: Path) -> int:
     t_c = _temperature_c(args, run)
     lam_cgvm = pm.solve_cgvm(crystal, args.pump_axis, args.signal_axis, t_c,
                              tuple(args.bracket_um))
@@ -209,8 +210,7 @@ def _cmd_cgvm(args, run: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_poling(args, run: RunConfig, out_dir: Path) -> int:
-    crystal = run.load_crystal()
+def _cmd_poling(args, run: RunConfig, crystal, out_dir: Path) -> int:
     config = run.to_pdc_config(crystal)
     period = pm.poling_period(config)
     payload = {
@@ -224,9 +224,9 @@ def _cmd_poling(args, run: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _run_pipeline(run: RunConfig):
+def _run_pipeline(run: RunConfig, crystal):
     from .jsa import compute_jsa, schmidt_decompose
-    config, pump, grid = _design(run)
+    config, pump, grid = _design(run, crystal)
     amplitude = compute_jsa(config, pump, grid)
     decomp = schmidt_decompose(amplitude)
     return config, grid, amplitude, decomp
@@ -255,47 +255,41 @@ def _jsa_meta(config, grid, decomp, eta) -> dict:
     }
 
 
-def _cmd_jsa(args, run: RunConfig, out_dir: Path) -> int:
+def _cmd_jsa(args, run: RunConfig, crystal, out_dir: Path) -> int:
     from .jsa import jsa_efficiency
-    config, grid, amplitude, decomp = _run_pipeline(run)
+    config, grid, amplitude, decomp = _run_pipeline(run, crystal)
     eta = jsa_efficiency(decomp)
     meta = _jsa_meta(config, grid, decomp, eta)
     f_thz = _signal_axis_thz(config, grid)
     precision = run.output.precision
     values = amplitude.values
-    magnitude = np.abs(values)
+    grids = {"abs": np.abs(values)}
+    if args.include_complex:
+        grids.update(real=values.real, imag=values.imag)
     if run.output.format == "csv":
-        _write_csv(out_dir / "jsa_abs.csv", None, magnitude, precision)
         _write_csv(out_dir / "jsa_axis_thz.csv", ["f_thz"],
                    ([v] for v in f_thz.tolist()), precision)
-        if args.include_complex:
-            _write_csv(out_dir / "jsa_real.csv", None, values.real, precision)
-            _write_csv(out_dir / "jsa_imag.csv", None, values.imag, precision)
-        _write_json(out_dir / "jsa_meta.json", meta)
+        for name, part in grids.items():
+            _write_csv(out_dir / f"jsa_{name}.csv", None, part, precision)
     else:
-        payload = dict(meta)
-        payload["f_thz"] = f_thz.tolist()
-        payload["abs"] = magnitude.tolist()
-        if args.include_complex:
-            payload["real"] = values.real.tolist()
-            payload["imag"] = values.imag.tolist()
-        _write_json(out_dir / "jsa.json", payload)
-        _write_json(out_dir / "jsa_meta.json", meta)
+        _write_json(out_dir / "jsa.json",
+                    {**meta, "f_thz": f_thz.tolist(),
+                     **{name: part.tolist() for name, part in grids.items()}})
+    _write_json(out_dir / "jsa_meta.json", meta)
     print(f"schmidt_number = {_fmt(decomp.schmidt_number, precision)}")
     print(f"eta_jsa = {_fmt(eta, precision)}")
     return 0
 
 
-def _cmd_modes(args, run: RunConfig, out_dir: Path) -> int:
+def _cmd_modes(args, run: RunConfig, crystal, out_dir: Path) -> int:
     if args.modes < 1:
         raise UsageError("--modes must be at least 1")
-    config, grid, _, decomp = _run_pipeline(run)
+    config, grid, _, decomp = _run_pipeline(run, crystal)
     if args.modes > decomp.s.size:
         raise DomainError(
             f"requested {args.modes} modes but the decomposition has rank "
             f"{decomp.s.size}")
     f_thz = _signal_axis_thz(config, grid)
-    precision = run.output.precision
     meta = {
         "crystal": config.crystal.name,
         "schmidt_number": decomp.schmidt_number,
@@ -306,11 +300,7 @@ def _cmd_modes(args, run: RunConfig, out_dir: Path) -> int:
     zeros = [0.0] * f_thz.size       # the modes are real
     for n, mode in enumerate(decomp.modes[:args.modes]):
         rows = zip(f_thz.tolist(), mode.tolist(), zeros, np.abs(mode).tolist())
-        if run.output.format == "csv":
-            _write_csv(out_dir / f"mode_{n}.csv", header, rows, precision)
-        else:
-            _write_json(out_dir / f"mode_{n}.json",
-                        {"columns": header, "rows": [list(r) for r in rows]})
+        _write_table(out_dir, f"mode_{n}", header, rows, run.output)
     _write_json(out_dir / "modes_meta.json", meta)
     print(f"exported {args.modes} modes; "
           f"s = {[_fmt(v, 6) for v in decomp.s[:args.modes]]}")
@@ -335,9 +325,9 @@ def _squeeze_payload(config, result: SqueezingResult) -> dict:
     }
 
 
-def _cmd_squeeze(args, run: RunConfig, out_dir: Path) -> int:
+def _cmd_squeeze(args, run: RunConfig, crystal, out_dir: Path) -> int:
     from .squeezing import squeezing_spectrum
-    config, pump, grid = _design(run)
+    config, pump, grid = _design(run, crystal)
     result = squeezing_spectrum(config, pump, grid=grid)
     _write_json(out_dir / "squeeze.json", _squeeze_payload(config, result))
     precision = run.output.precision
@@ -348,11 +338,8 @@ def _cmd_squeeze(args, run: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_scan(args, run: RunConfig, out_dir: Path) -> int:
+def _cmd_scan(args, run: RunConfig, crystal, out_dir: Path) -> int:
     from .squeezing import length_scan
-    if not args.lengths_mm:
-        raise UsageError("--lengths-mm needs at least one length")
-    crystal = run.load_crystal()
     config = run.to_pdc_config(crystal)
     pump = run.to_pump_pulse()
     lengths_m = [l * 1e-3 for l in args.lengths_mm]
@@ -365,13 +352,9 @@ def _cmd_scan(args, run: RunConfig, out_dir: Path) -> int:
         rows.append((length_m * 1e3, result.schmidt_number, result.eta_jsa,
                      result.eta_pdc_per_w, float(result.r[0]),
                      float(result.s_db[0]), result.beyond_validity))
-    precision = run.output.precision
-    if run.output.format == "csv":
-        _write_csv(out_dir / "scan.csv", header,
-                   [(*row[:-1], _flag(row[-1])) for row in rows], precision)
-    else:
-        _write_json(out_dir / "scan.json",
-                    {"columns": header, "rows": [list(row) for row in rows]})
+    if run.output.format == "csv":   # CSV spells the validity flag true/false
+        rows = [(*row[:-1], _flag(row[-1])) for row in rows]
+    _write_table(out_dir, "scan", header, rows, run.output)
     for row in rows:
         print(f"L = {_fmt(row[0], 6)} mm: s_db = {_fmt(row[5], 6)}")
     return 0
@@ -457,19 +440,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_run_config(args) -> RunConfig:
+    """The run configuration, with each flag that is given taking precedence."""
+    def given(**flags):
+        return {key: value for key, value in flags.items() if value is not None}
+
     run = load_run_config(args.config)
-    if args.crystal is not None:
-        run = replace(run, crystal_file=args.crystal)
-    if args.grid_n is not None:
-        run = replace(run, grid=replace(run.grid, points_per_axis=args.grid_n))
-    if args.format is not None or args.out is not None:
-        out = run.output
-        if args.format is not None:
-            out = replace(out, format=args.format)
-        if args.out is not None:
-            out = replace(out, directory=args.out)
-        run = replace(run, output=out)
-    return run
+    return replace(run, **given(crystal_file=args.crystal),
+                   grid=replace(run.grid, **given(points_per_axis=args.grid_n)),
+                   output=replace(run.output, **given(format=args.format,
+                                                       directory=args.out)))
 
 
 def _check_finite(args) -> None:
@@ -485,28 +464,26 @@ def _single_line(message: str) -> str:
     return " ".join(str(message).split())
 
 
+# the kind and exit code of each error a command reports, in matching order
+_EXIT_CODES = {
+    UsageError: ("usage", 2),
+    DomainError: ("domain", 3),
+    ValidationError: ("validity", 3),
+    SolverError: ("solver", 4),
+    OSError: ("io", 5),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _check_finite(args)
         run = _merge_run_config(args)
-        out_dir = Path(run.output.directory)
-        return args.handler(args, run, out_dir)
-    except UsageError as exc:
-        print(f"error[usage]: {_single_line(exc)}", file=sys.stderr)
-        return 2
-    except (DomainError, ValidationError) as exc:
-        kind = "domain" if isinstance(exc, DomainError) else "validity"
+        return args.handler(args, run, run.load_crystal(),
+                            Path(run.output.directory))
+    except tuple(_EXIT_CODES) as exc:
+        kind, code = next(entry for cls, entry in _EXIT_CODES.items()
+                          if isinstance(exc, cls))
         print(f"error[{kind}]: {_single_line(exc)}", file=sys.stderr)
-        return 3
-    except SolverError as exc:
-        print(f"error[solver]: {_single_line(exc)}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error[io]: {_single_line(exc)}", file=sys.stderr)
-        return 5
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return code

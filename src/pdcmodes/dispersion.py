@@ -57,7 +57,8 @@ BIAXIAL_AXES = ("x", "y", "z")
 
 _ABSOLUTE_ZERO_C = -273.15
 
-# temperatures (°C) at which the n > 1 invariant is checked on load
+# temperatures (°C) at which the poles and the n > 1 invariant are checked
+# on load
 _VALIDATION_TEMPS = (0.0, 100.0, 200.0)
 _VALIDATION_SAMPLES = 64
 
@@ -140,6 +141,10 @@ class GayerTwoPole:
     def _f(self, t_c):
         return (t_c - self.t_ref_c) * (t_c + self.t_ref_c + 2.0 * 273.16)
 
+    def _poles_um(self, t_c):
+        """The wavelengths (µm) at which n² has a pole at T = t_c."""
+        return abs(self.a3 + self.b3 * self._f(t_c)), abs(self.a5)
+
     def _terms(self, t_c):
         """The temperature-dependent scalars at T = t_c (a scalar):
         a1 + b1·f, a2 + b2·f, (a3 + b3·f)², a4 + b4·f and a5²."""
@@ -221,6 +226,10 @@ class StandardSellmeier:
         if len(self.b) != len(self.c):
             raise ValidationError(
                 "sellmeier_standard: b and c pole lists differ in length")
+
+    def _poles_um(self, t_c):
+        """The wavelengths (µm) at which n² has a pole: √cᵢ for each cᵢ > 0."""
+        return tuple(math.sqrt(ci) for ci in self.c if ci > 0)
 
     def _n_lam(self, lam_um):
         lam2 = np.square(lam_um)
@@ -384,11 +393,21 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
 
 
 def _validate_physical(model: CrystalModel) -> None:
-    """Check n is real, finite and > 1 across the validity range at 0-200 °C."""
+    """Check that no pole lies in the validity range and that n is real,
+    finite and > 1 across it, at each of _VALIDATION_TEMPS.
+
+    The poles are found exactly; n is checked at sampled wavelengths.
+    """
     lo, hi = model.valid_range_um
     lam = np.linspace(lo, hi, _VALIDATION_SAMPLES)
     for label, sell in model.axes.items():
         for t_c in _VALIDATION_TEMPS:
+            for pole in sell._poles_um(t_c):
+                if lo <= pole <= hi:
+                    raise ValidationError(
+                        f"crystal {model.name!r}, axis {label!r}: Sellmeier "
+                        f"pole at {pole:.6g} µm inside the validity range "
+                        f"[{lo}, {hi}] µm at {t_c} °C")
             try:
                 with np.errstate(invalid="ignore", divide="ignore"):
                     n2 = np.asarray(sell.n_squared(lam, t_c), dtype=float)

@@ -633,6 +633,78 @@ class TestSqueezeAndScan:
         assert rows[0][1:6] != rows[1][1:6]
 
 
+class TestFlagPrecedence:
+    """--crystal, --grid-n, --format and --out each take precedence over the
+    run configuration's key when given; the keys of the other flags hold."""
+
+    @pytest.mark.parametrize("flags, expected", [
+        ((), {}),
+        (("--crystal", "flag.yaml"), {"crystal": "flag-crystal"}),
+        (("--grid-n", "64"), {"grid_n": 64}),
+        (("--format", "csv"), {"format": "csv"}),
+        (("--out", "flag_out"), {"out": "flag_out"}),
+    ], ids=["none", "crystal", "grid_n", "format", "out"])
+    def test_given_flag_wins(self, tmp_path, monkeypatch, flags, expected):
+        crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
+        for name in ("config", "flag"):
+            (tmp_path / f"{name}.yaml").write_text(
+                crystal.replace("name: MgO:LN-5pct", f"name: {name}-crystal", 1),
+                encoding="utf-8")
+        (tmp_path / "run.yaml").write_text(
+            MATCHED_YAML + "crystal_file: config.yaml\n"
+                           "grid:\n  points_per_axis: 80\n"
+                           "output:\n  format: json\n  directory: config_out\n",
+            encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["jsa", "--config", "run.yaml", *flags]) == 0
+        want = {"crystal": "config-crystal", "grid_n": 80, "format": "json",
+                "out": "config_out", **expected}
+        assert sorted(d.name for d in tmp_path.iterdir() if d.is_dir()) == \
+            [want["out"]]
+        files = {"json": ["jsa.json", "jsa_meta.json"],
+                 "csv": ["jsa_abs.csv", "jsa_axis_thz.csv", "jsa_meta.json"]}
+        out = tmp_path / want["out"]
+        assert sorted(f.name for f in out.iterdir()) == files[want["format"]]
+        meta = json.loads((out / "jsa_meta.json").read_text(encoding="utf-8"))
+        assert (meta["crystal"], meta["grid_n"]) == (want["crystal"],
+                                                     want["grid_n"])
+
+
+def _same_cell(text, value) -> bool:
+    """A CSV cell at precision 17 carries the JSON cell ``value``."""
+    if isinstance(value, bool):
+        return text == ("true" if value else "false")
+    if isinstance(value, str):
+        return text == value
+    return float(text) == value
+
+
+class TestTableFormats:
+    @pytest.mark.parametrize("args, stems", [
+        (("dispersion", "--lambda-min-um", "0.6", "--lambda-max-um", "3.6",
+          "--samples", "50"), ["dispersion"]),
+        (("modes", "--grid-n", "64"), [f"mode_{n}" for n in range(4)]),
+        (("scan", "--grid-n", "64", "--lengths-mm", "10", "80"), ["scan"]),
+    ], ids=["dispersion", "modes", "scan"])
+    def test_json_and_csv_carry_equal_rows(self, tmp_path, monkeypatch, args,
+                                           stems):
+        (tmp_path / "run.yaml").write_text(
+            MATCHED_YAML + "output:\n  precision: 17\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        for fmt in ("csv", "json"):
+            assert cli.main([*args, "--config", "run.yaml", "--format", fmt,
+                             "--out", fmt]) == 0
+        for stem in stems:
+            header, rows = read_csv(tmp_path / "csv" / f"{stem}.csv")
+            table = json.loads((tmp_path / "json" / f"{stem}.json").read_text(
+                encoding="utf-8"))
+            assert table["columns"] == header
+            assert len(table["rows"]) == len(rows) > 0
+            for text_row, row in zip(rows, table["rows"]):
+                assert len(text_row) == len(row)
+                assert all(map(_same_cell, text_row, row)), (text_row, row)
+
+
 class TestErrorPaths:
     def test_unknown_config_key_is_validity_error(self, workdir):
         bad = workdir / "bad.yaml"
@@ -794,6 +866,23 @@ class TestErrorPaths:
         assert len(lines) == 1, result.stderr
         assert lines[0].startswith("error[domain]: squeezing r₀ = "), result.stderr
         assert "S₀ = " in lines[0]
+        assert not out.exists()
+
+    def test_narrow_pole_crystal_is_validity_error(self, workdir, tmp_path):
+        # a pole at 1.52 µm narrow enough to pass between sampled wavelengths
+        (tmp_path / "narrow.yaml").write_text(CONSTANT_INDEX_YAML.replace(
+            "{a: 4.84, b: [], c: []", "{a: 4.0, b: [1.0e-3], c: [2.3104]"),
+            encoding="utf-8")
+        out = tmp_path / "out"
+        result = run_cli("dispersion", "--crystal", str(tmp_path / "narrow.yaml"),
+                         "--lambda-min-um", "1.5199", "--lambda-max-um",
+                         "1.52001", "--samples", "3", "--axes", "o", "--format",
+                         "json", "--out", str(out), cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error[validity]:"), result.stderr
+        assert "axis 'o': Sellmeier pole at 1.52 µm" in lines[0]
         assert not out.exists()
 
     def test_domain_error_from_bad_wavelength(self, workdir):

@@ -123,8 +123,9 @@ class TestGvd:
 # relative target even near the GVD zero crossing; truncation of the
 # fourth-order stencils is negligible for these smooth curves
 class TestInPlaceEvaluation:
-    """The in-place array paths equal their one-expression forms bit for bit,
-    on both axes, at 0–200 °C, across the validity range."""
+    """n², n and the wavevector at array inputs (1-D and 2-D) equal the
+    one-expression oracles of conftest bit for bit, on both axes, at
+    0–200 °C, across the validity range."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(axis=st.sampled_from(["o", "e"]), t_c=st.floats(0.0, 200.0),
@@ -249,7 +250,8 @@ def _node_paths(node, prefix=()):
         yield from _node_paths(child, prefix + (key,))
 
 
-_BUNDLED = yaml.safe_load(p.bundled_crystal_path().read_text(encoding="utf-8"))
+_BUNDLED_TEXT = p.bundled_crystal_path().read_text(encoding="utf-8")
+_BUNDLED = yaml.safe_load(_BUNDLED_TEXT)
 _BUNDLED_PATHS = list(_node_paths(_BUNDLED))
 
 # what a YAML document can hold, plus numeric text and extreme numbers
@@ -299,6 +301,18 @@ class TestLoadCrystal:
     def test_pole_inside_range_rejected(self):
         text = _MINIMAL.format(a=1.0, b="[1.0]", c="[2.25]")  # pole at 1.5 µm
         with pytest.raises(p.ValidationError):
+            p.load_crystal(text)
+
+    @pytest.mark.parametrize("text, pole", [
+        # b = 1e-3 makes the pole at √2.3104 µm so narrow that n² is finite
+        # and above 1 at every sampled wavelength
+        (_MINIMAL.format(a=4.0, b="[1.0e-3]", c="[2.3104]"), "1.52"),
+        (_BUNDLED_TEXT.replace("a3: 0.2091", "a3: 1.3", 1), "1.30006"),
+        (_BUNDLED_TEXT.replace("a5: 10.85", "a5: 2.5", 1), "2.5"),
+    ], ids=["narrow_standard", "gayer_a3", "gayer_a5"])
+    def test_pole_is_found_exactly(self, text, pole):
+        with pytest.raises(p.ValidationError,
+                           match=f"axis 'o': Sellmeier pole at {pole} µm"):
             p.load_crystal(text)
 
     def test_unknown_key_rejected(self):
