@@ -11,7 +11,8 @@ Every error path prints a single line ``error[<kind>]: <message>``.
 
 Only the commands that run the JSA pipeline (jsa, modes, squeeze, scan)
 import the JSA and squeezing layers, so dispersion, cgvm and poling start
-without them.
+without them. numpy loads only with the commands that evaluate arrays:
+dispersion and the pipeline commands; cgvm and poling run on the stdlib.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import __version__
 from . import dispersion as disp
 from . import phasematch as pm
@@ -36,6 +35,8 @@ from .constants import DEFAULT_GRID_POINTS
 from .errors import DomainError, SolverError, ValidationError
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .jsa import FrequencyGrid
     from .squeezing import SqueezingResult
 
@@ -110,6 +111,7 @@ def _write_table(out_dir: Path, stem: str, header: list[str], rows,
 
 
 def _thz(omega_rad_s):
+    import numpy as np
     return np.asarray(omega_rad_s) / (2.0 * math.pi * 1e12)
 
 
@@ -154,6 +156,7 @@ def _signal_axis_thz(config, grid) -> np.ndarray:
 
 
 def _cmd_dispersion(args, run: RunConfig, crystal, out_dir: Path) -> int:
+    import numpy as np
     if args.lambda_max_um <= args.lambda_min_um:
         raise UsageError("--lambda-max-um must exceed --lambda-min-um")
     if args.samples < 2:
@@ -256,6 +259,7 @@ def _jsa_meta(config, grid, decomp, eta) -> dict:
 
 
 def _cmd_jsa(args, run: RunConfig, crystal, out_dir: Path) -> int:
+    import numpy as np
     from .jsa import jsa_efficiency
     config, grid, amplitude, decomp = _run_pipeline(run, crystal)
     eta = jsa_efficiency(decomp)
@@ -282,6 +286,7 @@ def _cmd_jsa(args, run: RunConfig, crystal, out_dir: Path) -> int:
 
 
 def _cmd_modes(args, run: RunConfig, crystal, out_dir: Path) -> int:
+    import numpy as np
     if args.modes < 1:
         raise UsageError("--modes must be at least 1")
     config, grid, _, decomp = _run_pipeline(run, crystal)

@@ -18,17 +18,21 @@ dn/dλ and d²n/dλ², converted via
 
 so no finite-difference step tuning enters the library (a finite-difference
 cross-check lives in the test suite).
+
+Every formula takes a float or a numpy array and is written once for both:
+a float goes through Python's own arithmetic and ``math``, so loading a
+crystal and evaluating it at single wavelengths never imports numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
 import yaml
 from importlib import resources
 
@@ -57,8 +61,8 @@ BIAXIAL_AXES = ("x", "y", "z")
 
 _ABSOLUTE_ZERO_C = -273.15
 
-# temperatures (°C) at which the poles and the n > 1 invariant are checked
-# on load
+# temperatures (°C) at which the n > 1 invariant is checked on load; the
+# poles are checked at every temperature from the first to the last
 _VALIDATION_TEMPS = (0.0, 100.0, 200.0)
 _VALIDATION_SAMPLES = 64
 
@@ -103,18 +107,60 @@ def _require_keys(mapping: Mapping, required: tuple, context: str) -> None:
         raise ValidationError(f"{context}: unknown coefficient(s) {unknown}")
 
 
-def _not_finite(t_c) -> DomainError:
+def _float_or_array(value):
+    """``value`` as a float when it is one number (as ``np.isscalar`` tells
+    it), else as an array of floats."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    import numpy as np
+    if isinstance(value, np.generic):
+        return float(value)
+    return np.asarray(value, dtype=float)
+
+
+def _sqrt(n2):
+    """√n²: ``math.sqrt`` on a float, numpy's on an array. A float n² ≤ 0
+    has no real index and is a DomainError."""
+    if isinstance(n2, float):
+        if not n2 > 0.0:
+            raise DomainError(f"n² = {n2:.6g} is not positive: no real index")
+        return math.sqrt(n2)
+    import numpy as np
+    return np.sqrt(n2)
+
+
+def _not_finite(form: str, t_c) -> DomainError:
     return DomainError(
-        f"gayer_two_pole: the index is not finite at {t_c:g} °C; the "
+        f"{form}: the index is not finite at {t_c:g} °C; the "
         "crystal's coefficients do not extend to this temperature")
 
 
-def _check_finite(t_c, value) -> None:
-    """A DomainError unless every number in ``value`` is finite: an
-    evaluation at t_c that overflows or meets a pole is no index."""
-    if not (np.isfinite(value).all() if isinstance(value, np.ndarray)
-            else math.isfinite(value)):
-        raise _not_finite(t_c)
+def _finite(formula):
+    """A formula method ``(self, lam_um, t_c)`` whose result is finite
+    everywhere, or else a DomainError: an evaluation that overflows or meets
+    a pole is no index.
+
+    Where numpy gives inf, a float raises ZeroDivisionError or
+    OverflowError; both count as not finite. On an array numpy's warnings
+    are silenced, since the result is checked.
+    """
+    @functools.wraps(formula)
+    def evaluate(self, lam_um, t_c):
+        try:
+            if isinstance(lam_um, (int, float)):
+                value = formula(self, lam_um, t_c)
+                finite = math.isfinite(value)
+            else:
+                import numpy as np
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    value = formula(self, lam_um, t_c)
+                finite = np.isfinite(value).all()
+        except (ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
+            raise _not_finite(self.form, t_c)
+        return value
+    return evaluate
 
 
 class GayerTwoPole:
@@ -142,64 +188,60 @@ class GayerTwoPole:
         return (t_c - self.t_ref_c) * (t_c + self.t_ref_c + 2.0 * 273.16)
 
     def _poles_um(self, t_c):
-        """The wavelengths (µm) at which n² has a pole at T = t_c."""
-        return abs(self.a3 + self.b3 * self._f(t_c)), abs(self.a5)
+        """a3 + b3·f(T) and a5 at T = t_c: n² has its poles at their
+        absolute values (µm)."""
+        return self.a3 + self.b3 * self._f(t_c), self.a5
 
     def _terms(self, t_c):
         """The temperature-dependent scalars at T = t_c (a scalar):
-        a1 + b1·f, a2 + b2·f, (a3 + b3·f)², a4 + b4·f and a5²."""
+        a1 + b1·f, a2 + b2·f, (a3 + b3·f)², a4 + b4·f and a5². A square
+        beyond the float range raises OverflowError, which each formula's
+        ``_finite`` turns into a DomainError."""
         f = self._f(t_c)
-        try:
-            terms = (self.a1 + self.b1 * f, self.a2 + self.b2 * f,
-                     (self.a3 + self.b3 * f) ** 2, self.a4 + self.b4 * f,
-                     self.a5 ** 2)
-        except OverflowError:  # a float ** 2 beyond the float range
-            raise _not_finite(t_c) from None
+        terms = (self.a1 + self.b1 * f, self.a2 + self.b2 * f,
+                 (self.a3 + self.b3 * f) ** 2, self.a4 + self.b4 * f,
+                 self.a5 ** 2)
         if not all(map(math.isfinite, terms)):
-            raise _not_finite(t_c)
+            raise _not_finite(self.form, t_c)
         return terms
 
+    @_finite
     def n_squared(self, lam_um, t_c):
         c1, c2, q1, c4, q2 = self._terms(t_c)
-        lam2 = np.square(lam_um)
-        # an overflow or a pole is caught below as a non-finite value
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            value = c1 + c2 / (lam2 - q1) + c4 / (lam2 - q2) - self.a6 * lam2
-        _check_finite(t_c, value)
-        return value
+        lam2 = lam_um * lam_um
+        return c1 + c2 / (lam2 - q1) + c4 / (lam2 - q2) - self.a6 * lam2
 
+    @_finite
     def dn2_dlam(self, lam_um, t_c):
         _, c2, q1, c4, q2 = self._terms(t_c)
-        lam2 = np.square(lam_um)
+        lam2 = lam_um * lam_um
         d1 = lam2 - q1
         d2 = lam2 - q2
-        value = -2.0 * lam_um * (c2 / d1 ** 2 + c4 / d2 ** 2 + self.a6)
-        _check_finite(t_c, value)
-        return value
+        return -2.0 * lam_um * (c2 / d1 ** 2 + c4 / d2 ** 2 + self.a6)
 
+    @_finite
     def d2n2_dlam2(self, lam_um, t_c):
         _, c2, q1, c4, q2 = self._terms(t_c)
-        lam2 = np.square(lam_um)
+        lam2 = lam_um * lam_um
         d1 = lam2 - q1
         d2 = lam2 - q2
-        value = (c2 * (6.0 * lam2 + 2.0 * q1) / d1 ** 3
-                 + c4 * (6.0 * lam2 + 2.0 * q2) / d2 ** 3
-                 - 2.0 * self.a6)
-        _check_finite(t_c, value)
-        return value
+        return (c2 * (6.0 * lam2 + 2.0 * q1) / d1 ** 3
+                + c4 * (6.0 * lam2 + 2.0 * q2) / d2 ** 3
+                - 2.0 * self.a6)
 
     def n(self, lam_um, t_c):
-        return np.sqrt(self.n_squared(lam_um, t_c))
+        return _sqrt(self.n_squared(lam_um, t_c))
 
     def dn_dlam(self, lam_um, t_c):
         g = self.n_squared(lam_um, t_c)
-        return self.dn2_dlam(lam_um, t_c) / (2.0 * np.sqrt(g))
+        return self.dn2_dlam(lam_um, t_c) / (2.0 * _sqrt(g))
 
+    @_finite
     def d2n_dlam2(self, lam_um, t_c):
         g = self.n_squared(lam_um, t_c)
         gp = self.dn2_dlam(lam_um, t_c)
         gpp = self.d2n2_dlam2(lam_um, t_c)
-        return gpp / (2.0 * np.sqrt(g)) - gp * gp / (4.0 * g ** 1.5)
+        return gpp / (2.0 * _sqrt(g)) - gp * gp / (4.0 * g ** 1.5)
 
 
 class StandardSellmeier:
@@ -228,31 +270,36 @@ class StandardSellmeier:
                 "sellmeier_standard: b and c pole lists differ in length")
 
     def _poles_um(self, t_c):
-        """The wavelengths (µm) at which n² has a pole: √cᵢ for each cᵢ > 0."""
+        """√cᵢ for each cᵢ > 0: the wavelengths (µm) at which n² has a pole,
+        at every temperature."""
         return tuple(math.sqrt(ci) for ci in self.c if ci > 0)
 
     def _n_lam(self, lam_um):
-        lam2 = np.square(lam_um)
+        lam2 = lam_um * lam_um
         g = self.a - self.d * lam2
         for bi, ci in zip(self.b, self.c):
             g = g + bi * lam2 / (lam2 - ci)
-        return np.sqrt(g)
+        return _sqrt(g)
 
+    @_finite
     def n(self, lam_um, t_c):
         return self._n_lam(lam_um) + self.dn_dt * (t_c - self.t_ref_c)
 
     def n_squared(self, lam_um, t_c):
-        return np.square(self.n(lam_um, t_c))
+        n = self.n(lam_um, t_c)
+        return n * n
 
+    @_finite
     def dn_dlam(self, lam_um, t_c):
-        lam2 = np.square(lam_um)
+        lam2 = lam_um * lam_um
         gp = -2.0 * self.d * lam_um
         for bi, ci in zip(self.b, self.c):
             gp = gp + bi * (-2.0 * lam_um * ci) / (lam2 - ci) ** 2
         return gp / (2.0 * self._n_lam(lam_um))
 
+    @_finite
     def d2n_dlam2(self, lam_um, t_c):
-        lam2 = np.square(lam_um)
+        lam2 = lam_um * lam_um
         gp = -2.0 * self.d * lam_um
         gpp = -2.0 * self.d
         for bi, ci in zip(self.b, self.c):
@@ -392,38 +439,92 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
     return model
 
 
+def _meets(pole, t_a: float, t_b: float, a: float, b: float) -> float | None:
+    """A temperature in [t_a, t_b] at which the monotone ``pole(T)`` lies
+    in [a, b], or None.
+
+    A bisection over the float temperatures, the ones an evaluation can
+    take: a pole that jumps over [a, b] between two adjacent floats is
+    never met.
+    """
+    def side(t):
+        p = pole(t)
+        return -1 if p < a else 1 if p > b else 0
+
+    s_a, s_b = side(t_a), side(t_b)
+    if s_a == 0:
+        return t_a
+    if s_b == 0:
+        return t_b
+    if s_a == s_b:
+        return None
+    while True:
+        t_m = (t_a + t_b) / 2
+        if not t_a < t_m < t_b:  # adjacent floats: the pole jumps over [a, b]
+            return None
+        s_m = side(t_m)
+        if s_m == 0:
+            return t_m
+        if s_m == s_a:
+            t_a = t_m
+        else:
+            t_b = t_m
+
+
+def _pole_in_range(sell, lo: float, hi: float) -> tuple[float, float] | None:
+    """A pole of ``sell`` inside [lo, hi] µm at a temperature from the first
+    to the last of _VALIDATION_TEMPS, as (wavelength, temperature), or None.
+
+    Each pole p(T), which n² has at |p|, moves monotonically with T, as
+    f(T) rises above −273.16 °C. So it lies in the range at some
+    temperature only if p lies in [lo, hi] or [−hi, −lo] at an end, or its
+    end values lie on two sides of one of them.
+    """
+    t_first, t_last = _VALIDATION_TEMPS[0], _VALIDATION_TEMPS[-1]
+    for i in range(len(sell._poles_um(t_first))):
+        def pole(t_c, i=i):
+            return sell._poles_um(t_c)[i]
+        for a, b in ((lo, hi), (-hi, -lo)):
+            t_c = _meets(pole, t_first, t_last, a, b)
+            if t_c is not None:
+                return abs(pole(t_c)), t_c
+    return None
+
+
 def _validate_physical(model: CrystalModel) -> None:
-    """Check that no pole lies in the validity range and that n is real,
-    finite and > 1 across it, at each of _VALIDATION_TEMPS.
+    """Check that no pole lies in the validity range at any temperature
+    from the first to the last of _VALIDATION_TEMPS, and that n is real,
+    finite and > 1 across the range at each of them.
 
     The poles are found exactly; n is checked at sampled wavelengths.
     """
     lo, hi = model.valid_range_um
-    lam = np.linspace(lo, hi, _VALIDATION_SAMPLES)
+    # np.linspace's samples: i·step + lo, with the last one set to hi
+    step = (hi - lo) / (_VALIDATION_SAMPLES - 1)
+    lam = [i * step + lo for i in range(_VALIDATION_SAMPLES - 1)] + [hi]
     for label, sell in model.axes.items():
+        where = f"crystal {model.name!r}, axis {label!r}"
+        hit = _pole_in_range(sell, lo, hi)
+        if hit is not None:
+            raise ValidationError(
+                f"{where}: Sellmeier pole at {hit[0]:.6g} µm inside the "
+                f"validity range [{lo}, {hi}] µm at {hit[1]} °C")
         for t_c in _VALIDATION_TEMPS:
-            for pole in sell._poles_um(t_c):
-                if lo <= pole <= hi:
-                    raise ValidationError(
-                        f"crystal {model.name!r}, axis {label!r}: Sellmeier "
-                        f"pole at {pole:.6g} µm inside the validity range "
-                        f"[{lo}, {hi}] µm at {t_c} °C")
             try:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    n2 = np.asarray(sell.n_squared(lam, t_c), dtype=float)
-            except DomainError:  # a non-finite or overflowing evaluation
-                n2 = np.array(np.inf)
-            if not np.all(np.isfinite(n2)) or np.any(n2 <= 0):
+                n2 = [sell.n_squared(x, t_c) for x in lam]
+            except DomainError:  # an overflowing or non-real evaluation
+                n2 = [math.inf]
+            if not all(0.0 < v < math.inf for v in n2):
                 raise ValidationError(
-                    f"crystal {model.name!r}, axis {label!r}: n² is not finite "
-                    f"and positive across [{lo}, {hi}] µm at {t_c} °C "
-                    "(pole inside the validity range?)")
-            n = np.sqrt(n2)
-            if np.any(n <= 1.0):
+                    f"{where}: n² is not finite and positive across [{lo}, "
+                    f"{hi}] µm at {t_c} °C (a coefficient overflows the float "
+                    "range, or n² ≤ 0)")
+            n = [math.sqrt(v) for v in n2]
+            n_min = min(n)
+            if n_min <= 1.0:
                 raise ValidationError(
-                    f"crystal {model.name!r}, axis {label!r}: n ≤ 1 at "
-                    f"{lam[np.argmin(n)]:.4g} µm, {t_c} °C "
-                    f"(min n = {n.min():.6g})")
+                    f"{where}: n ≤ 1 at {lam[n.index(n_min)]:.4g} µm, {t_c} °C "
+                    f"(min n = {n_min:.6g})")
 
 
 # libyaml's parser when PyYAML was built with it, else PyYAML's own. Both
@@ -474,9 +575,10 @@ def load_bundled_crystal() -> CrystalModel:
 
 
 def _check_range(crystal: CrystalModel, lam_um, temperature_c: float,
-                 strict: bool) -> None:
-    """A DomainError unless every wavelength lies in the crystal's valid
-    range and the temperature lies above absolute zero."""
+                 strict: bool):
+    """``lam_um`` as a float, or else as an array of floats, once every
+    wavelength lies in the crystal's valid range and the temperature above
+    absolute zero; a DomainError otherwise."""
     # "not above" so that a NaN temperature is rejected too; no upper bound,
     # since a crystal file carries no fitted temperature range
     if not temperature_c > _ABSOLUTE_ZERO_C:
@@ -484,68 +586,66 @@ def _check_range(crystal: CrystalModel, lam_um, temperature_c: float,
             f"temperature {temperature_c:g} °C is not above absolute zero "
             f"({_ABSOLUTE_ZERO_C:g} °C)")
     lo, hi = crystal.valid_range_um
-    lam = np.asarray(lam_um, dtype=float)
+    lam = _float_or_array(lam_um)
     # written as "not inside" so that NaN counts as out of range
-    if strict:
-        bad = ~((lam > lo) & (lam < hi))
+    if isinstance(lam, float):
+        bad = not (lo < lam < hi if strict else lo <= lam <= hi)
+        offender = lam
     else:
-        bad = ~((lam >= lo) & (lam <= hi))
-    if np.any(bad):
-        offender = float(lam[bad].flat[0]) if lam.ndim else float(lam)
+        outside = (~((lam > lo) & (lam < hi)) if strict
+                   else ~((lam >= lo) & (lam <= hi)))
+        bad = outside.any()
+        offender = lam[outside].flat[0] if bad and lam.ndim else lam
+    if bad:
         raise DomainError(
-            f"wavelength {offender:.6g} µm outside the valid range "
+            f"wavelength {float(offender):.6g} µm outside the valid range "
             f"[{lo:g}, {hi:g}] µm of crystal {crystal.name!r}")
+    return lam
 
 
 def refractive_index(crystal: CrystalModel, axis: str, wavelength_um,
                      temperature_c: float):
     """Refractive index n(λ, T); λ in µm, T in °C. Scalar in, scalar out."""
     sell = crystal.axis(axis)
-    _check_range(crystal, wavelength_um, temperature_c, strict=False)
-    n = sell.n(wavelength_um, temperature_c)
-    return float(n) if np.isscalar(wavelength_um) else n
+    lam = _check_range(crystal, wavelength_um, temperature_c, strict=False)
+    return sell.n(lam, temperature_c)
 
 
 def wavevector(crystal: CrystalModel, axis: str, wavelength_um,
                temperature_c: float):
     """Wavevector k = n·ω/c in rad/m at vacuum wavelength λ (µm)."""
     sell = crystal.axis(axis)
-    _check_range(crystal, wavelength_um, temperature_c, strict=False)
-    k = 2.0e6 * np.pi * sell.n(wavelength_um, temperature_c) / np.asarray(wavelength_um, dtype=float)
-    return float(k) if np.isscalar(wavelength_um) else k
+    lam = _check_range(crystal, wavelength_um, temperature_c, strict=False)
+    return 2.0e6 * math.pi * sell.n(lam, temperature_c) / lam
 
 
 def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
                         temperature_c: float):
     """Wavevector k(ω) in rad/m at angular frequency ω (rad/s, SI)."""
-    omega = np.asarray(omega_rad_s, dtype=float)
-    lam_um = 2.0e6 * np.pi * c / omega
+    omega = _float_or_array(omega_rad_s)
+    lam_um = 2.0e6 * math.pi * c / omega
     sell = crystal.axis(axis)
     _check_range(crystal, lam_um, temperature_c, strict=False)
-    k = sell.n(lam_um, temperature_c) * omega / c
-    return float(k) if np.isscalar(omega_rad_s) else k
+    return sell.n(lam_um, temperature_c) * omega / c
 
 
 def k_prime(crystal: CrystalModel, axis: str, wavelength_um,
             temperature_c: float):
     """dk/dω in s/m (inverse group velocity), closed form."""
     sell = crystal.axis(axis)
-    _check_range(crystal, wavelength_um, temperature_c, strict=True)
-    n = sell.n(wavelength_um, temperature_c)
-    dn = sell.dn_dlam(wavelength_um, temperature_c)
-    kp = (n - np.asarray(wavelength_um, dtype=float) * dn) / c
-    return float(kp) if np.isscalar(wavelength_um) else kp
+    lam = _check_range(crystal, wavelength_um, temperature_c, strict=True)
+    n = sell.n(lam, temperature_c)
+    dn = sell.dn_dlam(lam, temperature_c)
+    return (n - lam * dn) / c
 
 
 def k_double_prime(crystal: CrystalModel, axis: str, wavelength_um,
                    temperature_c: float):
     """d²k/dω² in s²/m (group-velocity dispersion), closed form."""
     sell = crystal.axis(axis)
-    _check_range(crystal, wavelength_um, temperature_c, strict=True)
-    lam_m = np.asarray(wavelength_um, dtype=float) * 1e-6
-    d2n_per_m2 = sell.d2n_dlam2(wavelength_um, temperature_c) * 1e12
-    kpp = lam_m ** 3 * d2n_per_m2 / (2.0 * np.pi * c ** 2)
-    return float(kpp) if np.isscalar(wavelength_um) else kpp
+    lam = _check_range(crystal, wavelength_um, temperature_c, strict=True)
+    d2n_per_m2 = sell.d2n_dlam2(lam, temperature_c) * 1e12
+    return (lam * 1e-6) ** 3 * d2n_per_m2 / (2.0 * math.pi * c ** 2)
 
 
 def group_index(crystal: CrystalModel, axis: str, wavelength_um,

@@ -19,8 +19,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import dispersion
 from .constants import c
 from .dispersion import CrystalModel
@@ -161,6 +159,7 @@ def phase_mismatch(config: PdcConfig, omega1_rad_s, omega2_rad_s):
     frequency; broadcasting follows numpy rules, so column/row vectors
     produce the full grid. Symmetric under Ω₁ ↔ Ω₂ by construction.
     """
+    import numpy as np
     om1 = np.asarray(omega1_rad_s, dtype=float)
     om2 = np.asarray(omega2_rad_s, dtype=float)
     kappa = grating_wavevector(config)
@@ -220,6 +219,7 @@ def taylor_dispersion(config: PdcConfig) -> TaylorDispersion:
 
 def taylor_phase_mismatch(td: TaylorDispersion, omega1_rad_s, omega2_rad_s):
     """Quadratic-form mismatch (rad/m) in rotated coordinates Ω± = (Ω₁±Ω₂)/√2."""
+    import numpy as np
     om1 = np.asarray(omega1_rad_s, dtype=float)
     om2 = np.asarray(omega2_rad_s, dtype=float)
     om_plus = (om1 + om2) / math.sqrt(2.0)
@@ -248,6 +248,7 @@ def phasematch_hyperbola(config: PdcConfig, omega_minus_rad_s):
         raise DomainError(
             "hyperbola regime violated: need k_s″ > 0 and 2·k_p″/k_s″ > 1, "
             f"got k_p″ = {td.kp2_s2_per_m:.3e}, k_s″ = {td.ks2_s2_per_m:.3e} s²/m")
+    import numpy as np
     om = np.asarray(omega_minus_rad_s, dtype=float)
     ratio = 2.0 * td.kp2_s2_per_m / td.ks2_s2_per_m - 1.0
     root = np.sqrt(td.omega_d_rad_s ** 2 + om ** 2 / ratio)

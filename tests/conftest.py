@@ -121,7 +121,7 @@ def rng():
 def expression_n_squared(sell, lam_um, t_c):
     """GayerTwoPole.n_squared as a single expression."""
     f = (t_c - sell.t_ref_c) * (t_c + sell.t_ref_c + 2.0 * 273.16)
-    lam2 = np.square(lam_um)
+    lam2 = lam_um * lam_um
     pole1 = (sell.a3 + sell.b3 * f) ** 2
     return (sell.a1 + sell.b1 * f
             + (sell.a2 + sell.b2 * f) / (lam2 - pole1)

@@ -165,10 +165,10 @@ def test_import_pulls_in_no_scipy(tmp_path):
     assert json.loads(result.stdout) == []
 
 
-def loaded_modules(code, cwd):
-    """The pdcmodes modules a fresh interpreter has loaded after ``code``."""
+def loaded_modules(code, cwd, package="pdcmodes"):
+    """The modules of ``package`` a fresh interpreter has loaded after ``code``."""
     code += ("\nimport json, sys; print(json.dumps(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'pdcmodes')))")
+             f"m for m in sys.modules if m.split('.')[0] == {package!r})))")
     result = subprocess.run([sys.executable, "-c", code], cwd=cwd,
                             env=child_env(), capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -195,6 +195,34 @@ class TestLazyImports:
         assert "pdcmodes.phasematch" in loaded
         assert "pdcmodes.jsa" not in loaded
         assert "pdcmodes.squeezing" not in loaded
+
+    # the scalar design chain (crystal load, cgvm, poling, and their errors)
+    # runs on the stdlib; numpy loads only for array work
+    @pytest.mark.parametrize("argv, status, numpy", [
+        (["poling", "--config", "matched.yaml"], 0, False),
+        (["cgvm", "--pump-axis", "e", "--signal-axis", "o", "--target-um",
+          "1.55"], 0, False),
+        (["poling", "--config", "unknown_key.yaml"], 3, False),
+        (["dispersion", "--lambda-min-um", "0.6", "--lambda-max-um", "3.6",
+          "--samples", "5"], 0, True),
+    ], ids=["poling", "cgvm_target", "validity_error", "dispersion"])
+    def test_numpy_loads_only_for_array_work(self, workdir, tmp_path, argv,
+                                             status, numpy):
+        (workdir / "unknown_key.yaml").write_text(
+            MATCHED_YAML.replace("crystal_length_mm", "crystal_length_um"),
+            encoding="utf-8")
+        code = ("import contextlib, io\n"
+                "from pdcmodes import cli\n"
+                "err = io.StringIO()\n"
+                "with contextlib.redirect_stderr(err):\n"
+                f"    status = cli.main({[*argv, '--out', str(tmp_path)]!r})\n"
+                f"assert status == {status}, err.getvalue()\n"
+                f"assert err.getvalue().startswith({'error[validity]:' if status else ''!r})")
+        assert bool(loaded_modules(code, workdir, package="numpy")) == numpy
+
+    def test_bundled_crystal_loads_without_numpy(self, tmp_path):
+        code = "import pdcmodes; pdcmodes.load_bundled_crystal()"
+        assert loaded_modules(code, tmp_path, package="numpy") == []
 
     def test_every_public_name_resolves(self):
         for name in p.__all__:
@@ -867,6 +895,21 @@ class TestErrorPaths:
         assert lines[0].startswith("error[domain]: squeezing r₀ = "), result.stderr
         assert "S₀ = " in lines[0]
         assert not out.exists()
+
+    def test_overflowing_coefficient_names_the_overflow(self, workdir, tmp_path):
+        # no pole lies in the range, so the error does not suggest one
+        crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
+        path = tmp_path / "crystal.yaml"
+        path.write_text(crystal.replace("a3: 0.2091", "a3: 1.0e+200", 1),
+                        encoding="utf-8")
+        result = run_cli("cgvm", "--pump-axis", "e", "--signal-axis", "o",
+                         "--crystal", str(path), "--out", str(tmp_path / "out"),
+                         cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr == (
+            "error[validity]: crystal 'MgO:LN-5pct', axis 'o': n² is not "
+            "finite and positive across [0.5, 4.0] µm at 0.0 °C (a coefficient "
+            "overflows the float range, or n² ≤ 0)\n")
 
     def test_narrow_pole_crystal_is_validity_error(self, workdir, tmp_path):
         # a pole at 1.52 µm narrow enough to pass between sampled wavelengths

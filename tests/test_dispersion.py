@@ -191,13 +191,13 @@ class TestNonFiniteEvaluation:
             wavevector_at_omega(crystal, "e", np.array([1.2e15, 1.3e15]), t_c)
 
     def test_pole_on_the_sample_is_domain_error(self, crystal):
-        # λ = a5 puts the second pole exactly on the sample: c4/0; the
-        # derivatives' divide-by-zero warning comes before the error
+        # λ = a5 puts the second pole exactly on the sample: c4/0, which is
+        # inf in an array and ZeroDivisionError on a float; neither warns
         sell = crystal.axis("o")
         for method in ("n_squared", "dn2_dlam", "d2n2_dlam2"):
-            with pytest.raises(p.DomainError, match="not finite"), \
-                    np.errstate(divide="ignore"):
-                getattr(sell, method)(np.array([1.0, sell.a5]), ROOM_T_C)
+            for lam in (np.array([1.0, sell.a5]), sell.a5):
+                with pytest.raises(p.DomainError, match="not finite"):
+                    getattr(sell, method)(lam, ROOM_T_C)
 
 
 def _fd_k_prime(crystal, axis, omega, t_c):
@@ -314,6 +314,43 @@ class TestLoadCrystal:
         with pytest.raises(p.ValidationError,
                            match=f"axis 'o': Sellmeier pole at {pole} µm"):
             p.load_crystal(text)
+
+    @pytest.mark.parametrize("a3, b3", [("1.2", "7.0e-5"), ("-1.2", "-7.0e-5")],
+                             ids=["rising", "falling"])
+    def test_pole_crossing_between_checked_temperatures_rejected(self, a3, b3):
+        # |a3 + b3·f(T)| is 0.221 µm at 0 °C, 4.75 µm at 100 °C and 10.7 µm
+        # at 200 °C, all outside [0.5, 4.0] µm; at 50 °C it is at 2.31 µm,
+        # where n would read 9.02 at 2.3085 µm
+        text = (_BUNDLED_TEXT.replace("a3: 0.2091", f"a3: {a3}", 1)
+                .replace("b3: -4.641e-9", f"b3: {b3}", 1))
+        with pytest.raises(p.ValidationError, match=(
+                r"axis 'o': Sellmeier pole at 2.30816 µm inside the validity "
+                r"range \[0.5, 4.0\] µm at 50.0 °C")):
+            p.load_crystal(text)
+
+    def test_pole_jumping_the_range_between_adjacent_floats_loads(self):
+        # with b3 = 1e148 the pole is at a3 = 0.2091 µm at t_ref_c = 24.5 °C
+        # and beyond 1e136 µm at the next float either side: no temperature
+        # an evaluation can take puts it in the range
+        text = _BUNDLED_TEXT.replace("b3: -4.641e-9", "b3: 1.0e+148", 1)
+        sell = p.load_crystal(text).axis("o")
+        t_next = math.nextafter(sell.t_ref_c, math.inf)
+        assert abs(sell._poles_um(sell.t_ref_c)[0]) == sell.a3
+        assert abs(sell._poles_um(t_next)[0]) > 1e136
+
+    @pytest.mark.parametrize("old, bad", [
+        ("a3: 0.2091", "a3: 1.0e+200"),
+        ("a1: 5.653", "a1: -100.0"),
+    ], ids=["overflow", "negative_n2"])
+    def test_non_finite_n2_message_names_its_causes(self, old, bad):
+        # a pole in the range is found before n² is sampled, so the message
+        # names the two causes that remain
+        with pytest.raises(p.ValidationError) as info:
+            p.load_crystal(_BUNDLED_TEXT.replace(old, bad, 1))
+        assert str(info.value) == (
+            "crystal 'MgO:LN-5pct', axis 'o': n² is not finite and positive "
+            "across [0.5, 4.0] µm at 0.0 °C (a coefficient overflows the float "
+            "range, or n² ≤ 0)")
 
     def test_unknown_key_rejected(self):
         doc = {"name": "x", "clazz": "uniaxial"}

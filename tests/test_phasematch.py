@@ -259,6 +259,41 @@ class TestSolveCgvm:
         assert abs(gap) < 1e-9
 
 
+class TestScalarPins:
+    """The scalars that the golden cgvm, poling and squeeze artifacts carry,
+    pinned by repr. The scalar chain runs on Python floats and ``math``, so
+    they do not depend on the numpy build."""
+
+    @pytest.mark.parametrize("design, expected", [
+        ("matched", {"poling_period": "19.18729027918773",
+                     "solve_cgvm": "1.5503101714570675",
+                     "k_prime": ("7.53621527616029e-09", "7.536058804168351e-09"),
+                     "k_double_prime": ("3.774020024054092e-25",
+                                        "1.1118355839037867e-25")}),
+        ("walkoff", {"poling_period": "20.45235244955018",
+                     "solve_cgvm": "1.5660534592560391",
+                     "k_prime": ("7.594109591453539e-09", "7.548027657266774e-09"),
+                     "k_double_prime": ("4.0629889006138556e-25",
+                                        "1.3266410935517546e-25")}),
+    ])
+    def test_reference_design_scalars(self, request, design, expected):
+        config = request.getfixturevalue(f"{design}_config")
+        crystal, t_c = config.crystal, config.temperature_c
+        ends = (("e", config.pump_wavelength_um),
+                ("o", config.signal_wavelength_um))
+        assert repr(p.poling_period(config)) == expected["poling_period"]
+        assert repr(p.solve_cgvm(crystal, "e", "o", t_c, (1.2, 2.0))) == \
+            expected["solve_cgvm"]
+        assert tuple(repr(k_prime(crystal, axis, lam, t_c))
+                     for axis, lam in ends) == expected["k_prime"]
+        assert tuple(repr(k_double_prime(crystal, axis, lam, t_c))
+                     for axis, lam in ends) == expected["k_double_prime"]
+
+    def test_cgvm_target_temperature(self, crystal):
+        t_c = p.solve_cgvm_temperature(crystal, "e", "o", 1.55, (-20.0, 60.0))
+        assert repr(t_c) == "10.724510058387285"
+
+
 class TestSolveCgvmTemperature:
     def test_telecom_target(self, crystal):
         t_c = p.solve_cgvm_temperature(crystal, "e", "o", 1.55, (-20.0, 60.0))
