@@ -10,9 +10,9 @@ Exit codes: 0 success, 2 usage, 3 domain/validity, 4 solver failure, 5 I/O.
 Every error path prints a single line ``error[<kind>]: <message>``.
 
 Only the commands that run the JSA pipeline (jsa, modes, squeeze, scan)
-import the JSA and squeezing layers, so dispersion, cgvm and poling start
-without them. numpy loads only with the commands that evaluate arrays:
-dispersion and the pipeline commands; cgvm and poling run on the stdlib.
+import the JSA and squeezing layers and numpy. The design commands
+(dispersion, cgvm, poling) evaluate the crystal at one wavelength at a time
+and run on the stdlib plus PyYAML.
 """
 
 from __future__ import annotations
@@ -156,21 +156,22 @@ def _signal_axis_thz(config, grid) -> np.ndarray:
 
 
 def _cmd_dispersion(args, run: RunConfig, crystal, out_dir: Path) -> int:
-    import numpy as np
     if args.lambda_max_um <= args.lambda_min_um:
         raise UsageError("--lambda-max-um must exceed --lambda-min-um")
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
     axes = args.axes.split(",") if args.axes else sorted(crystal.axes)
     t_c = _temperature_c(args, run)
-    lam = np.linspace(args.lambda_min_um, args.lambda_max_um, args.samples)
+    lam = disp._linspace(args.lambda_min_um, args.lambda_max_um, args.samples)
     rows = []
     for axis in axes:
-        n = disp.refractive_index(crystal, axis, lam, t_c)
-        m = disp.group_index(crystal, axis, lam, t_c)
-        g = disp.gvd(crystal, axis, lam, t_c)
-        rows += zip(lam.tolist(), [axis] * lam.size, n.tolist(), m.tolist(),
-                    g.tolist())
+        # a column at a time: every λ meets the index's inclusive range check
+        # before any meets the derivatives' strict one, so a λ outside the
+        # range is reported ahead of one on its edge
+        n = [disp.refractive_index(crystal, axis, x, t_c) for x in lam]
+        m = [disp.group_index(crystal, axis, x, t_c) for x in lam]
+        g = [disp.gvd(crystal, axis, x, t_c) for x in lam]
+        rows += zip(lam, [axis] * len(lam), n, m, g)
     header = ["lambda_um", "axis", "n", "group_index", "gvd_ps2_per_m"]
     _write_table(out_dir, "dispersion", header, rows, run.output,
                  temperature_c=t_c, crystal=crystal.name)

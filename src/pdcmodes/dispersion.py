@@ -10,8 +10,9 @@ Units at the public boundary are the conventional ones for this domain
 used internally by the phase-matching and JSA modules are plain SI (s/m,
 s²/m, rad/m at angular frequency rad/s).
 
-Derivatives of k(ω) are closed-form: each functional form supplies analytic
-dn/dλ and d²n/dλ², converted via
+Derivatives of k(ω) are closed-form: each functional form supplies n and
+the analytic dn/dλ and d²n/dλ² from one evaluation of n² (its
+``n_derivatives``), converted via
 
     group index  m = c·dk/dω = n − λ·dn/dλ
     GVD          k″ = d²k/dω² = λ³/(2πc²)·d²n/dλ²
@@ -21,7 +22,9 @@ cross-check lives in the test suite).
 
 Every formula takes a float or a numpy array and is written once for both:
 a float goes through Python's own arithmetic and ``math``, so loading a
-crystal and evaluating it at single wavelengths never imports numpy.
+crystal and evaluating it at single wavelengths never imports numpy. A float
+evaluation gives the same bits on every host, where numpy's array ``**``
+may take a SIMD ``pow`` that differs from libm's in the last bits.
 """
 
 from __future__ import annotations
@@ -119,14 +122,18 @@ def _float_or_array(value):
 
 
 def _sqrt(n2):
-    """√n²: ``math.sqrt`` on a float, numpy's on an array. A float n² ≤ 0
-    has no real index and is a DomainError."""
+    """√n²: ``math.sqrt`` on a float, numpy's on an array. An n² ≤ 0 has no
+    real index and is a DomainError naming it (the smallest, in an array)."""
     if isinstance(n2, float):
-        if not n2 > 0.0:
-            raise DomainError(f"n² = {n2:.6g} is not positive: no real index")
-        return math.sqrt(n2)
-    import numpy as np
-    return np.sqrt(n2)
+        if n2 > 0.0:
+            return math.sqrt(n2)
+        smallest = n2
+    else:
+        import numpy as np
+        if (n2 > 0.0).all():
+            return np.sqrt(n2)
+        smallest = n2.min()
+    raise DomainError(f"n² = {smallest:.6g} is not positive: no real index")
 
 
 def _not_finite(form: str, t_c) -> DomainError:
@@ -135,10 +142,14 @@ def _not_finite(form: str, t_c) -> DomainError:
         "crystal's coefficients do not extend to this temperature")
 
 
+def _parts(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
 def _finite(formula):
-    """A formula method ``(self, lam_um, t_c)`` whose result is finite
-    everywhere, or else a DomainError: an evaluation that overflows or meets
-    a pole is no index.
+    """A formula method ``(self, lam_um, t_c)`` whose result, or each
+    element of its tuple, is finite everywhere, or else a DomainError: an
+    evaluation that overflows or meets a pole is no index.
 
     Where numpy gives inf, a float raises ZeroDivisionError or
     OverflowError; both count as not finite. On an array numpy's warnings
@@ -149,12 +160,12 @@ def _finite(formula):
         try:
             if isinstance(lam_um, (int, float)):
                 value = formula(self, lam_um, t_c)
-                finite = math.isfinite(value)
+                finite = all(map(math.isfinite, _parts(value)))
             else:
                 import numpy as np
                 with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                     value = formula(self, lam_um, t_c)
-                finite = np.isfinite(value).all()
+                finite = all(np.isfinite(v).all() for v in _parts(value))
         except (ZeroDivisionError, OverflowError):
             finite = False
         if not finite:
@@ -205,43 +216,34 @@ class GayerTwoPole:
             raise _not_finite(self.form, t_c)
         return terms
 
-    @_finite
-    def n_squared(self, lam_um, t_c):
-        c1, c2, q1, c4, q2 = self._terms(t_c)
-        lam2 = lam_um * lam_um
+    def _n2(self, terms, lam2):
+        """n² from the ``_terms`` at one temperature and λ² (µm²)."""
+        c1, c2, q1, c4, q2 = terms
         return c1 + c2 / (lam2 - q1) + c4 / (lam2 - q2) - self.a6 * lam2
 
     @_finite
-    def dn2_dlam(self, lam_um, t_c):
-        _, c2, q1, c4, q2 = self._terms(t_c)
-        lam2 = lam_um * lam_um
-        d1 = lam2 - q1
-        d2 = lam2 - q2
-        return -2.0 * lam_um * (c2 / d1 ** 2 + c4 / d2 ** 2 + self.a6)
-
-    @_finite
-    def d2n2_dlam2(self, lam_um, t_c):
-        _, c2, q1, c4, q2 = self._terms(t_c)
-        lam2 = lam_um * lam_um
-        d1 = lam2 - q1
-        d2 = lam2 - q2
-        return (c2 * (6.0 * lam2 + 2.0 * q1) / d1 ** 3
-                + c4 * (6.0 * lam2 + 2.0 * q2) / d2 ** 3
-                - 2.0 * self.a6)
+    def n_squared(self, lam_um, t_c):
+        return self._n2(self._terms(t_c), lam_um * lam_um)
 
     def n(self, lam_um, t_c):
         return _sqrt(self.n_squared(lam_um, t_c))
 
-    def dn_dlam(self, lam_um, t_c):
-        g = self.n_squared(lam_um, t_c)
-        return self.dn2_dlam(lam_um, t_c) / (2.0 * _sqrt(g))
-
     @_finite
-    def d2n_dlam2(self, lam_um, t_c):
-        g = self.n_squared(lam_um, t_c)
-        gp = self.dn2_dlam(lam_um, t_c)
-        gpp = self.d2n2_dlam2(lam_um, t_c)
-        return gpp / (2.0 * _sqrt(g)) - gp * gp / (4.0 * g ** 1.5)
+    def n_derivatives(self, lam_um, t_c):
+        """(n, dn/dλ, d²n/dλ²) from one ``_terms`` call and one n²:
+        dn/dλ = g′/2n and d²n/dλ² = g″/2n − g′²/4g^1.5 with g = n²."""
+        terms = self._terms(t_c)
+        _, c2, q1, c4, q2 = terms
+        lam2 = lam_um * lam_um
+        d1 = lam2 - q1
+        d2 = lam2 - q2
+        g = self._n2(terms, lam2)
+        gp = -2.0 * lam_um * (c2 / d1 ** 2 + c4 / d2 ** 2 + self.a6)
+        gpp = (c2 * (6.0 * lam2 + 2.0 * q1) / d1 ** 3
+               + c4 * (6.0 * lam2 + 2.0 * q2) / d2 ** 3
+               - 2.0 * self.a6)
+        n = _sqrt(g)
+        return n, gp / (2.0 * n), gpp / (2.0 * n) - gp * gp / (4.0 * g ** 1.5)
 
 
 class StandardSellmeier:
@@ -290,15 +292,10 @@ class StandardSellmeier:
         return n * n
 
     @_finite
-    def dn_dlam(self, lam_um, t_c):
-        lam2 = lam_um * lam_um
-        gp = -2.0 * self.d * lam_um
-        for bi, ci in zip(self.b, self.c):
-            gp = gp + bi * (-2.0 * lam_um * ci) / (lam2 - ci) ** 2
-        return gp / (2.0 * self._n_lam(lam_um))
-
-    @_finite
-    def d2n_dlam2(self, lam_um, t_c):
+    def n_derivatives(self, lam_um, t_c):
+        """(n, dn/dλ, d²n/dλ²) from one n²: the derivatives are those of
+        n(λ), which the thermo-optic term does not change."""
+        nl = self._n_lam(lam_um)
         lam2 = lam_um * lam_um
         gp = -2.0 * self.d * lam_um
         gpp = -2.0 * self.d
@@ -306,11 +303,11 @@ class StandardSellmeier:
             den = lam2 - ci
             gp = gp + bi * (-2.0 * lam_um * ci) / den ** 2
             gpp = gpp + 2.0 * bi * ci * (3.0 * lam2 + ci) / den ** 3
-        nl = self._n_lam(lam_um)
-        return gpp / (2.0 * nl) - gp * gp / (4.0 * nl ** 3)
+        return (nl + self.dn_dt * (t_c - self.t_ref_c), gp / (2.0 * nl),
+                gpp / (2.0 * nl) - gp * gp / (4.0 * nl ** 3))
 
 
-# each form gives n, n², dn/dλ and d²n/dλ² at λ in µm and T in °C
+# each form gives n, n² and (n, dn/dλ, d²n/dλ²) at λ in µm and T in °C
 _FORMS = {cls.form: cls for cls in (GayerTwoPole, StandardSellmeier)}
 
 # temperature-model identifiers compatible with each functional form
@@ -471,6 +468,13 @@ def _meets(pole, t_a: float, t_b: float, a: float, b: float) -> float | None:
             t_b = t_m
 
 
+def _linspace(lo: float, hi: float, samples: int) -> list[float]:
+    """``np.linspace(lo, hi, samples)`` as a list of floats, bit for bit:
+    i·step + lo, with the last sample set to hi (``samples`` ≥ 2)."""
+    step = (hi - lo) / (samples - 1)
+    return [i * step + lo for i in range(samples - 1)] + [hi]
+
+
 def _pole_in_range(sell, lo: float, hi: float) -> tuple[float, float] | None:
     """A pole of ``sell`` inside [lo, hi] µm at a temperature from the first
     to the last of _VALIDATION_TEMPS, as (wavelength, temperature), or None.
@@ -499,9 +503,7 @@ def _validate_physical(model: CrystalModel) -> None:
     The poles are found exactly; n is checked at sampled wavelengths.
     """
     lo, hi = model.valid_range_um
-    # np.linspace's samples: i·step + lo, with the last one set to hi
-    step = (hi - lo) / (_VALIDATION_SAMPLES - 1)
-    lam = [i * step + lo for i in range(_VALIDATION_SAMPLES - 1)] + [hi]
+    lam = _linspace(lo, hi, _VALIDATION_SAMPLES)
     for label, sell in model.axes.items():
         where = f"crystal {model.name!r}, axis {label!r}"
         hit = _pole_in_range(sell, lo, hi)
@@ -634,8 +636,7 @@ def k_prime(crystal: CrystalModel, axis: str, wavelength_um,
     """dk/dω in s/m (inverse group velocity), closed form."""
     sell = crystal.axis(axis)
     lam = _check_range(crystal, wavelength_um, temperature_c, strict=True)
-    n = sell.n(lam, temperature_c)
-    dn = sell.dn_dlam(lam, temperature_c)
+    n, dn, _ = sell.n_derivatives(lam, temperature_c)
     return (n - lam * dn) / c
 
 
@@ -644,7 +645,7 @@ def k_double_prime(crystal: CrystalModel, axis: str, wavelength_um,
     """d²k/dω² in s²/m (group-velocity dispersion), closed form."""
     sell = crystal.axis(axis)
     lam = _check_range(crystal, wavelength_um, temperature_c, strict=True)
-    d2n_per_m2 = sell.d2n_dlam2(lam, temperature_c) * 1e12
+    d2n_per_m2 = sell.n_derivatives(lam, temperature_c)[2] * 1e12
     return (lam * 1e-6) ** 3 * d2n_per_m2 / (2.0 * math.pi * c ** 2)
 
 

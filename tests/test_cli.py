@@ -196,18 +196,22 @@ class TestLazyImports:
         assert "pdcmodes.jsa" not in loaded
         assert "pdcmodes.squeezing" not in loaded
 
-    # the scalar design chain (crystal load, cgvm, poling, and their errors)
-    # runs on the stdlib; numpy loads only for array work
-    @pytest.mark.parametrize("argv, status, numpy", [
-        (["poling", "--config", "matched.yaml"], 0, False),
+    # the design chain (crystal load, dispersion, cgvm, poling, and their
+    # errors) runs on the stdlib; numpy loads only for the JSA pipeline
+    @pytest.mark.parametrize("argv, error, numpy", [
+        (["poling", "--config", "matched.yaml"], None, False),
         (["cgvm", "--pump-axis", "e", "--signal-axis", "o", "--target-um",
-          "1.55"], 0, False),
-        (["poling", "--config", "unknown_key.yaml"], 3, False),
+          "1.55"], None, False),
+        (["poling", "--config", "unknown_key.yaml"], "validity", False),
         (["dispersion", "--lambda-min-um", "0.6", "--lambda-max-um", "3.6",
-          "--samples", "5"], 0, True),
-    ], ids=["poling", "cgvm_target", "validity_error", "dispersion"])
+          "--samples", "5"], None, False),
+        (["dispersion", "--lambda-min-um", "0.6", "--lambda-max-um", "3.6",
+          "--temperature-c", "-400"], "domain", False),
+        (["jsa", "--config", "matched.yaml", "--grid-n", "64"], None, True),
+    ], ids=["poling", "cgvm_target", "validity_error", "dispersion",
+            "dispersion_domain_error", "jsa"])
     def test_numpy_loads_only_for_array_work(self, workdir, tmp_path, argv,
-                                             status, numpy):
+                                             error, numpy):
         (workdir / "unknown_key.yaml").write_text(
             MATCHED_YAML.replace("crystal_length_mm", "crystal_length_um"),
             encoding="utf-8")
@@ -216,8 +220,8 @@ class TestLazyImports:
                 "err = io.StringIO()\n"
                 "with contextlib.redirect_stderr(err):\n"
                 f"    status = cli.main({[*argv, '--out', str(tmp_path)]!r})\n"
-                f"assert status == {status}, err.getvalue()\n"
-                f"assert err.getvalue().startswith({'error[validity]:' if status else ''!r})")
+                f"assert status == {3 if error else 0}, err.getvalue()\n"
+                f"assert err.getvalue().startswith({f'error[{error}]:' if error else ''!r})")
         assert bool(loaded_modules(code, workdir, package="numpy")) == numpy
 
     def test_bundled_crystal_loads_without_numpy(self, tmp_path):
@@ -429,6 +433,24 @@ class TestDispersionCommand:
                          "--lambda-max-um", "2.0", cwd=workdir)
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error[usage]:")
+
+    @pytest.mark.parametrize("lo, hi, samples, t_c", [
+        (0.6, 3.6, 400, 24.5), (0.55, 3.9, 301, 11.0), (1.0, 2.0, 2, 180.0),
+    ])
+    def test_rows_are_the_scalar_library_values(self, tmp_path, lo, hi,
+                                                samples, t_c):
+        assert cli.main(["dispersion", "--lambda-min-um", repr(lo),
+                         "--lambda-max-um", repr(hi), "--samples",
+                         str(samples), "--temperature-c", repr(t_c),
+                         "--format", "json", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "dispersion.json").read_text())
+        crystal = p.load_bundled_crystal()
+        lam = np.linspace(lo, hi, samples).tolist()
+        expected = [
+            [x, axis, p.refractive_index(crystal, axis, x, t_c),
+             p.group_index(crystal, axis, x, t_c), p.gvd(crystal, axis, x, t_c)]
+            for axis in ("e", "o") for x in lam]
+        assert payload["rows"] == expected
 
     def test_json_format_validates(self, workdir):
         result = run_cli("dispersion", "--lambda-min-um", "1.0",
@@ -862,6 +884,26 @@ class TestErrorPaths:
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert result.stderr.startswith("error[domain]:"), result.stderr
         assert "1000 °C" in result.stderr
+        assert not out.exists()
+
+    def test_negative_n_squared_is_domain_error(self, workdir, tmp_path):
+        # b1 = −1e-5 on axis o loads (n > 1 at 0–200 °C), but n² < 0 at
+        # 1000 °C: one error line, no numpy warning and no table of NaN
+        crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
+        assert "b1: 7.941e-7" in crystal
+        path = tmp_path / "crystal.yaml"
+        path.write_text(crystal.replace("b1: 7.941e-7", "b1: -1.0e-5", 1),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        result = run_cli("dispersion", "--crystal", str(path), "--lambda-min-um",
+                         "0.6", "--lambda-max-um", "3.6", "--samples", "3",
+                         "--axes", "o", "--temperature-c", "1000", "--out",
+                         str(out), cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error[domain]: n² = -"), result.stderr
+        assert lines[0].endswith("is not positive: no real index")
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

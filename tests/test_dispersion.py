@@ -2,6 +2,7 @@
 
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,24 +160,26 @@ class TestInPlaceEvaluation:
             expression_wavevector_at_omega(crystal, axis, scalar, t_c)
 
 
-def _hot_crystal():
-    """The bundled crystal with b3 = 1e148 on both axes: finite at 0–200 °C,
-    so it loads, but (a3 + b3·f)² overflows at 1000 °C."""
+def _edited_crystal(*edits):
+    """The bundled crystal with each (old, new) text edit applied once."""
     text = p.bundled_crystal_path().read_text(encoding="utf-8")
-    for old in ("b3: -4.641e-9", "b3: 6.113e-8"):
+    for old, new in edits:
         assert old in text
-        text = text.replace(old, "b3: 1.0e+148", 1)
+        text = text.replace(old, new, 1)
     return p.load_crystal(text)
 
 
 class TestNonFiniteEvaluation:
     def test_high_temperature_overflow_is_domain_error(self):
-        xtl = _hot_crystal()
+        # b3 = 1e148 on both axes: finite at 0–200 °C, so it loads, but
+        # (a3 + b3·f)² overflows at 1000 °C
+        xtl = _edited_crystal(("b3: -4.641e-9", "b3: 1.0e+148"),
+                              ("b3: 6.113e-8", "b3: 1.0e+148"))
         assert 2.0 < p.refractive_index(xtl, "o", 1.55, 200.0) < 2.4
         for lam in (1.55, np.linspace(0.6, 3.0, 5)):
             with pytest.raises(p.DomainError, match="not finite at 1000 °C"):
                 p.refractive_index(xtl, "o", lam, 1000.0)
-        for method in ("n_squared", "dn2_dlam", "d2n2_dlam2"):
+        for method in ("n_squared", "n_derivatives"):
             with pytest.raises(p.DomainError, match="not finite at 1000 °C"):
                 getattr(xtl.axis("e"), method)(1.55, 1000.0)
 
@@ -190,11 +193,25 @@ class TestNonFiniteEvaluation:
         with pytest.raises(p.DomainError, match="not above absolute zero"):
             wavevector_at_omega(crystal, "e", np.array([1.2e15, 1.3e15]), t_c)
 
+    def test_negative_n_squared_is_domain_error(self):
+        # b1 = −1e-5 on axis o: n² > 1 at 0–200 °C, so it loads, but
+        # a1 + b1·f < 0 at 1000 °C; an array names its smallest n² and, like
+        # a float, does not warn
+        xtl = _edited_crystal(("b1: 7.941e-7", "b1: -1.0e-5"))
+        for lam in (1.55, np.array([0.6, 1.55, 3.6])):
+            smallest = np.min(xtl.axis("o").n_squared(lam, 1000.0))
+            assert smallest < 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(p.DomainError,
+                                   match=f"n² = {smallest:.6g} is not positive"):
+                    p.refractive_index(xtl, "o", lam, 1000.0)
+
     def test_pole_on_the_sample_is_domain_error(self, crystal):
         # λ = a5 puts the second pole exactly on the sample: c4/0, which is
         # inf in an array and ZeroDivisionError on a float; neither warns
         sell = crystal.axis("o")
-        for method in ("n_squared", "dn2_dlam", "d2n2_dlam2"):
+        for method in ("n_squared", "n_derivatives"):
             for lam in (np.array([1.0, sell.a5]), sell.a5):
                 with pytest.raises(p.DomainError, match="not finite"):
                     getattr(sell, method)(lam, ROOM_T_C)

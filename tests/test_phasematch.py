@@ -10,7 +10,7 @@ from scipy.constants import c
 from scipy.optimize import brentq
 
 import pdcmodes as p
-from pdcmodes.dispersion import k_double_prime, k_prime
+from pdcmodes.dispersion import GayerTwoPole, k_double_prime, k_prime
 from pdcmodes.phasematch import (_CGVM_XTOL_UM, _TEMP_XTOL_C, _brentq,
                                  _group_index_gap)
 
@@ -307,6 +307,24 @@ class TestSolveCgvmTemperature:
     def test_unreachable_target_raises(self, crystal):
         with pytest.raises(p.SolverError):
             p.solve_cgvm_temperature(crystal, "e", "o", 3.0, (20.0, 30.0))
+
+    def test_one_sellmeier_pass_per_group_index(self, crystal, monkeypatch):
+        # each group index evaluates the temperature terms, and n², once
+        calls = {"_terms": 0, "group_index": 0}
+
+        def counted(owner, name):
+            method = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(GayerTwoPole, "_terms")
+        counted(p.dispersion, "group_index")
+        p.solve_cgvm_temperature(crystal, "e", "o", 1.55, (-20.0, 60.0))
+        assert calls["group_index"] > 0
+        assert calls["_terms"] == calls["group_index"]
 
 
 class TestBrentSolver:
