@@ -31,7 +31,7 @@ from . import __version__
 from . import dispersion as disp
 from . import phasematch as pm
 from .config import _FORMATS, OutputSettings, RunConfig, load_run_config
-from .constants import DEFAULT_GRID_POINTS
+from .constants import DEFAULT_GRID_POINTS, c
 from .errors import DomainError, SolverError, ValidationError
 
 if TYPE_CHECKING:
@@ -165,13 +165,14 @@ def _cmd_dispersion(args, run: RunConfig, crystal, out_dir: Path) -> int:
     lam = disp._linspace(args.lambda_min_um, args.lambda_max_um, args.samples)
     rows = []
     for axis in axes:
-        # a column at a time: every λ meets the index's inclusive range check
+        # the n column first: every λ meets the index's inclusive range check
         # before any meets the derivatives' strict one, so a λ outside the
-        # range is reported ahead of one on its edge
+        # range is reported ahead of one on its edge; then group index c·k′
+        # and GVD k″ from one derivative pass per λ
         n = [disp.refractive_index(crystal, axis, x, t_c) for x in lam]
-        m = [disp.group_index(crystal, axis, x, t_c) for x in lam]
-        g = [disp.gvd(crystal, axis, x, t_c) for x in lam]
-        rows += zip(lam, [axis] * len(lam), n, m, g)
+        k = [disp._k_terms(crystal, axis, x, t_c) for x in lam]
+        rows += [(x, axis, nx, c * kp, kpp * 1e24)
+                 for x, nx, (_, kp, kpp) in zip(lam, n, k)]
     header = ["lambda_um", "axis", "n", "group_index", "gvd_ps2_per_m"]
     _write_table(out_dir, "dispersion", header, rows, run.output,
                  temperature_c=t_c, crystal=crystal.name)
@@ -371,7 +372,16 @@ def _cmd_scan(args, run: RunConfig, crystal, out_dir: Path) -> int:
 
 
 class UsageError(Exception):
-    """Command-line usage problem detected after argparse."""
+    """Command-line usage problem, found by argparse or after it."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and each of its subcommands' parsers, whose
+    errors raise UsageError, so that they print one line like every other
+    error; ``--help`` and ``--version`` still print and exit 0."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="grid points per axis (default from config, else "
                              f"{DEFAULT_GRID_POINTS})")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdcmodes",
         description="Degenerate pulsed PDC: dispersion, phase matching, "
                     "JSA/Schmidt modes, and squeezing budgets.")
@@ -481,9 +491,8 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_finite(args)
         run = _merge_run_config(args)
         return args.handler(args, run, run.load_crystal(),

@@ -287,10 +287,6 @@ class StandardSellmeier:
     def n(self, lam_um, t_c):
         return self._n_lam(lam_um) + self.dn_dt * (t_c - self.t_ref_c)
 
-    def n_squared(self, lam_um, t_c):
-        n = self.n(lam_um, t_c)
-        return n * n
-
     @_finite
     def n_derivatives(self, lam_um, t_c):
         """(n, dn/dλ, d²n/dλ²) from one n²: the derivatives are those of
@@ -307,7 +303,7 @@ class StandardSellmeier:
                 gpp / (2.0 * nl) - gp * gp / (4.0 * nl ** 3))
 
 
-# each form gives n, n² and (n, dn/dλ, d²n/dλ²) at λ in µm and T in °C
+# each form gives n and (n, dn/dλ, d²n/dλ²) at λ in µm and T in °C
 _FORMS = {cls.form: cls for cls in (GayerTwoPole, StandardSellmeier)}
 
 # temperature-model identifiers compatible with each functional form
@@ -436,38 +432,6 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
     return model
 
 
-def _meets(pole, t_a: float, t_b: float, a: float, b: float) -> float | None:
-    """A temperature in [t_a, t_b] at which the monotone ``pole(T)`` lies
-    in [a, b], or None.
-
-    A bisection over the float temperatures, the ones an evaluation can
-    take: a pole that jumps over [a, b] between two adjacent floats is
-    never met.
-    """
-    def side(t):
-        p = pole(t)
-        return -1 if p < a else 1 if p > b else 0
-
-    s_a, s_b = side(t_a), side(t_b)
-    if s_a == 0:
-        return t_a
-    if s_b == 0:
-        return t_b
-    if s_a == s_b:
-        return None
-    while True:
-        t_m = (t_a + t_b) / 2
-        if not t_a < t_m < t_b:  # adjacent floats: the pole jumps over [a, b]
-            return None
-        s_m = side(t_m)
-        if s_m == 0:
-            return t_m
-        if s_m == s_a:
-            t_a = t_m
-        else:
-            t_b = t_m
-
-
 def _linspace(lo: float, hi: float, samples: int) -> list[float]:
     """``np.linspace(lo, hi, samples)`` as a list of floats, bit for bit:
     i·step + lo, with the last sample set to hi (``samples`` ≥ 2)."""
@@ -475,55 +439,53 @@ def _linspace(lo: float, hi: float, samples: int) -> list[float]:
     return [i * step + lo for i in range(samples - 1)] + [hi]
 
 
-def _pole_in_range(sell, lo: float, hi: float) -> tuple[float, float] | None:
-    """A pole of ``sell`` inside [lo, hi] µm at a temperature from the first
-    to the last of _VALIDATION_TEMPS, as (wavelength, temperature), or None.
+def _pole_in_range(sell, lo: float, hi: float) -> str | None:
+    """How a pole of ``sell`` meets [lo, hi] µm at some temperature from the
+    first to the last of _VALIDATION_TEMPS, as a message, or None.
 
-    Each pole p(T), which n² has at |p|, moves monotonically with T, as
-    f(T) rises above −273.16 °C. So it lies in the range at some
-    temperature only if p lies in [lo, hi] or [−hi, −lo] at an end, or its
-    end values lie on two sides of one of them.
+    Each pole p(T), which n² has at |p|, is monotone in T there, as f(T)
+    rises above −273.16 °C. So it meets the range exactly when |p| lies in
+    [lo, hi] at an end, or its end values span [lo, hi] or [−hi, −lo].
     """
-    t_first, t_last = _VALIDATION_TEMPS[0], _VALIDATION_TEMPS[-1]
-    for i in range(len(sell._poles_um(t_first))):
-        def pole(t_c, i=i):
-            return sell._poles_um(t_c)[i]
-        for a, b in ((lo, hi), (-hi, -lo)):
-            t_c = _meets(pole, t_first, t_last, a, b)
-            if t_c is not None:
-                return abs(pole(t_c)), t_c
+    t_a, t_b = _VALIDATION_TEMPS[0], _VALIDATION_TEMPS[-1]
+    for p_a, p_b in zip(sell._poles_um(t_a), sell._poles_um(t_b)):
+        for p, t_c in ((p_a, t_a), (p_b, t_b)):
+            if lo <= abs(p) <= hi:
+                return (f"Sellmeier pole at {abs(p):.6g} µm inside the "
+                        f"validity range [{lo}, {hi}] µm at {t_c} °C")
+        low, high = sorted((p_a, p_b))
+        if low < lo and high > hi or low < -hi and high > -lo:
+            return (f"Sellmeier pole crosses the validity range [{lo}, {hi}] "
+                    f"µm between {t_a} and {t_b} °C (from {p_a:.6g} to "
+                    f"{p_b:.6g} µm)")
     return None
 
 
 def _validate_physical(model: CrystalModel) -> None:
-    """Check that no pole lies in the validity range at any temperature
-    from the first to the last of _VALIDATION_TEMPS, and that n is real,
-    finite and > 1 across the range at each of them.
+    """Check that no pole meets the validity range at any temperature from
+    the first to the last of _VALIDATION_TEMPS, and that n is real, finite
+    and > 1 across the range at each of them.
 
-    The poles are found exactly; n is checked at sampled wavelengths.
+    The poles are found exactly; n is checked at sampled wavelengths, by the
+    evaluation every caller makes.
     """
     lo, hi = model.valid_range_um
     lam = _linspace(lo, hi, _VALIDATION_SAMPLES)
     for label, sell in model.axes.items():
         where = f"crystal {model.name!r}, axis {label!r}"
-        hit = _pole_in_range(sell, lo, hi)
-        if hit is not None:
-            raise ValidationError(
-                f"{where}: Sellmeier pole at {hit[0]:.6g} µm inside the "
-                f"validity range [{lo}, {hi}] µm at {hit[1]} °C")
+        pole = _pole_in_range(sell, lo, hi)
+        if pole is not None:
+            raise ValidationError(f"{where}: {pole}")
         for t_c in _VALIDATION_TEMPS:
             try:
-                n2 = [sell.n_squared(x, t_c) for x in lam]
+                n = [sell.n(x, t_c) for x in lam]
             except DomainError:  # an overflowing or non-real evaluation
-                n2 = [math.inf]
-            if not all(0.0 < v < math.inf for v in n2):
                 raise ValidationError(
                     f"{where}: n² is not finite and positive across [{lo}, "
                     f"{hi}] µm at {t_c} °C (a coefficient overflows the float "
-                    "range, or n² ≤ 0)")
-            n = [math.sqrt(v) for v in n2]
+                    "range, or n² ≤ 0)") from None
             n_min = min(n)
-            if n_min <= 1.0:
+            if not n_min > 1.0:
                 raise ValidationError(
                     f"{where}: n ≤ 1 at {lam[n.index(n_min)]:.4g} µm, {t_c} °C "
                     f"(min n = {n_min:.6g})")
@@ -631,22 +593,28 @@ def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
     return sell.n(lam_um, temperature_c) * omega / c
 
 
+def _k_terms(crystal: CrystalModel, axis: str, wavelength_um,
+             temperature_c: float):
+    """(n, dk/dω in s/m, d²k/dω² in s²/m) from one Sellmeier pass, closed
+    form; λ in µm, strictly inside the valid range."""
+    sell = crystal.axis(axis)
+    lam = _check_range(crystal, wavelength_um, temperature_c, strict=True)
+    n, dn, d2n = sell.n_derivatives(lam, temperature_c)
+    d2n_per_m2 = d2n * 1e12
+    return (n, (n - lam * dn) / c,
+            (lam * 1e-6) ** 3 * d2n_per_m2 / (2.0 * math.pi * c ** 2))
+
+
 def k_prime(crystal: CrystalModel, axis: str, wavelength_um,
             temperature_c: float):
     """dk/dω in s/m (inverse group velocity), closed form."""
-    sell = crystal.axis(axis)
-    lam = _check_range(crystal, wavelength_um, temperature_c, strict=True)
-    n, dn, _ = sell.n_derivatives(lam, temperature_c)
-    return (n - lam * dn) / c
+    return _k_terms(crystal, axis, wavelength_um, temperature_c)[1]
 
 
 def k_double_prime(crystal: CrystalModel, axis: str, wavelength_um,
                    temperature_c: float):
     """d²k/dω² in s²/m (group-velocity dispersion), closed form."""
-    sell = crystal.axis(axis)
-    lam = _check_range(crystal, wavelength_um, temperature_c, strict=True)
-    d2n_per_m2 = sell.n_derivatives(lam, temperature_c)[2] * 1e12
-    return (lam * 1e-6) ** 3 * d2n_per_m2 / (2.0 * math.pi * c ** 2)
+    return _k_terms(crystal, axis, wavelength_um, temperature_c)[2]
 
 
 def group_index(crystal: CrystalModel, axis: str, wavelength_um,

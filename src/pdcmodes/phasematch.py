@@ -89,12 +89,9 @@ class PdcConfig:
         if self.poling_period_um is not None and not self.poling_period_um > 0:
             raise DomainError(
                 f"poling period must be > 0 when given, got {self.poling_period_um}")
-        lo, hi = self.crystal.valid_range_um
         for lam in (self.pump_wavelength_um, self.signal_wavelength_um):
-            if not (lo < lam < hi):
-                raise DomainError(
-                    f"central wavelength {lam:g} µm outside the valid range "
-                    f"[{lo:g}, {hi:g}] µm of crystal {self.crystal.name!r}")
+            dispersion._check_range(self.crystal, lam, self.temperature_c,
+                                    strict=True)
 
     @property
     def signal_wavelength_um(self) -> float:
@@ -203,11 +200,11 @@ def _dk1(config: PdcConfig) -> float:
 
 def taylor_dispersion(config: PdcConfig) -> TaylorDispersion:
     """Evaluate the quadratic-expansion coefficients for a design."""
-    dk1 = _dk1(config)
-    kp2 = dispersion.k_double_prime(config.crystal, config.pump_axis,
-                                    config.pump_wavelength_um, config.temperature_c)
-    ks2 = dispersion.k_double_prime(config.crystal, config.signal_axis,
-                                    config.signal_wavelength_um, config.temperature_c)
+    _, kp1, kp2 = dispersion._k_terms(config.crystal, config.pump_axis,
+                                      config.pump_wavelength_um, config.temperature_c)
+    _, ks1, ks2 = dispersion._k_terms(config.crystal, config.signal_axis,
+                                      config.signal_wavelength_um, config.temperature_c)
+    dk1 = kp1 - ks1
     denom = 2.0 * kp2 - ks2
     if denom == 0.0 or abs(denom) < 1e-9 * max(abs(kp2), abs(ks2)):
         raise DomainError(

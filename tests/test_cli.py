@@ -452,6 +452,24 @@ class TestDispersionCommand:
             for axis in ("e", "o") for x in lam]
         assert payload["rows"] == expected
 
+    def test_one_derivative_pass_per_cell(self, tmp_path, monkeypatch):
+        # beyond the load check, a cell's n takes one pass of the temperature
+        # terms, and its group index and GVD share one more
+        calls = {"_terms": 0}
+        terms = p.dispersion.GayerTwoPole._terms
+
+        def counted(self, t_c):
+            calls["_terms"] += 1
+            return terms(self, t_c)
+        monkeypatch.setattr(p.dispersion.GayerTwoPole, "_terms", counted)
+        p.load_bundled_crystal()
+        load_check = calls["_terms"]
+        calls["_terms"] = 0
+        assert cli.main(["dispersion", "--lambda-min-um", "0.6",
+                         "--lambda-max-um", "3.6", "--samples", "400",
+                         "--out", str(tmp_path)]) == 0
+        assert calls["_terms"] == load_check + 2 * 2 * 400
+
     def test_json_format_validates(self, workdir):
         result = run_cli("dispersion", "--lambda-min-um", "1.0",
                          "--lambda-max-um", "2.0", "--samples", "10",
@@ -817,6 +835,33 @@ class TestErrorPaths:
             f"error[usage]: {option} must be a finite number, got {args[-1]}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (("dispersion", "--lambda-min-um", "1", "--lambda-max-um", "2",
+          "--samples", "abc"), "argument --samples: invalid int value: 'abc'"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+        (("dispersion", "--lambda-min-um", "1"),
+         "the following arguments are required: --lambda-max-um"),
+        (("dispersion", "--lambda-min-um", "1", "--lambda-max-um", "2",
+          "--format", "xml"), "argument --format: invalid choice: 'xml'"),
+    ], ids=["bad_int", "unknown_command", "missing_option", "bad_format"])
+    def test_argparse_error_is_one_usage_line(self, tmp_path, capsys, args,
+                                              message):
+        out = tmp_path / "out"
+        assert cli.main([*args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"error[usage]: {message}"), captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [("--version",), ("dispersion", "--help")])
+    def test_help_and_version_exit_zero(self, capsys, args):
+        with pytest.raises(SystemExit) as info:
+            cli.main(list(args))
+        assert info.value.code == 0
+        assert capsys.readouterr().out
+
     def test_non_utf8_config_is_validity_error(self, workdir, tmp_path):
         (workdir / "latin1.yaml").write_bytes(b"\xff\xfe")
         out = tmp_path / "out"
@@ -868,12 +913,15 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_high_temperature_overflow_is_domain_error(self, workdir, tmp_path):
-        # b3 = 1e148 passes the 0–200 °C load check; (a3 + b3·f)² overflows
-        # at 1000 °C
+        # a3 = 1e153 with b3 = 1e148 passes the 0–200 °C load check;
+        # (a3 + b3·f)² overflows at 1000 °C
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
-        for old in ("b3: -4.641e-9", "b3: 6.113e-8"):
+        for old, new in (("a3: 0.2091", "a3: 1.0e+153"),
+                         ("b3: -4.641e-9", "b3: 1.0e+148"),
+                         ("a3: 0.2020", "a3: 1.0e+153"),
+                         ("b3: 6.113e-8", "b3: 1.0e+148")):
             assert old in crystal
-            crystal = crystal.replace(old, "b3: 1.0e+148", 1)
+            crystal = crystal.replace(old, new, 1)
         path = tmp_path / "crystal.yaml"
         path.write_text(crystal, encoding="utf-8")
         out = tmp_path / "out"

@@ -171,9 +171,12 @@ def _edited_crystal(*edits):
 
 class TestNonFiniteEvaluation:
     def test_high_temperature_overflow_is_domain_error(self):
-        # b3 = 1e148 on both axes: finite at 0–200 °C, so it loads, but
-        # (a3 + b3·f)² overflows at 1000 °C
-        xtl = _edited_crystal(("b3: -4.641e-9", "b3: 1.0e+148"),
+        # a3 = 1e153 and b3 = 1e148 on both axes: the pole stays above the
+        # range and (a3 + b3·f)² finite at 0–200 °C, so it loads, but the
+        # square overflows at 1000 °C
+        xtl = _edited_crystal(("a3: 0.2091", "a3: 1.0e+153"),
+                              ("b3: -4.641e-9", "b3: 1.0e+148"),
+                              ("a3: 0.2020", "a3: 1.0e+153"),
                               ("b3: 6.113e-8", "b3: 1.0e+148"))
         assert 2.0 < p.refractive_index(xtl, "o", 1.55, 200.0) < 2.4
         for lam in (1.55, np.linspace(0.6, 3.0, 5)):
@@ -332,28 +335,57 @@ class TestLoadCrystal:
                            match=f"axis 'o': Sellmeier pole at {pole} µm"):
             p.load_crystal(text)
 
-    @pytest.mark.parametrize("a3, b3", [("1.2", "7.0e-5"), ("-1.2", "-7.0e-5")],
-                             ids=["rising", "falling"])
-    def test_pole_crossing_between_checked_temperatures_rejected(self, a3, b3):
+    @pytest.mark.parametrize("a3, b3, ends", [
+        ("1.2", "7.0e-5", "0.221044 to 10.6695"),
+        ("-1.2", "-7.0e-5", "-0.221044 to -10.6695"),
+    ], ids=["rising", "falling"])
+    def test_pole_crossing_between_checked_temperatures_rejected(self, a3, b3,
+                                                                 ends):
         # |a3 + b3·f(T)| is 0.221 µm at 0 °C, 4.75 µm at 100 °C and 10.7 µm
         # at 200 °C, all outside [0.5, 4.0] µm; at 50 °C it is at 2.31 µm,
         # where n would read 9.02 at 2.3085 µm
         text = (_BUNDLED_TEXT.replace("a3: 0.2091", f"a3: {a3}", 1)
                 .replace("b3: -4.641e-9", f"b3: {b3}", 1))
+        with pytest.raises(p.ValidationError) as info:
+            p.load_crystal(text)
+        assert str(info.value) == (
+            "crystal 'MgO:LN-5pct', axis 'o': Sellmeier pole crosses the "
+            "validity range [0.5, 4.0] µm between 0.0 and 200.0 °C (from "
+            f"{ends} µm)")
+
+    def test_pole_jumping_the_range_between_adjacent_floats_rejected(self):
+        # with b3 = 1e148 the pole is at a3 = 0.2091 µm at t_ref_c = 24.5 °C
+        # and beyond 1e136 µm at the next float either side, so no float
+        # temperature puts it in the range; the pole p(T) still crosses it,
+        # from −1.4e152 µm at 0 °C to 1.4e153 µm at 200 °C
+        text = _BUNDLED_TEXT.replace("b3: -4.641e-9", "b3: 1.0e+148", 1)
         with pytest.raises(p.ValidationError, match=(
-                r"axis 'o': Sellmeier pole at 2.30816 µm inside the validity "
-                r"range \[0.5, 4.0\] µm at 50.0 °C")):
+                r"axis 'o': Sellmeier pole crosses the validity range "
+                r"\[0.5, 4.0\] µm between 0.0 and 200.0 °C \(from "
+                r"-1.39851e\+152 to 1.35279e\+153 µm\)")):
             p.load_crystal(text)
 
-    def test_pole_jumping_the_range_between_adjacent_floats_loads(self):
-        # with b3 = 1e148 the pole is at a3 = 0.2091 µm at t_ref_c = 24.5 °C
-        # and beyond 1e136 µm at the next float either side: no temperature
-        # an evaluation can take puts it in the range
-        text = _BUNDLED_TEXT.replace("b3: -4.641e-9", "b3: 1.0e+148", 1)
-        sell = p.load_crystal(text).axis("o")
-        t_next = math.nextafter(sell.t_ref_c, math.inf)
-        assert abs(sell._poles_um(sell.t_ref_c)[0]) == sell.a3
-        assert abs(sell._poles_um(t_next)[0]) > 1e136
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(a3=st.floats(-5.0, 5.0), b3=st.floats(-1e-3, 1e-3))
+    def test_pole_rule_matches_a_temperature_scan(self, crystal, a3, b3):
+        # at |b3| ≤ 1e-3 the pole moves under 1 µm/°C on 0–200 °C, so a
+        # crossing of [0.5, 4.0] µm lasts over 3 °C: a 0.05 °C scan, ends
+        # included, sees every pole the exact rule finds
+        sell = crystal.axis("o")
+        coeffs = {key: getattr(sell, key) for key in sell._KEYS}
+        sell = p.dispersion.GayerTwoPole(**{**coeffs, "a3": a3, "b3": b3})
+        scan = any(0.5 <= abs(sell._poles_um(i / 20)[0]) <= 4.0
+                   for i in range(4001))
+        assert (p.dispersion._pole_in_range(sell, 0.5, 4.0) is not None) == scan
+
+    def test_negative_index_crystal_rejected(self):
+        # n = 2 + dn_dt·(T − 20 °C) is 3 at 0 °C and −2 at 100 °C: n² = 4 is
+        # positive everywhere, but the index is not above 1
+        text = _MINIMAL.format(a=4.0, b="[]", c="[]").replace(
+            "dn_dt: 0.0", "dn_dt: -0.05")
+        with pytest.raises(p.ValidationError, match=(
+                r"axis 'o': n ≤ 1 at 0.5 µm, 100.0 °C \(min n = -2\)")):
+            p.load_crystal(text)
 
     @pytest.mark.parametrize("old, bad", [
         ("a3: 0.2091", "a3: 1.0e+200"),
@@ -422,18 +454,19 @@ class TestLoadCrystal:
         with pytest.raises(p.ValidationError, match="latin1.yaml.*not UTF-8"):
             p.load_crystal_file(path)
 
-    @pytest.mark.parametrize("old, bad", [
-        ("a1: 5.653", "a1: 5.653\n      1: 2.0"),
-        ("a3: 0.2091", "a3: 1.0e+200"),
-        ("a5: 10.85", "a5: 1.0e+200"),
-        ("b3: -4.641e-9", "b3: 1.0e+200"),
+    @pytest.mark.parametrize("old, bad, message", [
+        ("a1: 5.653", "a1: 5.653\n      1: 2.0", "text keys|not finite"),
+        ("a3: 0.2091", "a3: 1.0e+200", "text keys|not finite"),
+        ("a5: 10.85", "a5: 1.0e+200", "text keys|not finite"),
+        ("b3: -4.641e-9", "b3: 1.0e+200", "pole crosses the validity range"),
     ], ids=["integer_key", "huge_a3", "huge_a5", "huge_b3"])
-    def test_malformed_coefficient_block_rejected(self, old, bad):
+    def test_malformed_coefficient_block_rejected(self, old, bad, message):
         # an integer key cannot name a coefficient; a squared coefficient
-        # beyond the float range must not escape as OverflowError
+        # beyond the float range must not escape as OverflowError; a b3 that
+        # large carries the pole across the range between 0 and 200 °C
         text = p.bundled_crystal_path().read_text(encoding="utf-8")
         assert old in text
-        with pytest.raises(p.ValidationError, match="text keys|not finite"):
+        with pytest.raises(p.ValidationError, match=message):
             p.load_crystal(text.replace(old, bad, 1))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)

@@ -40,6 +40,14 @@ class TestPdcConfig:
                         signal_axis="e", pump_wavelength_um=0.775,
                         temperature_c=ROOM_T_C, length_m=1e-3)
 
+    @pytest.mark.parametrize("t_c", [-400.0, float("nan")])
+    def test_temperature_not_above_absolute_zero_rejected(self, crystal, t_c):
+        # refused when the design is built, not at its first evaluation
+        with pytest.raises(p.DomainError, match="not above absolute zero"):
+            p.PdcConfig(crystal=crystal, pdc_type="type-I", pump_axis="e",
+                        signal_axis="o", pump_wavelength_um=0.775,
+                        temperature_c=t_c, length_m=1e-3)
+
     def test_signal_is_twice_pump(self, matched_config):
         assert matched_config.signal_wavelength_um == 2 * matched_config.pump_wavelength_um
 
