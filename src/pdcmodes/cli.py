@@ -165,14 +165,10 @@ def _cmd_dispersion(args, run: RunConfig, crystal, out_dir: Path) -> int:
     lam = disp._linspace(args.lambda_min_um, args.lambda_max_um, args.samples)
     rows = []
     for axis in axes:
-        # the n column first: every λ meets the index's inclusive range check
-        # before any meets the derivatives' strict one, so a λ outside the
-        # range is reported ahead of one on its edge; then group index c·k′
-        # and GVD k″ from one derivative pass per λ
-        n = [disp.refractive_index(crystal, axis, x, t_c) for x in lam]
-        k = [disp._k_terms(crystal, axis, x, t_c) for x in lam]
-        rows += [(x, axis, nx, c * kp, kpp * 1e24)
-                 for x, nx, (_, kp, kpp) in zip(lam, n, k)]
+        # n, group index c·k′ and GVD k″ from one Sellmeier pass per λ
+        for x in lam:
+            n, kp, kpp = disp._k_terms(crystal, axis, x, t_c)
+            rows.append((x, axis, n, c * kp, kpp * 1e24))
     header = ["lambda_um", "axis", "n", "group_index", "gvd_ps2_per_m"]
     _write_table(out_dir, "dispersion", header, rows, run.output,
                  temperature_c=t_c, crystal=crystal.name)

@@ -64,8 +64,10 @@ BIAXIAL_AXES = ("x", "y", "z")
 
 _ABSOLUTE_ZERO_C = -273.15
 
-# temperatures (°C) at which the n > 1 invariant is checked on load; the
-# poles are checked at every temperature from the first to the last
+# temperatures (°C) at which a load checks n and its λ-derivatives finite,
+# and n > 1, at _VALIDATION_SAMPLES wavelengths across the validity range,
+# bounds included; the poles are checked at every temperature from the
+# first to the last
 _VALIDATION_TEMPS = (0.0, 100.0, 200.0)
 _VALIDATION_SAMPLES = 64
 
@@ -463,11 +465,12 @@ def _pole_in_range(sell, lo: float, hi: float) -> str | None:
 
 def _validate_physical(model: CrystalModel) -> None:
     """Check that no pole meets the validity range at any temperature from
-    the first to the last of _VALIDATION_TEMPS, and that n is real, finite
-    and > 1 across the range at each of them.
+    the first to the last of _VALIDATION_TEMPS, and that n is real and > 1
+    and n, dn/dλ and d²n/dλ² finite across the range at each of them.
 
-    The poles are found exactly; n is checked at sampled wavelengths, by the
-    evaluation every caller makes.
+    The poles are found exactly; n and its derivatives are checked at
+    sampled wavelengths, by the one pass ``n_derivatives`` that every
+    derivative evaluation makes (its n has the bits of ``n``'s).
     """
     lo, hi = model.valid_range_um
     lam = _linspace(lo, hi, _VALIDATION_SAMPLES)
@@ -478,12 +481,12 @@ def _validate_physical(model: CrystalModel) -> None:
             raise ValidationError(f"{where}: {pole}")
         for t_c in _VALIDATION_TEMPS:
             try:
-                n = [sell.n(x, t_c) for x in lam]
+                n = [sell.n_derivatives(x, t_c)[0] for x in lam]
             except DomainError:  # an overflowing or non-real evaluation
                 raise ValidationError(
-                    f"{where}: n² is not finite and positive across [{lo}, "
-                    f"{hi}] µm at {t_c} °C (a coefficient overflows the float "
-                    "range, or n² ≤ 0)") from None
+                    f"{where}: n or one of its λ-derivatives is not finite "
+                    f"across [{lo}, {hi}] µm at {t_c} °C (a coefficient "
+                    "overflows the float range, or n² ≤ 0)") from None
             n_min = min(n)
             if not n_min > 1.0:
                 raise ValidationError(
@@ -538,11 +541,10 @@ def load_bundled_crystal() -> CrystalModel:
 # evaluation
 
 
-def _check_range(crystal: CrystalModel, lam_um, temperature_c: float,
-                 strict: bool):
+def _check_range(crystal: CrystalModel, lam_um, temperature_c: float):
     """``lam_um`` as a float, or else as an array of floats, once every
-    wavelength lies in the crystal's valid range and the temperature above
-    absolute zero; a DomainError otherwise."""
+    wavelength lies in the crystal's valid range [lo, hi], bounds included,
+    and the temperature above absolute zero; a DomainError otherwise."""
     # "not above" so that a NaN temperature is rejected too; no upper bound,
     # since a crystal file carries no fitted temperature range
     if not temperature_c > _ABSOLUTE_ZERO_C:
@@ -553,11 +555,10 @@ def _check_range(crystal: CrystalModel, lam_um, temperature_c: float,
     lam = _float_or_array(lam_um)
     # written as "not inside" so that NaN counts as out of range
     if isinstance(lam, float):
-        bad = not (lo < lam < hi if strict else lo <= lam <= hi)
+        bad = not lo <= lam <= hi
         offender = lam
     else:
-        outside = (~((lam > lo) & (lam < hi)) if strict
-                   else ~((lam >= lo) & (lam <= hi)))
+        outside = ~((lam >= lo) & (lam <= hi))
         bad = outside.any()
         offender = lam[outside].flat[0] if bad and lam.ndim else lam
     if bad:
@@ -569,9 +570,10 @@ def _check_range(crystal: CrystalModel, lam_um, temperature_c: float,
 
 def refractive_index(crystal: CrystalModel, axis: str, wavelength_um,
                      temperature_c: float):
-    """Refractive index n(λ, T); λ in µm, T in °C. Scalar in, scalar out."""
+    """Refractive index n(λ, T); λ in µm, T in °C. A float in gives a
+    float, an array in an array of the same shape."""
     sell = crystal.axis(axis)
-    lam = _check_range(crystal, wavelength_um, temperature_c, strict=False)
+    lam = _check_range(crystal, wavelength_um, temperature_c)
     return sell.n(lam, temperature_c)
 
 
@@ -579,7 +581,7 @@ def wavevector(crystal: CrystalModel, axis: str, wavelength_um,
                temperature_c: float):
     """Wavevector k = n·ω/c in rad/m at vacuum wavelength λ (µm)."""
     sell = crystal.axis(axis)
-    lam = _check_range(crystal, wavelength_um, temperature_c, strict=False)
+    lam = _check_range(crystal, wavelength_um, temperature_c)
     return 2.0e6 * math.pi * sell.n(lam, temperature_c) / lam
 
 
@@ -589,16 +591,16 @@ def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
     omega = _float_or_array(omega_rad_s)
     lam_um = 2.0e6 * math.pi * c / omega
     sell = crystal.axis(axis)
-    _check_range(crystal, lam_um, temperature_c, strict=False)
+    _check_range(crystal, lam_um, temperature_c)
     return sell.n(lam_um, temperature_c) * omega / c
 
 
 def _k_terms(crystal: CrystalModel, axis: str, wavelength_um,
              temperature_c: float):
     """(n, dk/dω in s/m, d²k/dω² in s²/m) from one Sellmeier pass, closed
-    form; λ in µm, strictly inside the valid range."""
+    form; λ in µm, in the valid range."""
     sell = crystal.axis(axis)
-    lam = _check_range(crystal, wavelength_um, temperature_c, strict=True)
+    lam = _check_range(crystal, wavelength_um, temperature_c)
     n, dn, d2n = sell.n_derivatives(lam, temperature_c)
     d2n_per_m2 = d2n * 1e12
     return (n, (n - lam * dn) / c,

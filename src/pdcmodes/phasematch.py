@@ -90,8 +90,7 @@ class PdcConfig:
             raise DomainError(
                 f"poling period must be > 0 when given, got {self.poling_period_um}")
         for lam in (self.pump_wavelength_um, self.signal_wavelength_um):
-            dispersion._check_range(self.crystal, lam, self.temperature_c,
-                                    strict=True)
+            dispersion._check_range(self.crystal, lam, self.temperature_c)
 
     @property
     def signal_wavelength_um(self) -> float:

@@ -436,6 +436,7 @@ class TestDispersionCommand:
 
     @pytest.mark.parametrize("lo, hi, samples, t_c", [
         (0.6, 3.6, 400, 24.5), (0.55, 3.9, 301, 11.0), (1.0, 2.0, 2, 180.0),
+        (0.5, 4.0, 5, 24.5),
     ])
     def test_rows_are_the_scalar_library_values(self, tmp_path, lo, hi,
                                                 samples, t_c):
@@ -453,8 +454,8 @@ class TestDispersionCommand:
         assert payload["rows"] == expected
 
     def test_one_derivative_pass_per_cell(self, tmp_path, monkeypatch):
-        # beyond the load check, a cell's n takes one pass of the temperature
-        # terms, and its group index and GVD share one more
+        # beyond the load check, a cell's n, group index and GVD share one
+        # pass of the temperature terms
         calls = {"_terms": 0}
         terms = p.dispersion.GayerTwoPole._terms
 
@@ -468,7 +469,7 @@ class TestDispersionCommand:
         assert cli.main(["dispersion", "--lambda-min-um", "0.6",
                          "--lambda-max-um", "3.6", "--samples", "400",
                          "--out", str(tmp_path)]) == 0
-        assert calls["_terms"] == load_check + 2 * 2 * 400
+        assert calls["_terms"] == load_check + 2 * 400
 
     def test_json_format_validates(self, workdir):
         result = run_cli("dispersion", "--lambda-min-um", "1.0",
@@ -495,6 +496,15 @@ class TestCgvmCommand:
                          "--bracket-um", "1.8", "2.0", cwd=workdir)
         assert result.returncode == 4, result.stderr
         assert result.stderr.startswith("error[solver]:")
+
+    def test_bracket_reaching_the_range_bound_solves(self, workdir):
+        # at a 1.0 µm bracket end the pump's k′ is taken at the 0.5 µm bound
+        result = run_cli("cgvm", "--pump-axis", "e", "--signal-axis", "o",
+                         "--bracket-um", "1.0", "2.0", "--out", "cgvm_bound",
+                         cwd=workdir)
+        assert result.returncode == 0, result.stderr
+        payload = json.loads((workdir / "cgvm_bound" / "cgvm.json").read_text())
+        assert abs(payload["cgvm_wavelength_um"] - 1.566) < 0.002
 
     def test_constant_index_crystal_has_no_matching_point(self, workdir):
         result = run_cli("cgvm", "--crystal", "constant.yaml",
@@ -913,8 +923,22 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_high_temperature_overflow_is_domain_error(self, workdir, tmp_path):
-        # a3 = 1e153 with b3 = 1e148 passes the 0–200 °C load check;
-        # (a3 + b3·f)² overflows at 1000 °C
+        # the bundled crystal at 1e155 °C: (a3 + b3·f)² overflows
+        out = tmp_path / "out"
+        result = run_cli("dispersion", "--lambda-min-um", "0.6",
+                         "--lambda-max-um", "3.6", "--temperature-c", "1e155",
+                         "--out", str(out), cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert len(result.stderr.splitlines()) == 1, result.stderr
+        assert result.stderr.startswith("error[domain]:"), result.stderr
+        assert "1e+155 °C" in result.stderr
+        assert not out.exists()
+
+    def test_crystal_without_finite_derivatives_is_validity_error(
+            self, workdir, tmp_path):
+        # a3 = 1e153 with b3 = 1e148 on both axes keeps the pole above the
+        # range and n finite at 0–200 °C, but dn/dλ and d²n/dλ² overflow,
+        # so the crystal is refused at load
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
         for old, new in (("a3: 0.2091", "a3: 1.0e+153"),
                          ("b3: -4.641e-9", "b3: 1.0e+148"),
@@ -926,12 +950,13 @@ class TestErrorPaths:
         path.write_text(crystal, encoding="utf-8")
         out = tmp_path / "out"
         result = run_cli("dispersion", "--crystal", str(path), "--lambda-min-um",
-                         "0.6", "--lambda-max-um", "3.6", "--temperature-c",
-                         "1000", "--out", str(out), cwd=workdir)
+                         "0.6", "--lambda-max-um", "3.6", "--out", str(out),
+                         cwd=workdir)
         assert result.returncode == 3, result.stderr
         assert len(result.stderr.splitlines()) == 1, result.stderr
-        assert result.stderr.startswith("error[domain]:"), result.stderr
-        assert "1000 °C" in result.stderr
+        assert result.stderr.startswith(
+            "error[validity]: crystal 'MgO:LN-5pct', axis 'o': n or one of its "
+            "λ-derivatives is not finite"), result.stderr
         assert not out.exists()
 
     def test_negative_n_squared_is_domain_error(self, workdir, tmp_path):
@@ -997,9 +1022,9 @@ class TestErrorPaths:
                          cwd=workdir)
         assert result.returncode == 3, result.stderr
         assert result.stderr == (
-            "error[validity]: crystal 'MgO:LN-5pct', axis 'o': n² is not "
-            "finite and positive across [0.5, 4.0] µm at 0.0 °C (a coefficient "
-            "overflows the float range, or n² ≤ 0)\n")
+            "error[validity]: crystal 'MgO:LN-5pct', axis 'o': n or one of "
+            "its λ-derivatives is not finite across [0.5, 4.0] µm at 0.0 °C (a "
+            "coefficient overflows the float range, or n² ≤ 0)\n")
 
     def test_narrow_pole_crystal_is_validity_error(self, workdir, tmp_path):
         # a pole at 1.52 µm narrow enough to pass between sampled wavelengths
