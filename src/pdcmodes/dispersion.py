@@ -10,9 +10,9 @@ Units at the public boundary are the conventional ones for this domain
 used internally by the phase-matching and JSA modules are plain SI (s/m,
 s²/m, rad/m at angular frequency rad/s).
 
-Derivatives of k(ω) are closed-form: each functional form supplies n and
-the analytic dn/dλ and d²n/dλ² from one evaluation of n² (its
-``n_derivatives``), converted via
+Every functional form maps its coefficients onto one pole-sum formula for
+n², which gives n and the analytic dn/dλ and d²n/dλ² from one evaluation
+(``n_derivatives``); the derivatives of k(ω) follow in closed form,
 
     group index  m = c·dk/dω = n − λ·dn/dλ
     GVD          k″ = d²k/dω² = λ³/(2πc²)·d²n/dλ²
@@ -123,19 +123,21 @@ def _float_or_array(value):
     return np.asarray(value, dtype=float)
 
 
-def _sqrt(n2):
-    """√n²: ``math.sqrt`` on a float, numpy's on an array. An n² ≤ 0 has no
-    real index and is a DomainError naming it (the smallest, in an array)."""
+def _sqrt(n2, lam_um, t_c):
+    """√n²: ``math.sqrt`` on a float, numpy's on an array. An n² ≤ 0 is a
+    DomainError naming it (the smallest, in an array), its λ and T."""
     if isinstance(n2, float):
         if n2 > 0.0:
             return math.sqrt(n2)
-        smallest = n2
+        smallest, at = n2, lam_um
     else:
         import numpy as np
         if (n2 > 0.0).all():
             return np.sqrt(n2)
-        smallest = n2.min()
-    raise DomainError(f"n² = {smallest:.6g} is not positive: no real index")
+        i = n2.argmin()
+        smallest, at = n2.flat[i], np.broadcast_to(lam_um, n2.shape).flat[i]
+    raise DomainError(f"n² = {smallest:.6g} is not positive at {at:.6g} µm, "
+                      f"{t_c:g} °C: no real index")
 
 
 def _not_finite(form: str, t_c) -> DomainError:
@@ -176,7 +178,60 @@ def _finite(formula):
     return evaluate
 
 
-class GayerTwoPole:
+class _PoleSum:
+    """The one Sellmeier formula that every functional form maps onto,
+    n² = c0 + Σᵢ rᵢ/(λ² − qᵢ) − a6·λ² and n = √n² + Δn, through its
+    ``_terms(t_c)``: (c0, ((rᵢ, qᵢ), …), a6, Δn) at one temperature."""
+
+    def _finite_terms(self, t_c):
+        """``_terms(t_c)``, or a DomainError if one of them is not finite."""
+        c0, poles, a6, shift = terms = self._terms(t_c)
+        finite = math.isfinite(c0) and math.isfinite(a6) and math.isfinite(shift)
+        for r, q in poles:   # a third of the time of all(map()) over a chain
+            finite = finite and math.isfinite(r) and math.isfinite(q)
+        if not finite:
+            raise _not_finite(self.form, t_c)
+        return terms
+
+    @staticmethod
+    def _n_squared(terms, lam2):
+        """n² from the ``_terms`` and λ² (µm²), summed left to right."""
+        c0, poles, a6, _ = terms
+        n2 = c0
+        for r, q in poles:
+            n2 = n2 + r / (lam2 - q)
+        return n2 - a6 * lam2
+
+    @_finite
+    def n_squared(self, lam_um, t_c):
+        return self._n_squared(self._finite_terms(t_c), lam_um * lam_um)
+
+    @_finite
+    def n(self, lam_um, t_c):
+        terms = self._finite_terms(t_c)
+        n = _sqrt(self._n_squared(terms, lam_um * lam_um), lam_um, t_c)
+        return n + terms[3] if terms[3] else n   # a zero Δn adds no array op
+
+    @_finite
+    def n_derivatives(self, lam_um, t_c):
+        """(n, dn/dλ, d²n/dλ²) from one n²: with g = n², dn/dλ = g′/2√g
+        and d²n/dλ² = g″/2√g − g′²/4g^1.5, which Δn does not change."""
+        _, poles, a6, shift = terms = self._finite_terms(t_c)
+        lam2 = lam_um * lam_um
+        g = self._n_squared(terms, lam2)
+        s1 = s2 = 0.0
+        for r, q in poles:
+            d = lam2 - q
+            s1 = s1 + r / d ** 2
+            s2 = s2 + r * (6.0 * lam2 + 2.0 * q) / d ** 3
+        gp = -2.0 * lam_um * (s1 + a6)
+        gpp = s2 - 2.0 * a6
+        n = _sqrt(g, lam_um, t_c)
+        return (n + shift if shift else n, gp / (2.0 * n),
+                gpp / (2.0 * n) - gp * gp / (4.0 * g ** 1.5))
+
+
+class GayerTwoPole(_PoleSum):
     """Two-pole Sellmeier with a quadratic temperature parameter.
 
         n² = a1 + b1·f + (a2 + b2·f)/(λ² − (a3 + b3·f)²)
@@ -206,49 +261,14 @@ class GayerTwoPole:
         return self.a3 + self.b3 * self._f(t_c), self.a5
 
     def _terms(self, t_c):
-        """The temperature-dependent scalars at T = t_c (a scalar):
-        a1 + b1·f, a2 + b2·f, (a3 + b3·f)², a4 + b4·f and a5². A square
-        beyond the float range raises OverflowError, which each formula's
-        ``_finite`` turns into a DomainError."""
         f = self._f(t_c)
-        terms = (self.a1 + self.b1 * f, self.a2 + self.b2 * f,
-                 (self.a3 + self.b3 * f) ** 2, self.a4 + self.b4 * f,
-                 self.a5 ** 2)
-        if not all(map(math.isfinite, terms)):
-            raise _not_finite(self.form, t_c)
-        return terms
-
-    def _n2(self, terms, lam2):
-        """n² from the ``_terms`` at one temperature and λ² (µm²)."""
-        c1, c2, q1, c4, q2 = terms
-        return c1 + c2 / (lam2 - q1) + c4 / (lam2 - q2) - self.a6 * lam2
-
-    @_finite
-    def n_squared(self, lam_um, t_c):
-        return self._n2(self._terms(t_c), lam_um * lam_um)
-
-    def n(self, lam_um, t_c):
-        return _sqrt(self.n_squared(lam_um, t_c))
-
-    @_finite
-    def n_derivatives(self, lam_um, t_c):
-        """(n, dn/dλ, d²n/dλ²) from one ``_terms`` call and one n²:
-        dn/dλ = g′/2n and d²n/dλ² = g″/2n − g′²/4g^1.5 with g = n²."""
-        terms = self._terms(t_c)
-        _, c2, q1, c4, q2 = terms
-        lam2 = lam_um * lam_um
-        d1 = lam2 - q1
-        d2 = lam2 - q2
-        g = self._n2(terms, lam2)
-        gp = -2.0 * lam_um * (c2 / d1 ** 2 + c4 / d2 ** 2 + self.a6)
-        gpp = (c2 * (6.0 * lam2 + 2.0 * q1) / d1 ** 3
-               + c4 * (6.0 * lam2 + 2.0 * q2) / d2 ** 3
-               - 2.0 * self.a6)
-        n = _sqrt(g)
-        return n, gp / (2.0 * n), gpp / (2.0 * n) - gp * gp / (4.0 * g ** 1.5)
+        return (self.a1 + self.b1 * f,
+                ((self.a2 + self.b2 * f, (self.a3 + self.b3 * f) ** 2),
+                 (self.a4 + self.b4 * f, self.a5 ** 2)),
+                self.a6, 0.0)
 
 
-class StandardSellmeier:
+class StandardSellmeier(_PoleSum):
     """Classic pole-sum Sellmeier with an optional linear thermo-optic term.
 
         n²(λ) = a + Σᵢ bᵢ·λ²/(λ² − cᵢ) − d·λ²
@@ -272,40 +292,20 @@ class StandardSellmeier:
         if len(self.b) != len(self.c):
             raise ValidationError(
                 "sellmeier_standard: b and c pole lists differ in length")
+        # bᵢλ²/(λ² − cᵢ) = bᵢ + bᵢcᵢ/(λ² − cᵢ): c0 = a + Σbᵢ, rᵢ = bᵢcᵢ
+        self._c0 = sum(self.b, self.a)
+        self._poles = tuple((bi * ci, ci) for bi, ci in zip(self.b, self.c))
 
     def _poles_um(self, t_c):
         """√cᵢ for each cᵢ > 0: the wavelengths (µm) at which n² has a pole,
         at every temperature."""
         return tuple(math.sqrt(ci) for ci in self.c if ci > 0)
 
-    def _n_lam(self, lam_um):
-        lam2 = lam_um * lam_um
-        g = self.a - self.d * lam2
-        for bi, ci in zip(self.b, self.c):
-            g = g + bi * lam2 / (lam2 - ci)
-        return _sqrt(g)
-
-    @_finite
-    def n(self, lam_um, t_c):
-        return self._n_lam(lam_um) + self.dn_dt * (t_c - self.t_ref_c)
-
-    @_finite
-    def n_derivatives(self, lam_um, t_c):
-        """(n, dn/dλ, d²n/dλ²) from one n²: the derivatives are those of
-        n(λ), which the thermo-optic term does not change."""
-        nl = self._n_lam(lam_um)
-        lam2 = lam_um * lam_um
-        gp = -2.0 * self.d * lam_um
-        gpp = -2.0 * self.d
-        for bi, ci in zip(self.b, self.c):
-            den = lam2 - ci
-            gp = gp + bi * (-2.0 * lam_um * ci) / den ** 2
-            gpp = gpp + 2.0 * bi * ci * (3.0 * lam2 + ci) / den ** 3
-        return (nl + self.dn_dt * (t_c - self.t_ref_c), gp / (2.0 * nl),
-                gpp / (2.0 * nl) - gp * gp / (4.0 * nl ** 3))
+    def _terms(self, t_c):
+        return self._c0, self._poles, self.d, self.dn_dt * (t_c - self.t_ref_c)
 
 
-# each form gives n and (n, dn/dλ, d²n/dλ²) at λ in µm and T in °C
+# the functional forms, by the name a crystal file gives them
 _FORMS = {cls.form: cls for cls in (GayerTwoPole, StandardSellmeier)}
 
 # temperature-model identifiers compatible with each functional form
@@ -420,6 +420,10 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
             raise ValidationError(
                 f"coefficients for axis {label!r} must be a mapping with text keys")
         axes[label] = _FORMS[form](**coeffs)
+        if t_model == "none" and axes[label].dn_dt != 0.0:
+            raise ValidationError(
+                f"crystal {name!r}, axis {label!r}: temperature_model 'none' "
+                f"needs dn_dt = 0, got {axes[label].dn_dt:g}")
 
     model = CrystalModel(
         name=name,
@@ -568,21 +572,33 @@ def _check_range(crystal: CrystalModel, lam_um, temperature_c: float):
     return lam
 
 
+def _index(crystal: CrystalModel, axis: str, wavelength_um,
+           temperature_c: float, derivatives: bool = False):
+    """The checked wavelengths and n there, or (n, dn/dλ, d²n/dλ²) with
+    ``derivatives``; a DomainError from the formula names crystal and axis."""
+    sell = crystal.axis(axis)
+    lam = _check_range(crystal, wavelength_um, temperature_c)
+    try:
+        if derivatives:
+            return lam, sell.n_derivatives(lam, temperature_c)
+        return lam, sell.n(lam, temperature_c)
+    except DomainError as exc:
+        raise DomainError(
+            f"crystal {crystal.name!r}, axis {axis!r}: {exc}") from None
+
+
 def refractive_index(crystal: CrystalModel, axis: str, wavelength_um,
                      temperature_c: float):
     """Refractive index n(λ, T); λ in µm, T in °C. A float in gives a
     float, an array in an array of the same shape."""
-    sell = crystal.axis(axis)
-    lam = _check_range(crystal, wavelength_um, temperature_c)
-    return sell.n(lam, temperature_c)
+    return _index(crystal, axis, wavelength_um, temperature_c)[1]
 
 
 def wavevector(crystal: CrystalModel, axis: str, wavelength_um,
                temperature_c: float):
     """Wavevector k = n·ω/c in rad/m at vacuum wavelength λ (µm)."""
-    sell = crystal.axis(axis)
-    lam = _check_range(crystal, wavelength_um, temperature_c)
-    return 2.0e6 * math.pi * sell.n(lam, temperature_c) / lam
+    lam, n = _index(crystal, axis, wavelength_um, temperature_c)
+    return 2.0e6 * math.pi * n / lam
 
 
 def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
@@ -590,21 +606,17 @@ def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
     """Wavevector k(ω) in rad/m at angular frequency ω (rad/s, SI)."""
     omega = _float_or_array(omega_rad_s)
     lam_um = 2.0e6 * math.pi * c / omega
-    sell = crystal.axis(axis)
-    _check_range(crystal, lam_um, temperature_c)
-    return sell.n(lam_um, temperature_c) * omega / c
+    return _index(crystal, axis, lam_um, temperature_c)[1] * omega / c
 
 
 def _k_terms(crystal: CrystalModel, axis: str, wavelength_um,
              temperature_c: float):
     """(n, dk/dω in s/m, d²k/dω² in s²/m) from one Sellmeier pass, closed
     form; λ in µm, in the valid range."""
-    sell = crystal.axis(axis)
-    lam = _check_range(crystal, wavelength_um, temperature_c)
-    n, dn, d2n = sell.n_derivatives(lam, temperature_c)
-    d2n_per_m2 = d2n * 1e12
+    lam, (n, dn, d2n) = _index(crystal, axis, wavelength_um, temperature_c,
+                               derivatives=True)
     return (n, (n - lam * dn) / c,
-            (lam * 1e-6) ** 3 * d2n_per_m2 / (2.0 * math.pi * c ** 2))
+            (lam * 1e-6) ** 3 * (d2n * 1e12) / (2.0 * math.pi * c ** 2))
 
 
 def k_prime(crystal: CrystalModel, axis: str, wavelength_um,
@@ -622,8 +634,7 @@ def k_double_prime(crystal: CrystalModel, axis: str, wavelength_um,
 def group_index(crystal: CrystalModel, axis: str, wavelength_um,
                 temperature_c: float):
     """Group index m = c·dk/dω = n − λ·dn/dλ (dimensionless)."""
-    kp = k_prime(crystal, axis, wavelength_um, temperature_c)
-    return c * kp
+    return c * k_prime(crystal, axis, wavelength_um, temperature_c)
 
 
 def gvd(crystal: CrystalModel, axis: str, wavelength_um, temperature_c: float):

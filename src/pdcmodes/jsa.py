@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dispersion as _dispersion
 from . import phasematch as _phasematch
 from .constants import DEFAULT_GRID_POINTS, c
 from .errors import DomainError, ValidationError
@@ -167,9 +166,7 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
     ``n``.
     """
     sig = pump.sigma_plus_rad_s
-    ks2 = _dispersion.k_double_prime(config.crystal, config.signal_axis,
-                                     config.signal_wavelength_um,
-                                     config.temperature_c)
+    ks2 = config.central[1][2]   # the signal's k″
     extent = 4.0 * math.sqrt(2.0) * sig
     if ks2 != 0.0:
         # |Δ̃|·L/2 ≈ (k_s″/2)Ω₋²·L/2 = _SINC_SUPPORT_X at the band edge

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import dispersion
 from .constants import c
@@ -63,6 +63,11 @@ class PdcConfig:
 
     The signal central wavelength is 2·pump_wavelength_um by construction.
     ``poling_period_um=None`` means "use the computed first-order period".
+
+    ``central`` is ((n, k′, k″) of the pump, (n, k′, k″) of the signal) at
+    their central wavelengths, in SI, one Sellmeier pass each when the
+    design is built: a centre with no finite real index in the crystal's
+    valid range refuses the design with a DomainError.
     """
 
     crystal: CrystalModel
@@ -73,6 +78,7 @@ class PdcConfig:
     temperature_c: float
     length_m: float
     poling_period_um: float | None = None
+    central: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.pdc_type not in PDC_TYPES:
@@ -82,15 +88,15 @@ class PdcConfig:
             raise DomainError("type-0 requires pump and signal on the same axis")
         if self.pdc_type == "type-I" and self.pump_axis == self.signal_axis:
             raise DomainError("type-I requires pump and signal on different axes")
-        self.crystal.axis(self.pump_axis)
-        self.crystal.axis(self.signal_axis)
         if not self.length_m > 0:
             raise DomainError(f"crystal length must be > 0, got {self.length_m}")
         if self.poling_period_um is not None and not self.poling_period_um > 0:
             raise DomainError(
                 f"poling period must be > 0 when given, got {self.poling_period_um}")
-        for lam in (self.pump_wavelength_um, self.signal_wavelength_um):
-            dispersion._check_range(self.crystal, lam, self.temperature_c)
+        object.__setattr__(self, "central", tuple(
+            dispersion._k_terms(self.crystal, axis, lam, self.temperature_c)
+            for axis, lam in ((self.pump_axis, self.pump_wavelength_um),
+                              (self.signal_axis, self.signal_wavelength_um))))
 
     @property
     def signal_wavelength_um(self) -> float:
@@ -107,10 +113,10 @@ class PdcConfig:
 
 def _central_mismatch(config: PdcConfig) -> float:
     """k_p0 − 2·k_s0 in rad/m at the central wavelengths (signed)."""
-    kp0 = dispersion.wavevector(config.crystal, config.pump_axis,
-                                config.pump_wavelength_um, config.temperature_c)
-    ks0 = dispersion.wavevector(config.crystal, config.signal_axis,
-                                config.signal_wavelength_um, config.temperature_c)
+    (n_p, _, _), (n_s, _, _) = config.central
+    # k = n·ω/c, written as dispersion.wavevector writes it
+    kp0 = 2.0e6 * math.pi * n_p / config.pump_wavelength_um
+    ks0 = 2.0e6 * math.pi * n_s / config.signal_wavelength_um
     return kp0 - 2.0 * ks0
 
 
@@ -189,20 +195,9 @@ class TaylorDispersion:
     omega_d_rad_s: float
 
 
-def _dk1(config: PdcConfig) -> float:
-    """Group-delay mismatch dk₁ = k_p′ − k_s′ (s/m) at the central wavelengths."""
-    return (dispersion.k_prime(config.crystal, config.pump_axis,
-                               config.pump_wavelength_um, config.temperature_c)
-            - dispersion.k_prime(config.crystal, config.signal_axis,
-                                 config.signal_wavelength_um, config.temperature_c))
-
-
 def taylor_dispersion(config: PdcConfig) -> TaylorDispersion:
     """Evaluate the quadratic-expansion coefficients for a design."""
-    _, kp1, kp2 = dispersion._k_terms(config.crystal, config.pump_axis,
-                                      config.pump_wavelength_um, config.temperature_c)
-    _, ks1, ks2 = dispersion._k_terms(config.crystal, config.signal_axis,
-                                      config.signal_wavelength_um, config.temperature_c)
+    (_, kp1, kp2), (_, ks1, ks2) = config.central
     dk1 = kp1 - ks1
     denom = 2.0 * kp2 - ks2
     if denom == 0.0 or abs(denom) < 1e-9 * max(abs(kp2), abs(ks2)):
@@ -257,7 +252,8 @@ def phasematch_hyperbola(config: PdcConfig, omega_minus_rad_s):
 
 def walkoff_time(config: PdcConfig) -> float:
     """Pump-signal temporal walk-off τ_w = (k_p′ − k_s′)·L/2 in seconds."""
-    return _dk1(config) * config.length_m / 2.0
+    (_, kp1, _), (_, ks1, _) = config.central
+    return (kp1 - ks1) * config.length_m / 2.0
 
 
 def _brentq(f, a: float, b: float, xtol: float,

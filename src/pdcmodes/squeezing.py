@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dispersion as _dispersion
 from . import jsa as _jsa
 from .constants import DEFAULT_GRID_POINTS, c, epsilon_0, hbar
 from .errors import DomainError
@@ -84,18 +83,14 @@ def peak_power(pump: PumpPulse) -> float:
 
 def beam_waist(config: PdcConfig) -> float:
     """Optimal-focusing waist w₀ = sqrt(c·L/(n_p·ω_p)) in meters."""
-    n_p = _dispersion.refractive_index(config.crystal, config.pump_axis,
-                                       config.pump_wavelength_um,
-                                       config.temperature_c)
+    n_p = config.central[0][0]
     return math.sqrt(c * config.length_m / (n_p * config.omega_p_rad_s))
 
 
 def pdc_efficiency(config: PdcConfig, eta_jsa: float) -> float:
     """Per-watt conversion efficiency η_PDC (W⁻¹) for a given shape efficiency."""
     d_eff = config.crystal.d_eff_pm_per_v * 1e-12
-    n_s = _dispersion.refractive_index(config.crystal, config.signal_axis,
-                                       config.signal_wavelength_um,
-                                       config.temperature_c)
+    n_s = config.central[1][0]
     coupling = (4.0 * d_eff * config.omega_s_rad_s / (math.pi * c ** 2 * n_s)) ** 2
     return coupling * (config.omega_p_rad_s * config.length_m
                        / (2.0 * math.pi * epsilon_0)) * eta_jsa

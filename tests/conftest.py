@@ -129,6 +129,23 @@ def expression_n_squared(sell, lam_um, t_c):
             - sell.a6 * lam2)
 
 
+def expression_n_derivatives(sell, lam_um, t_c):
+    """GayerTwoPole.n_derivatives as the two-pole form wrote it for itself,
+    before both forms shared one pole-sum formula: each element one
+    expression in that form's operations and order."""
+    f = (t_c - sell.t_ref_c) * (t_c + sell.t_ref_c + 2.0 * 273.16)
+    c2, c4 = sell.a2 + sell.b2 * f, sell.a4 + sell.b4 * f
+    q1, q2 = (sell.a3 + sell.b3 * f) ** 2, sell.a5 ** 2
+    lam2 = lam_um * lam_um
+    g = expression_n_squared(sell, lam_um, t_c)
+    gp = -2.0 * lam_um * (c2 / (lam2 - q1) ** 2 + c4 / (lam2 - q2) ** 2 + sell.a6)
+    gpp = (c2 * (6.0 * lam2 + 2.0 * q1) / (lam2 - q1) ** 3
+           + c4 * (6.0 * lam2 + 2.0 * q2) / (lam2 - q2) ** 3
+           - 2.0 * sell.a6)
+    return (np.sqrt(g), gp / (2.0 * np.sqrt(g)),
+            gpp / (2.0 * np.sqrt(g)) - gp * gp / (4.0 * g ** 1.5))
+
+
 def expression_wavevector_at_omega(crystal, axis, omega_rad_s, t_c):
     """dispersion.wavevector_at_omega as a single expression."""
     omega = np.asarray(omega_rad_s, dtype=float)

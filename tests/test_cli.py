@@ -961,7 +961,8 @@ class TestErrorPaths:
 
     def test_negative_n_squared_is_domain_error(self, workdir, tmp_path):
         # b1 = −1e-5 on axis o loads (n > 1 at 0–200 °C), but n² < 0 at
-        # 1000 °C: one error line, no numpy warning and no table of NaN
+        # 1000 °C: one error line naming the crystal, the axis, the first
+        # wavelength and the temperature, no numpy warning and no table of NaN
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
         assert "b1: 7.941e-7" in crystal
         path = tmp_path / "crystal.yaml"
@@ -975,8 +976,25 @@ class TestErrorPaths:
         assert result.returncode == 3, result.stderr
         lines = result.stderr.splitlines()
         assert len(lines) == 1, result.stderr
-        assert lines[0].startswith("error[domain]: n² = -"), result.stderr
-        assert lines[0].endswith("is not positive: no real index")
+        assert lines == [
+            "error[domain]: crystal 'MgO:LN-5pct', axis 'o': n² = -9.89072 "
+            "is not positive at 0.6 µm, 1000 °C: no real index"]
+        assert not out.exists()
+
+    def test_none_temperature_model_with_dn_dt_is_validity_error(
+            self, workdir, tmp_path):
+        # a crystal whose index does not depend on T cannot carry dn/dT
+        path = tmp_path / "crystal.yaml"
+        path.write_text(CONSTANT_INDEX_YAML.replace(
+            "d: 0.0, dn_dt: 0.0", "d: 0.0, dn_dt: 0.001", 1), encoding="utf-8")
+        out = tmp_path / "out"
+        result = run_cli("dispersion", "--crystal", str(path), "--lambda-min-um",
+                         "1.0", "--lambda-max-um", "2.0", "--out", str(out),
+                         cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr == (
+            "error[validity]: crystal 'constant-index', axis 'o': "
+            "temperature_model 'none' needs dn_dt = 0, got 0.001\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -3,6 +3,7 @@
 import copy
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from scipy.constants import c
 import pdcmodes as p
 from pdcmodes.dispersion import k_double_prime, k_prime, wavevector_at_omega
 
-from conftest import (ROOM_T_C, assert_within, expression_n_squared,
-                      expression_wavevector_at_omega)
+from conftest import (ROOM_T_C, assert_within, expression_n_derivatives,
+                      expression_n_squared, expression_wavevector_at_omega)
 
 
 # Independent evaluation of the published two-pole polynomial for 5% MgO:LN
@@ -161,6 +162,24 @@ class TestInPlaceEvaluation:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(axis=st.sampled_from(["o", "e"]), t_c=st.floats(0.0, 200.0),
+           lo=st.floats(0.5, 4.0), hi=st.floats(0.5, 4.0), n=st.integers(1, 40))
+    def test_n_derivatives(self, crystal, axis, t_c, lo, hi, n):
+        # the shared pole-sum formula keeps the two-pole form's operations
+        # and their order, so the bundled crystal's bits do not move
+        sell = crystal.axis(axis)
+        lam = np.linspace(lo, hi, n)
+        grid = np.add.outer(lam, lam[::-1]) / 2.0
+        for arr in (lam, grid):
+            got = sell.n_derivatives(arr, t_c)
+            expected = expression_n_derivatives(sell, arr, t_c)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        scalar = float(lam[0])
+        got = sell.n_derivatives(scalar, t_c)
+        assert all(type(v) is float for v in got)
+        assert got == expression_n_derivatives(sell, scalar, t_c)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(axis=st.sampled_from(["o", "e"]), t_c=st.floats(0.0, 200.0),
            lo=st.floats(0.51, 3.99), hi=st.floats(0.51, 3.99), n=st.integers(1, 40))
     def test_wavevector_at_omega(self, crystal, axis, t_c, lo, hi, n):
         omega = 2.0e6 * np.pi * c / np.linspace(lo, hi, n)
@@ -218,6 +237,19 @@ class TestNonFiniteEvaluation:
                 with pytest.raises(p.DomainError,
                                    match=f"n² = {smallest:.6g} is not positive"):
                     p.refractive_index(xtl, "o", lam, 1000.0)
+
+    def test_non_real_index_names_where_it_is(self):
+        # an array names the wavelength of its smallest n², and the
+        # evaluation names the crystal and the axis
+        xtl = _edited_crystal(("b1: 7.941e-7", "b1: -1.0e-5"))
+        lam = np.array([[3.6, 0.6], [1.55, 2.0]])
+        n2 = xtl.axis("o").n_squared(lam, 1000.0)
+        at = lam.flat[n2.argmin()]
+        with pytest.raises(p.DomainError) as info:
+            p.group_index(xtl, "o", lam, 1000.0)
+        assert str(info.value) == (
+            f"crystal 'MgO:LN-5pct', axis 'o': n² = {n2.min():.6g} is not "
+            f"positive at {at:.6g} µm, 1000 °C: no real index")
 
     def test_pole_on_the_sample_is_domain_error(self, crystal):
         # λ = a5 puts the second pole exactly on the sample: c4/0, which is
@@ -506,6 +538,18 @@ class TestLoadCrystal:
         with pytest.raises(p.ValidationError, match="b must be a list"):
             p.load_crystal(text)
 
+    def test_none_temperature_model_refuses_a_thermo_optic_term(self):
+        # 'none' means n does not depend on T: a dn_dt of 0.001 would read
+        # n = 2.2 at 20 °C and 2.3 at 120 °C
+        text = _MINIMAL.format(a=4.84, b="[]", c="[]").replace(
+            "linear_dn_dt", "none")
+        assert p.load_crystal(text).temperature_model == "none"
+        with pytest.raises(p.ValidationError) as info:
+            p.load_crystal(text.replace("dn_dt: 0.0", "dn_dt: 0.001"))
+        assert str(info.value) == (
+            "crystal 'test-crystal', axis 'o': temperature_model 'none' needs "
+            "dn_dt = 0, got 0.001")
+
     def test_standard_sellmeier_round_trip(self):
         text = _MINIMAL.format(a=1.0, b="[2.5, 1.0]", c="[0.01, 100.0]")
         xtl = p.load_crystal(text)
@@ -514,3 +558,63 @@ class TestLoadCrystal:
         expected = math.sqrt(1.0 + 2.5 * lam2 / (lam2 - 0.01)
                              + 1.0 * lam2 / (lam2 - 100.0))
         assert abs(p.refractive_index(xtl, "o", lam, 20.0) - expected) < 1e-12
+
+
+_STANDARD = """
+name: standard-test
+class: uniaxial
+temperature_model: linear_dn_dt
+d_eff_pm_per_V: 1.0
+valid_range_um: [0.5, 4.0]
+provenance: synthetic test data
+sellmeier:
+  o:
+    form: sellmeier_standard
+    coefficients: {a: 1.0, b: [2.5, 0.3], c: [0.0121, -0.04], d: 0.012,
+                   dn_dt: 3.0e-5, t_ref_c: 20.0}
+  e:
+    form: sellmeier_standard
+    coefficients: {a: 4.84, b: [], c: [], d: 0.02, dn_dt: -1.0e-5,
+                   t_ref_c: 25.0}
+"""
+
+
+def _standard_closed_form(sell, lam_um, t_c):
+    """n, group index and GVD (ps²/m) of a sellmeier_standard axis from the
+    form as its file writes it, n² = a + Σ bᵢλ²/(λ² − cᵢ) − dλ², with the
+    λ-derivatives of each term taken by hand and evaluated in exact
+    rational arithmetic: only √n² and the last conversion round."""
+    lam = Fraction(lam_um)
+    lam2, d = lam * lam, Fraction(sell.d)
+    g, gp, gpp = Fraction(sell.a) - d * lam2, -2 * d * lam, -2 * d
+    for b, q in zip(map(Fraction, sell.b), map(Fraction, sell.c)):
+        g += b * lam2 / (lam2 - q)
+        gp += -2 * b * q * lam / (lam2 - q) ** 2
+        gpp += 2 * b * q * (3 * lam2 + q) / (lam2 - q) ** 3
+    root = Fraction(math.sqrt(g))
+    dn = gp / (2 * root)
+    d2n = gpp / (2 * root) - gp * gp / (4 * root ** 3)
+    n = root + Fraction(sell.dn_dt) * (Fraction(t_c) - Fraction(sell.t_ref_c))
+    return (float(n), float(n - lam * dn),
+            float(lam ** 3 * d2n) * 1e-6 / (2.0 * math.pi * c ** 2) * 1e24)
+
+
+class TestStandardSellmeier:
+    """The standard form, evaluated by the shared pole-sum formula with
+    c0 = a + Σbᵢ and rᵢ = bᵢcᵢ, against its own closed form: two poles,
+    one of them at c ≤ 0, on axis o, no pole on axis e, and a thermo-optic
+    term on both."""
+
+    def test_matches_closed_form(self):
+        xtl = p.load_crystal(_STANDARD)
+        for axis in ("o", "e"):
+            for t_c in (0.0, 20.0, 80.0, 200.0):
+                for lam in np.linspace(0.5, 4.0, 36).tolist():
+                    got = (p.refractive_index(xtl, axis, lam, t_c),
+                           p.group_index(xtl, axis, lam, t_c),
+                           p.gvd(xtl, axis, lam, t_c))
+                    expected = _standard_closed_form(xtl.axis(axis), lam, t_c)
+                    for name, a, b in zip(("n", "group index", "GVD"), got,
+                                          expected):
+                        assert abs(a - b) <= 1e-13 * abs(b), (axis, t_c, lam,
+                                                              name, a, b)

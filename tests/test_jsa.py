@@ -219,6 +219,27 @@ class TestComputeJsa:
                 if isinstance(getattr(amplitude, name), np.ndarray)}
         assert held == {"kernel": 8 * n * n}
 
+    def test_three_sellmeier_passes_per_row_block(self, matched_config, pump775,
+                                                  monkeypatch):
+        # building the design evaluates its centre (2 passes); each 64-row
+        # block then evaluates k_p, k_s1 and k_s2 once, and κ, the default
+        # grid, the focusing and the efficiency read the centre
+        calls = {"_terms": 0}
+        terms = p.dispersion.GayerTwoPole._terms
+
+        def counted(self, t_c):
+            calls["_terms"] += 1
+            return terms(self, t_c)
+        monkeypatch.setattr(p.dispersion.GayerTwoPole, "_terms", counted)
+        config = replace(matched_config)
+        assert calls["_terms"] == 2
+        n = 256
+        p.compute_jsa(config, pump775, p.default_grid(config, pump775, n=n))
+        assert calls["_terms"] == 2 + 3 * n // 64
+        calls["_terms"] = 0
+        p.squeezing_spectrum(config, pump775, grid_n=n)
+        assert calls["_terms"] == 3 * n // 64
+
     def test_assembly_peak_allocation(self, matched_config, pump775):
         # the kernel plus one block of rows, whatever the grid size
         n = 1024

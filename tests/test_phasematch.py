@@ -1,5 +1,6 @@
 """Phase matching: poling periods, mismatch, hyperbolas, cGVM solving."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -47,6 +48,40 @@ class TestPdcConfig:
             p.PdcConfig(crystal=crystal, pdc_type="type-I", pump_axis="e",
                         signal_axis="o", pump_wavelength_um=0.775,
                         temperature_c=t_c, length_m=1e-3)
+
+    @pytest.mark.parametrize("design", ["walkoff_config", "matched_config"])
+    def test_central_is_the_dispersion_at_the_centre(self, request, design):
+        # one Sellmeier pass per photon, with the bits of each public
+        # evaluation at the central wavelength
+        config = request.getfixturevalue(design)
+        for (n, k1, k2), axis, lam in zip(
+                config.central, (config.pump_axis, config.signal_axis),
+                (config.pump_wavelength_um, config.signal_wavelength_um)):
+            t_c = config.temperature_c
+            assert n == p.refractive_index(config.crystal, axis, lam, t_c)
+            assert k1 == k_prime(config.crystal, axis, lam, t_c)
+            assert k2 == k_double_prime(config.crystal, axis, lam, t_c)
+            assert all(type(v) is float for v in (n, k1, k2))
+
+    def test_central_follows_a_replaced_field(self, matched_config):
+        warmer = replace(matched_config, temperature_c=40.0)
+        assert warmer.central[0][0] == p.refractive_index(
+            warmer.crystal, "e", warmer.pump_wavelength_um, 40.0)
+        assert warmer == replace(matched_config, temperature_c=40.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            warmer.central = matched_config.central
+
+    def test_centre_without_a_real_index_is_refused_when_built(self):
+        # b1 = −1e-5 on axis o loads, but n² < 0 at the 1.55 µm signal at
+        # 1000 °C
+        text = p.bundled_crystal_path().read_text(encoding="utf-8")
+        xtl = p.load_crystal(text.replace("b1: 7.941e-7", "b1: -1.0e-5", 1))
+        with pytest.raises(p.DomainError, match=(
+                r"crystal 'MgO:LN-5pct', axis 'o': n² = -\S+ is not positive "
+                r"at 1.55 µm, 1000 °C")):
+            p.PdcConfig(crystal=xtl, pdc_type="type-I", pump_axis="e",
+                        signal_axis="o", pump_wavelength_um=0.775,
+                        temperature_c=1000.0, length_m=1e-3)
 
     def test_signal_is_twice_pump(self, matched_config):
         assert matched_config.signal_wavelength_um == 2 * matched_config.pump_wavelength_um
