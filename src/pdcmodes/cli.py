@@ -99,6 +99,35 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _write_grids_json(path: Path, head: dict, grids: dict) -> None:
+    """``_write_json(path, {**head, **grids})``'s text for the symmetric
+    real n × n arrays in ``grids``, written row by row.
+
+    The json module encodes an indented document in pure Python, one float
+    at a time. Here each row is joined by hand, and the text of each cell,
+    ``float.__repr__`` as json writes it, is made once and reused for its
+    mirror cell. A grid that is not finite, or not symmetric bit for bit,
+    is refused, as ``allow_nan=False`` refuses a non-finite value.
+    """
+    import numpy as np
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(head, indent=2, allow_nan=False)[:-2])  # no "\n}"
+        for name, grid in grids.items():
+            bits = grid.view(np.uint64)
+            if not (np.isfinite(grid).all() and np.array_equal(bits, bits.T)):
+                raise ValueError(f"{name}: not a finite symmetric grid")
+            fh.write(f",\n  {json.dumps(name)}: [")
+            text = np.empty(grid.shape, dtype=object)
+            opening = "\n    [\n      "
+            for i, row in enumerate(grid):
+                text[i, i:] = list(map(float.__repr__, row[i:].tolist()))
+                text[i + 1:, i] = text[i, i + 1:]
+                fh.write(opening + ",\n      ".join(text[i].tolist()))
+                opening = "\n    ],\n    [\n      "
+            fh.write("\n    ]\n  ]")
+        fh.write("\n}\n")
+
+
 def _write_table(out_dir: Path, stem: str, header: list[str], rows,
                  output: OutputSettings, **extra) -> None:
     """``<stem>.csv``, or ``<stem>.json`` as ``{"columns", **extra, "rows"}``,
@@ -257,26 +286,23 @@ def _jsa_meta(config, grid, decomp, eta) -> dict:
 
 
 def _cmd_jsa(args, run: RunConfig, crystal, out_dir: Path) -> int:
-    import numpy as np
     from .jsa import jsa_efficiency
     config, grid, amplitude, decomp = _run_pipeline(run, crystal)
     eta = jsa_efficiency(decomp)
     meta = _jsa_meta(config, grid, decomp, eta)
     f_thz = _signal_axis_thz(config, grid)
     precision = run.output.precision
-    values = amplitude.values
-    grids = {"abs": np.abs(values)}
-    if args.include_complex:
-        grids.update(real=values.real, imag=values.imag)
+    grids = dict(zip(("abs", "real", "imag"), amplitude.parts()))
+    if not args.include_complex:
+        del grids["real"], grids["imag"]
     if run.output.format == "csv":
         _write_csv(out_dir / "jsa_axis_thz.csv", ["f_thz"],
                    ([v] for v in f_thz.tolist()), precision)
         for name, part in grids.items():
             _write_csv(out_dir / f"jsa_{name}.csv", None, part, precision)
     else:
-        _write_json(out_dir / "jsa.json",
-                    {**meta, "f_thz": f_thz.tolist(),
-                     **{name: part.tolist() for name, part in grids.items()}})
+        _write_grids_json(out_dir / "jsa.json",
+                          {**meta, "f_thz": f_thz.tolist()}, grids)
     _write_json(out_dir / "jsa_meta.json", meta)
     print(f"schmidt_number = {_fmt(decomp.schmidt_number, precision)}")
     print(f"eta_jsa = {_fmt(eta, precision)}")

@@ -605,7 +605,12 @@ def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
                         temperature_c: float):
     """Wavevector k(ω) in rad/m at angular frequency ω (rad/s, SI)."""
     omega = _float_or_array(omega_rad_s)
-    lam_um = 2.0e6 * math.pi * c / omega
+    try:
+        lam_um = 2.0e6 * math.pi * c / omega
+    except ZeroDivisionError:
+        # a float ω = 0 has the infinite wavelength that an array's 0 gets,
+        # which the range check refuses
+        lam_um = math.copysign(math.inf, omega)
     return _index(crystal, axis, lam_um, temperature_c)[1] * omega / c
 
 

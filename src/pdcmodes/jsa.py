@@ -105,9 +105,12 @@ class PumpPulse:
     def __post_init__(self):
         for name in ("wavelength_um", "bandwidth_fwhm_nm",
                      "mean_power_w", "rep_rate_hz"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValidationError(
-                    f"pump {name} must be > 0, got {getattr(self, name)}")
+                    f"pump {name} must be a finite number, got {value}")
+            if not value > 0:
+                raise ValidationError(f"pump {name} must be > 0, got {value}")
 
     @property
     def sigma_plus_rad_s(self) -> float:
@@ -133,6 +136,10 @@ class FrequencyGrid:
                 f"a grid of {self.n} points per axis needs about "
                 f"{need / 2 ** 30:.1f} GiB, above the "
                 f"{_GRID_BUDGET_BYTES / 2 ** 30:g} GiB budget")
+        if not math.isfinite(self.omega_max_rad_s):
+            raise ValidationError(
+                f"grid omega_max_rad_s must be a finite number, got "
+                f"{self.omega_max_rad_s}")
         if not self.omega_max_rad_s > 0:
             raise ValidationError(
                 f"grid extent must be > 0, got {self.omega_max_rad_s}")
@@ -182,8 +189,8 @@ class JsaGrid:
     ``kernel[i, j]`` = α̃(Ωᵢ+Ωⱼ)·sinc(x)·δΩ/2π with x = Δ̃(Ωᵢ,Ωⱼ)·L/2, the
     chirp-free envelope with the quadrature weight folded in: the matrix
     whose singular values are the Schmidt coefficients, and the only array
-    held. ``values`` is recomputed from ``config``, ``pump`` and ``grid``
-    on each access, by the expressions that built the kernel.
+    held. ``values`` and ``parts`` are recomputed from ``config``, ``pump``
+    and ``grid`` on each access, by the expressions that built the kernel.
     ``config``/``pump`` are None for synthetic amplitudes. All arrays are
     read-only.
     """
@@ -197,16 +204,34 @@ class JsaGrid:
     def values(self) -> np.ndarray:
         """``values[i, j]`` = α̃(Ωᵢ+Ωⱼ)·exp(i·x)·sinc(x).
 
-        Built anew on each access (16 bytes per cell), since only the
-        exported grid reads it. Synthetic amplitudes carry no chirp: their
-        values are the kernel over δΩ/2π.
+        Built anew on each access, one complex n × n array (16 bytes per
+        cell) whose upper triangle is evaluated and mirrored. Synthetic
+        amplitudes carry no chirp: their values are the kernel over δΩ/2π.
         """
         if self.config is None:
             return _frozen((self.kernel / _weight(self.grid)).astype(complex))
-        values = np.empty((self.grid.n, self.grid.n), dtype=complex)
-        for rows, x, envelope in _blocks(self.config, self.pump, self.grid):
-            values[rows] = envelope * np.exp(1j * x)
-        return _frozen(values)
+        values, = _assemble(self.config, self.pump, self.grid,
+                            lambda x, envelope: (envelope * np.exp(1j * x),))
+        return values
+
+    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``np.abs(values)``, ``values.real`` and ``values.imag``, bit for
+        bit, as three real n × n arrays (24 bytes per cell).
+
+        Each part is taken from one complex block of ``values`` at a time,
+        so the complex n × n array is never built.
+        """
+        if self.config is None:
+            values = self.values
+            return _frozen(np.abs(values)), values.real, values.imag
+        return tuple(_assemble(self.config, self.pump, self.grid, _abs_real_imag))
+
+
+def _abs_real_imag(x, envelope):
+    """|J|, Re J and Im J of one block of J = α̃·sinc(x)·exp(i·x); the
+    modulus is the complex one, which np.hypot of the parts is not."""
+    values = envelope * np.exp(1j * x)
+    return np.abs(values), values.real, values.imag
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -219,16 +244,33 @@ def _weight(grid: FrequencyGrid) -> float:
     return grid.step_rad_s / (2.0 * math.pi)
 
 
-def _blocks(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid):
-    """Yield (rows, x, α̃(Ωᵢ+Ωⱼ)·sinc(x)) for successive blocks of
-    ``_BLOCK_ROWS`` grid rows, with x = Δ̃(Ωᵢ, Ωⱼ)·L/2 on those rows."""
-    om = grid.detunings()
-    for start in range(0, grid.n, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        x = (_phasematch.phase_mismatch(config, om[rows, None], om[None, :])
+def _assemble(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid, parts):
+    """The n × n arrays that ``parts(x, α̃(Ωᵢ+Ωⱼ)·sinc(x))`` returns blocks
+    of, with x = Δ̃(Ωᵢ, Ωⱼ)·L/2, evaluated on the upper triangle only.
+
+    Each block of ``_BLOCK_ROWS`` grid rows starts at its own diagonal and
+    fills its mirror with a transposed copy. Every factor of a cell is a
+    function of Ωᵢ+Ωⱼ or a commuted sum of per-axis terms, so a cell and
+    its mirror have the same bits, and each array equals the one filled
+    row block by row block over whole rows.
+    """
+    om, n = grid.detunings(), grid.n
+    arrays = None
+    # the last, smallest block first: with the block temporaries growing,
+    # a process that repeats the pipeline kept the peak RSS of the
+    # full-row assembly; with them shrinking it kept about 2 MiB more heap
+    for start in reversed(range(0, n, _BLOCK_ROWS)):
+        rows, cols = slice(start, start + _BLOCK_ROWS), slice(start, n)
+        x = (_phasematch.phase_mismatch(config, om[rows, None], om[None, cols])
              * (config.length_m / 2.0))
-        envelope = pump_spectral_amplitude(pump, om[rows, None] + om[None, :]) * sinc(x)
-        yield rows, x, envelope
+        envelope = pump_spectral_amplitude(pump, om[rows, None] + om[None, cols]) * sinc(x)
+        blocks = parts(x, envelope)
+        if arrays is None:
+            arrays = [np.empty((n, n), dtype=block.dtype) for block in blocks]
+        for array, block in zip(arrays, blocks):
+            array[rows, cols] = block
+            array[cols, rows] = block.T
+    return [_frozen(array) for array in arrays]
 
 
 def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaGrid:
@@ -236,7 +278,8 @@ def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaG
 
     The pump record must agree with the design's pump wavelength. Exact
     (i, j) ↔ (j, i) symmetry holds by construction: every factor is a
-    function of Ωᵢ+Ωⱼ or a symmetrized sum of per-axis terms.
+    function of Ωᵢ+Ωⱼ or a symmetrized sum of per-axis terms, so only the
+    upper triangle is evaluated.
     """
     if not math.isclose(pump.wavelength_um, config.pump_wavelength_um,
                         rel_tol=1e-12):
@@ -244,10 +287,8 @@ def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaG
             f"pump record wavelength {pump.wavelength_um:g} µm does not match "
             f"the design pump wavelength {config.pump_wavelength_um:g} µm")
     weight = _weight(grid)
-    kernel = np.empty((grid.n, grid.n))
-    for rows, _, envelope in _blocks(config, pump, grid):
-        kernel[rows] = envelope * weight
-    return JsaGrid(kernel=_frozen(kernel), grid=grid, config=config, pump=pump)
+    kernel, = _assemble(config, pump, grid, lambda x, envelope: (envelope * weight,))
+    return JsaGrid(kernel=kernel, grid=grid, config=config, pump=pump)
 
 
 @dataclass(frozen=True)
@@ -255,14 +296,35 @@ class SchmidtDecomposition:
     """Normalized Schmidt spectrum of a sampled JSA.
 
     ``s`` are singular values normalized to Σ s_n² = 1, descending.
-    ``modes[n]`` samples ψ_n on the grid, orthonormal under
-    Σ ψ_m ψ_n* δΩ/2π = δ_mn. ``raw_norm`` is ∬|J|² dΩ₁dΩ₂/(2π)².
+    ``u`` holds the kernel's left singular vectors as its columns, as
+    ``np.linalg.svd`` returns them, and ``grid`` is the grid they sample.
+    ``modes`` is computed from the two when it is read. ``raw_norm`` is
+    ∬|J|² dΩ₁dΩ₂/(2π)².
     """
 
     s: np.ndarray
-    modes: np.ndarray
+    u: np.ndarray
+    grid: FrequencyGrid
     schmidt_number: float
     raw_norm: float
+
+    @property
+    def modes(self) -> np.ndarray:
+        """``modes[n]`` samples ψ_n on the grid, orthonormal under
+        Σ ψ_m ψ_n* δΩ/2π = δ_mn, its largest-magnitude sample positive.
+
+        Built anew on each access (8 bytes per cell), so that the
+        decompositions whose modes are never read (squeezing budgets,
+        length scans) do not weight and sign them.
+        """
+        modes = (self.u / math.sqrt(_weight(self.grid))).T
+        # deterministic sign: largest-magnitude sample of each mode is positive;
+        # |modes| in C order, so that argmax along a row copies nothing
+        peak = np.argmax(np.abs(modes, out=np.empty(modes.shape)), axis=1)
+        signs = np.sign(modes[np.arange(modes.shape[0]), peak])
+        signs[signs == 0] = 1.0
+        modes *= signs[:, None]
+        return _frozen(modes)
 
 
 def schmidt_decompose(jsa: JsaGrid) -> SchmidtDecomposition:
@@ -282,15 +344,7 @@ def schmidt_decompose(jsa: JsaGrid) -> SchmidtDecomposition:
     raw_norm = float(np.sum(sv ** 2))
     s = sv / math.sqrt(raw_norm)
     k = 1.0 / float(np.sum(s ** 4))
-    u /= math.sqrt(_weight(jsa.grid))
-    modes = u.T
-    # deterministic sign: largest-magnitude sample of each mode is positive;
-    # |modes| in C order, so that argmax along a row copies nothing
-    peak = np.argmax(np.abs(modes, out=np.empty(modes.shape)), axis=1)
-    signs = np.sign(modes[np.arange(modes.shape[0]), peak])
-    signs[signs == 0] = 1.0
-    modes *= signs[:, None]
-    return SchmidtDecomposition(s=_frozen(s), modes=_frozen(modes),
+    return SchmidtDecomposition(s=_frozen(s), u=_frozen(u), grid=jsa.grid,
                                 schmidt_number=k, raw_norm=raw_norm)
 
 

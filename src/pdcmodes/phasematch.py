@@ -88,6 +88,10 @@ class PdcConfig:
             raise DomainError("type-0 requires pump and signal on the same axis")
         if self.pdc_type == "type-I" and self.pump_axis == self.signal_axis:
             raise DomainError("type-I requires pump and signal on different axes")
+        for name in ("length_m", "poling_period_um"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be a finite number, got {value}")
         if not self.length_m > 0:
             raise DomainError(f"crystal length must be > 0, got {self.length_m}")
         if self.poling_period_um is not None and not self.poling_period_um > 0:

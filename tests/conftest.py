@@ -7,11 +7,14 @@ grids, decompositions, length scans) are session-scoped so the suite builds
 each of them once.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import pdcmodes as p
 from pdcmodes.constants import c
+from pdcmodes.jsa import sinc
 from pdcmodes.phasematch import grating_wavevector
 
 ROOM_T_C = 24.5
@@ -178,3 +181,27 @@ def joined_csv(header, rows, precision):
             if isinstance(cell, (float, np.floating)) else str(cell)
             for cell in row))
     return "\n".join(lines) + "\n"
+
+
+def expression_envelope_and_half_phase(amplitude):
+    """α̃(Ωᵢ+Ωⱼ)·sinc(x) and x = Δ̃(Ωᵢ, Ωⱼ)·L/2 of a design's JSA, each as
+    one expression of the public functions over all n² cells at once: the
+    oracle for the arrays that jsa assembles from their upper triangle."""
+    config, om = amplitude.config, amplitude.grid.detunings()
+    x = p.phase_mismatch(config, om[:, None], om[None, :]) * (config.length_m / 2.0)
+    envelope = p.pump_spectral_amplitude(
+        amplitude.pump, om[:, None] + om[None, :]) * sinc(x)
+    return envelope, x
+
+
+def eager_modes(kernel, grid):
+    """SchmidtDecomposition.modes as schmidt_decompose computed it before
+    the modes were made on read: U scaled and signed in place."""
+    u = np.linalg.svd(kernel)[0]
+    u /= math.sqrt(grid.step_rad_s / (2.0 * math.pi))
+    modes = u.T
+    peak = np.argmax(np.abs(modes, out=np.empty(modes.shape)), axis=1)
+    signs = np.sign(modes[np.arange(modes.shape[0]), peak])
+    signs[signs == 0] = 1.0
+    modes *= signs[:, None]
+    return modes

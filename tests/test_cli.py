@@ -87,9 +87,11 @@ def run_cli(*args, cwd):
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# Runs every cli-design and cli-export reference op of the benchmark through
-# cli.main in one process and prints the artifacts that differ from
-# perfbench/golden.json, as one JSON list on the last line.
+# Runs the reference ops of the workloads given as the first element of the
+# JSON in argv[3] through cli.main in one process, each with the extra
+# arguments of its second element, and prints the artifacts that differ from
+# its third (perfbench/golden.json when null), as one JSON list on the last
+# line.
 GOLDEN_CHILD = """\
 import json, os, shutil, sys
 from pathlib import Path
@@ -98,13 +100,14 @@ sys.path.insert(0, sys.argv[1])
 import checks, ops
 os.environ.update(ops.BLAS_ENV)  # the threads the hashes were recorded with
 from pdcmodes import cli
-golden, problems = checks.golden(), []
-for op in ops.reference_ops("cli-design") + ops.reference_ops("cli-export"):
+workloads, extra, hashes = json.loads(sys.argv[3])
+golden, problems = hashes or checks.golden(), []
+for op in [op for workload in workloads for op in ops.reference_ops(workload)]:
     op_dir = Path(sys.argv[2]) / op["kind"].replace("/", "_")
     op_dir.mkdir()
     config, out = op_dir / "design.yaml", op_dir / "out"
     config.write_text(op["yaml"], encoding="utf-8")
-    if cli.main([*op["args"], "--config", str(config), "--out", str(out)]) != 0:
+    if cli.main([*op["args"], *extra, "--config", str(config), "--out", str(out)]) != 0:
         problems.append(op["kind"] + ": nonzero exit")
     else:
         problems += checks.compare_hashes(op["kind"], checks.sha256_files(out),
@@ -112,6 +115,44 @@ for op in ops.reference_ops("cli-design") + ops.reference_ops("cli-export"):
     shutil.rmtree(op_dir)
 print(json.dumps(problems))
 """
+
+# sha256 of the cli-export artifacts (jsa --include-complex, CSV and JSON) at
+# --grid-n 200, whose last 64-row block holds 8 rows, recorded with
+# GOLDEN_BUILD before the JSA kernel was assembled from its upper triangle.
+JSA_N200_HASHES = {
+    "jsa/csv/matched": {
+        "jsa_abs.csv": "73b4d06d1d199bded53c1a47a2cf8847f0653fa641c838eba053af198d0c8780",
+        "jsa_axis_thz.csv": "a7cc654ec006241b99c1cff7e2995cb6ada1c172562cbfdd4143ec6ee4ca7a71",
+        "jsa_imag.csv": "eb54c6f50b518e63b1e08f5a3ca741d851698421db783e40f63027edf523a7da",
+        "jsa_meta.json": "b8a28361b0f19ebd1d37d6547adf6680b1a36c6c64cf34c708c3782f4aad5f95",
+        "jsa_real.csv": "a9da5ddea4542dc9fd05408bc0c6efe0f6b0b0e4257f8707420cf0843e2fe126",
+    },
+    "jsa/csv/walkoff": {
+        "jsa_abs.csv": "5f539de9965d627d4e65433025afd46abc113b0cb10255790f36091d2ddee56f",
+        "jsa_axis_thz.csv": "bc7be8eda98100034332e62aec91316127a77d7280978c5117f3527f9f318019",
+        "jsa_imag.csv": "1dd4640d799d49ee84e53f3d8eaf93adecbd757c5f5e4aa0ccc7da7dc02fc814",
+        "jsa_meta.json": "eb243fd32b9e870ec28aab6cf948b2da4404b1d671036d364e3bde34cce5531a",
+        "jsa_real.csv": "918f3dcd682d8ac4af682015c9ed6f4aa82e946051443d5657416fed38d3e54d",
+    },
+    "jsa/json/matched": {
+        "jsa.json": "f417a56b5c5f3c4a06318518055cf4e44e2bf98f03129b51668de219dde3edef",
+        "jsa_meta.json": "b8a28361b0f19ebd1d37d6547adf6680b1a36c6c64cf34c708c3782f4aad5f95",
+    },
+    "jsa/json/walkoff": {
+        "jsa.json": "72914e5e546effa60db6dfe662e68f9da70bbf24b30f7f770789eb28290fc2f0",
+        "jsa_meta.json": "eb243fd32b9e870ec28aab6cf948b2da4404b1d671036d364e3bde34cce5531a",
+    },
+}
+
+
+def golden_problems(tmp_path, workloads, extra=(), hashes=None) -> list[str]:
+    """GOLDEN_CHILD's list of the artifacts that differ from their hashes."""
+    result = subprocess.run(
+        [sys.executable, "-c", GOLDEN_CHILD, str(PERFBENCH), str(tmp_path),
+         json.dumps([workloads, list(extra), hashes])],
+        cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
 
 
 # The build perfbench/golden.json was recorded with. The low bits of an SVD,
@@ -357,6 +398,37 @@ class TestWriters:
         assert path.read_bytes() == \
             joined_csv(None, array.tolist(), precision).encode()
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(upper=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=15),
+           head=st.dictionaries(st.text(max_size=3), st.integers() | st.floats(
+               allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+               min_size=1, max_size=3))
+    def test_grids_json_matches_json_dump(self, out_dir, upper, head):
+        # a symmetric grid from the first k(k+1)/2 values, row by row
+        k = int((math.isqrt(8 * len(upper) + 1) - 1) // 2)
+        grid = np.empty((k, k))
+        grid[np.triu_indices(k)] = upper[:k * (k + 1) // 2]
+        grid.T[np.triu_indices(k)] = grid[np.triu_indices(k)]
+        grids = {"abs": grid, "real": -grid}
+        path = out_dir / "grids.json"
+        cli._write_grids_json(path, head, grids)
+        expected = json.dumps({**head, **{name: part.tolist() for name, part
+                                          in grids.items()}},
+                              indent=2, allow_nan=False) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("cells", [(0.0, math.nan), (math.inf, 1.0),
+                                       (1.0, 2.0), (0.0, -0.0)],
+                             ids=["nan", "inf", "asymmetric", "zero_sign"])
+    def test_grids_json_refuses_non_finite_or_asymmetric(self, out_dir, cells):
+        grid = np.array([[1.0, cells[0]], [cells[1], 1.0]])
+        path = out_dir / "bad_grid.json"
+        with pytest.raises(ValueError, match="not a finite symmetric grid"):
+            cli._write_grids_json(path, {"n": 2}, {"abs": grid})
+        assert not path.exists()
+        assert not path.with_name(path.name + ".tmp").exists()
+
     def test_failed_write_leaves_no_file(self, out_dir):
         path = out_dir / "nan.json"
         with pytest.raises(ValueError):
@@ -389,11 +461,15 @@ class TestDeterminism:
     def test_reference_artifacts_match_benchmark_golden(self, tmp_path):
         # 16 ops: both designs of every (command, format) pair in cli-design
         # and cli-export, jsa --include-complex as CSV and JSON included
-        result = subprocess.run(
-            [sys.executable, "-c", GOLDEN_CHILD, str(PERFBENCH), str(tmp_path)],
-            cwd=tmp_path, env=child_env(), capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
-        problems = json.loads(result.stdout.splitlines()[-1])
+        problems = golden_problems(tmp_path, ["cli-design", "cli-export"])
+        assert problems == [], (
+            f"{problems}; the hashes were recorded with {GOLDEN_BUILD}, this "
+            f"run used {numpy_build()}")
+
+    def test_jsa_export_with_a_partial_row_block_matches_recorded_hashes(
+            self, tmp_path):
+        problems = golden_problems(tmp_path, ["cli-export"],
+                                   ["--grid-n", "200"], JSA_N200_HASHES)
         assert problems == [], (
             f"{problems}; the hashes were recorded with {GOLDEN_BUILD}, this "
             f"run used {numpy_build()}")
@@ -828,6 +904,19 @@ class TestErrorPaths:
         assert result.stderr.startswith("error[validity]:"), result.stderr
         assert bad.split(":")[0] in result.stderr
         assert "Warning" not in result.stderr
+
+    def test_infinite_grid_extent_is_one_validity_line(self, workdir, tmp_path):
+        # 1e300 THz is a finite number, but its 2π·1e12 rad/s is not
+        (workdir / "wide.yaml").write_text(
+            MATCHED_YAML + "grid:\n  detuning_extent_thz: 1.0e+300\n",
+            encoding="utf-8")
+        out = tmp_path / "out"
+        result = run_cli("squeeze", "--config", "wide.yaml", "--grid-n", "64",
+                         "--out", str(out), cwd=workdir)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.splitlines() == [
+            "error[validity]: grid omega_max_rad_s must be a finite number, got inf"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ("dispersion", "--lambda-min-um", "1.0", "--lambda-max-um", "nan"),

@@ -251,6 +251,18 @@ class TestNonFiniteEvaluation:
             f"crystal 'MgO:LN-5pct', axis 'o': n² = {n2.min():.6g} is not "
             f"positive at {at:.6g} µm, 1000 °C: no real index")
 
+    @pytest.mark.parametrize("omega", [0.0, -0.0, 0])
+    def test_zero_frequency_is_domain_error(self, crystal, omega):
+        # a float ω = 0 has the infinite wavelength that an array's 0 has,
+        # and the same message, not a ZeroDivisionError
+        sign = "-" if math.copysign(1.0, omega) < 0 else ""
+        message = (rf"wavelength {sign}inf µm outside the valid range "
+                   r"\[0.5, 4\] µm of crystal 'MgO:LN-5pct'")
+        with pytest.raises(p.DomainError, match=message):
+            wavevector_at_omega(crystal, "o", omega, ROOM_T_C)
+        with np.errstate(divide="ignore"), pytest.raises(p.DomainError, match=message):
+            wavevector_at_omega(crystal, "o", np.array([omega, 1.2e15]), ROOM_T_C)
+
     def test_pole_on_the_sample_is_domain_error(self, crystal):
         # λ = a5 puts the second pole exactly on the sample: c4/0, which is
         # inf in an array and ZeroDivisionError on a float; neither warns

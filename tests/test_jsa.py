@@ -13,7 +13,8 @@ from scipy.constants import c
 import pdcmodes as p
 from pdcmodes.jsa import sinc
 
-from conftest import assert_within
+from conftest import (assert_within, eager_modes,
+                      expression_envelope_and_half_phase)
 
 
 def _sinc_two_branches(x):
@@ -25,14 +26,10 @@ def _sinc_two_branches(x):
         return np.where(small, 1.0 - arr * arr / 6.0, np.sin(safe) / safe)
 
 
-def _envelope_and_half_phase(amplitude):
-    """α̃(Ωᵢ+Ωⱼ)·sinc(x) and x = Δ̃(Ωᵢ, Ωⱼ)·L/2 of a design's JSA, each as
-    one expression of the public functions."""
-    config, om = amplitude.config, amplitude.grid.detunings()
-    x = p.phase_mismatch(config, om[:, None], om[None, :]) * (config.length_m / 2.0)
-    envelope = p.pump_spectral_amplitude(
-        amplitude.pump, om[:, None] + om[None, :]) * sinc(x)
-    return envelope, x
+def _assert_same_bits(got, expected):
+    """The same shape, dtype and bytes: zero signs and NaN payloads count."""
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +82,17 @@ class TestPumpPulse:
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(p.ValidationError):
             p.PumpPulse(0.775, -4.0, 12e-3, 1e8)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["wavelength_um", "bandwidth_fwhm_nm",
+                                       "mean_power_w", "rep_rate_hz"])
+    def test_rejects_non_finite_fields(self, field, value):
+        fields = dict(wavelength_um=0.775, bandwidth_fwhm_nm=4.0,
+                      mean_power_w=12e-3, rep_rate_hz=1e8)
+        fields[field] = value
+        with pytest.raises(p.ValidationError,
+                           match=f"pump {field} must be a finite number, got {value}"):
+            p.PumpPulse(**fields)
 
     def test_sigma_plus(self, pump775):
         lam = 0.775e-6
@@ -148,6 +156,12 @@ class TestDefaultGrid:
             p.FrequencyGrid(n=200_000, omega_max_rad_s=1e13)
         assert p.FrequencyGrid(n=2048, omega_max_rad_s=1e13).n == 2048
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_extent(self, value):
+        with pytest.raises(p.ValidationError, match=(
+                f"grid omega_max_rad_s must be a finite number, got {value}")):
+            p.FrequencyGrid(n=64, omega_max_rad_s=value)
+
     def test_grid_is_symmetric(self, matched_config, pump775):
         grid = p.default_grid(matched_config, pump775)
         om = grid.detunings()
@@ -162,15 +176,33 @@ class TestComputeJsa:
             assert np.array_equal(amplitude.kernel, amplitude.kernel.T)
 
     def test_kernel_is_weighted_envelope_bit_for_bit(self, walkoff_jsa, matched_jsa,
-                                                     partial_block_jsas):
-        for amplitude in (walkoff_jsa, matched_jsa, *partial_block_jsas):
-            envelope = _envelope_and_half_phase(amplitude)[0]
+                                                     partial_block_jsas, walkoff_config,
+                                                     matched_config, pump740, pump775):
+        # the upper triangle, mirrored, against every cell at once, zero
+        # signs included: n = 512 and 256 in whole row blocks, n = 200 with
+        # a partial last block
+        whole_blocks = [p.compute_jsa(config, pump, p.default_grid(config, pump, n=256))
+                        for config, pump in ((walkoff_config, pump740),
+                                             (matched_config, pump775))]
+        for amplitude in (walkoff_jsa, matched_jsa, *partial_block_jsas, *whole_blocks):
+            envelope = expression_envelope_and_half_phase(amplitude)[0]
             weight = amplitude.grid.step_rad_s / (2 * math.pi)
-            assert np.array_equal(envelope * weight, amplitude.kernel)
+            _assert_same_bits(amplitude.kernel, envelope * weight)
+
+    def test_parts_are_the_parts_of_values_bit_for_bit(self, walkoff_jsa,
+                                                      partial_block_jsas):
+        synthetic = p.double_gaussian_jsa(1e12, 2.0, _dg_grid(2.0, 1e12, n=64))
+        for amplitude in (walkoff_jsa, *partial_block_jsas, synthetic):
+            values = amplitude.values
+            parts = amplitude.parts()
+            for part, expected in zip(parts, (np.abs(values), values.real,
+                                              values.imag)):
+                _assert_same_bits(part, expected)
+                assert not part.flags.writeable
 
     def test_values_carry_the_mismatch_chirp(self, matched_jsa, partial_block_jsas):
         for amplitude in (matched_jsa, *partial_block_jsas):
-            envelope, x = _envelope_and_half_phase(amplitude)
+            envelope, x = expression_envelope_and_half_phase(amplitude)
             assert np.array_equal(amplitude.values, envelope * np.exp(1j * x))
 
     def test_support_is_pump_band_times_phase_matched_band(
@@ -179,7 +211,7 @@ class TestComputeJsa:
         total = om[:, None] + om[None, :]
         alpha = p.pump_spectral_amplitude(pump740, total)
         alpha_peak = p.pump_spectral_amplitude(pump740, 0.0)
-        x = _envelope_and_half_phase(walkoff_jsa)[1]
+        x = expression_envelope_and_half_phase(walkoff_jsa)[1]
         inside = (alpha > 0.5 * alpha_peak) & (np.abs(sinc(x)) > 0.5)
         magnitude = np.abs(walkoff_jsa.values)
         assert inside.any()
@@ -285,6 +317,16 @@ class TestSchmidtDecompose:
         weight = matched_jsa.grid.step_rad_s / (2 * math.pi)
         gram = matched_decomp.modes @ matched_decomp.modes.T * weight
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-6
+
+    def test_modes_made_on_read_equal_the_eager_expression(
+            self, matched_jsa, matched_decomp, partial_block_jsas):
+        pairs = [(matched_jsa, matched_decomp)]
+        pairs += [(a, p.schmidt_decompose(a)) for a in partial_block_jsas]
+        for amplitude, decomp in pairs:
+            modes = decomp.modes
+            _assert_same_bits(modes, eager_modes(amplitude.kernel, amplitude.grid))
+            assert not modes.flags.writeable
+            assert not decomp.u.flags.writeable
 
     def test_left_right_modes_agree_in_magnitude(self, matched_jsa, matched_decomp):
         u, sv, vt = np.linalg.svd(matched_jsa.kernel)

@@ -92,6 +92,22 @@ class TestPdcConfig:
                         signal_axis="o", pump_wavelength_um=0.775,
                         temperature_c=ROOM_T_C, length_m=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["length_m", "poling_period_um"])
+    def test_rejects_non_finite_fields_before_any_sellmeier_pass(
+            self, crystal, monkeypatch, field, value):
+        passes = []
+        monkeypatch.setattr(p.dispersion.GayerTwoPole, "_terms",
+                            lambda self, t_c: passes.append(t_c))
+        fields = dict(crystal=crystal, pdc_type="type-I", pump_axis="e",
+                      signal_axis="o", pump_wavelength_um=0.775,
+                      temperature_c=ROOM_T_C, length_m=1e-3)
+        fields[field] = value
+        with pytest.raises(p.DomainError,
+                           match=f"{field} must be a finite number, got {value}"):
+            p.PdcConfig(**fields)
+        assert passes == []
+
 
 class TestPolingPeriod:
     def test_walk_off_design(self, walkoff_config):
