@@ -24,15 +24,12 @@ _HOMES = {
                      "refractive_index", "wavevector", "group_index", "gvd"),
                     "dispersion"),
     **dict.fromkeys(("PdcConfig", "TaylorDispersion", "poling_period",
-                     "phase_mismatch", "taylor_dispersion",
-                     "taylor_phase_mismatch", "phasematch_hyperbola",
-                     "walkoff_time", "solve_cgvm", "solve_cgvm_temperature"),
-                    "phasematch"),
+                     "phase_mismatch", "taylor_dispersion", "walkoff_time",
+                     "solve_cgvm", "solve_cgvm_temperature"), "phasematch"),
     **dict.fromkeys(("PumpPulse", "FrequencyGrid", "JsaGrid",
                      "SchmidtDecomposition", "pump_spectral_amplitude",
                      "default_grid", "compute_jsa", "schmidt_decompose",
-                     "jsa_efficiency", "double_gaussian_jsa",
-                     "double_gaussian_analytics"), "jsa"),
+                     "jsa_efficiency"), "jsa"),
     **dict.fromkeys(("SqueezingResult", "pulse_duration", "peak_power",
                      "beam_waist", "pdc_efficiency", "squeezing_spectrum",
                      "length_scan"), "squeezing"),

@@ -37,7 +37,6 @@ from types import MappingProxyType
 from typing import Mapping
 
 import yaml
-from importlib import resources
 
 from .constants import c
 from .errors import DomainError, ValidationError
@@ -201,10 +200,6 @@ class _PoleSum:
         for r, q in poles:
             n2 = n2 + r / (lam2 - q)
         return n2 - a6 * lam2
-
-    @_finite
-    def n_squared(self, lam_um, t_c):
-        return self._n_squared(self._finite_terms(t_c), lam_um * lam_um)
 
     @_finite
     def n(self, lam_um, t_c):
@@ -533,7 +528,7 @@ def load_crystal_file(path: str | Path) -> CrystalModel:
 
 def bundled_crystal_path() -> Path:
     """Filesystem path of the crystal file shipped with the package."""
-    return Path(resources.files("pdcmodes").joinpath("data/mgoln_5pct.yaml"))
+    return Path(__file__).parent / "data" / "mgoln_5pct.yaml"
 
 
 def load_bundled_crystal() -> CrystalModel:
@@ -605,12 +600,13 @@ def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
                         temperature_c: float):
     """Wavevector k(ω) in rad/m at angular frequency ω (rad/s, SI)."""
     omega = _float_or_array(omega_rad_s)
-    try:
-        lam_um = 2.0e6 * math.pi * c / omega
-    except ZeroDivisionError:
-        # a float ω = 0 has the infinite wavelength that an array's 0 gets,
-        # which the range check refuses
-        lam_um = math.copysign(math.inf, omega)
+    # an ω = 0 has an infinite wavelength, which the range check refuses
+    if isinstance(omega, float):
+        lam_um = 2.0e6 * math.pi * c / omega if omega else math.copysign(math.inf, omega)
+    else:
+        import numpy as np
+        with np.errstate(divide="ignore"):
+            lam_um = 2.0e6 * math.pi * c / omega
     return _index(crystal, axis, lam_um, temperature_c)[1] * omega / c
 
 

@@ -24,6 +24,7 @@ parameters can be reconstructed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,6 @@ __all__ = [
     "compute_jsa",
     "schmidt_decompose",
     "jsa_efficiency",
-    "double_gaussian_jsa",
-    "double_gaussian_analytics",
 ]
 
 _MIN_GRID_POINTS = 64
@@ -111,6 +110,16 @@ class PumpPulse:
                     f"pump {name} must be a finite number, got {value}")
             if not value > 0:
                 raise ValidationError(f"pump {name} must be > 0, got {value}")
+        # pump_spectral_amplitude divides by 4σ₊², which must be a normal float
+        try:
+            scale = 4.0 * self.sigma_plus_rad_s ** 2
+        except (ZeroDivisionError, OverflowError):   # λ² underflows, σ₊² overflows
+            scale = math.inf
+        if not sys.float_info.min <= scale < math.inf:
+            raise DomainError(
+                f"pump bandwidth_fwhm_nm = {self.bandwidth_fwhm_nm:g} at "
+                f"{self.wavelength_um:g} µm gives a spectral width whose "
+                "square leaves the float range")
 
     @property
     def sigma_plus_rad_s(self) -> float:
@@ -157,7 +166,9 @@ def pump_spectral_amplitude(pump: PumpPulse, omega_rad_s):
     """Normalized pump amplitude α̃(Ω) in seconds, ∫α̃ dΩ/2π = 1."""
     sig = pump.sigma_plus_rad_s
     om = np.asarray(omega_rad_s, dtype=float)
-    amplitude = np.exp(-np.square(om) / (4.0 * sig ** 2)) * (math.sqrt(math.pi) / sig)
+    # an exponent below the float range is -inf, and exp(-inf) = 0 is the tail's value
+    with np.errstate(over="ignore"):
+        amplitude = np.exp(-np.square(om) / (4.0 * sig ** 2)) * (math.sqrt(math.pi) / sig)
     if np.isscalar(omega_rad_s):
         return float(amplitude)
     return amplitude
@@ -177,7 +188,12 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
     extent = 4.0 * math.sqrt(2.0) * sig
     if ks2 != 0.0:
         # |Δ̃|·L/2 ≈ (k_s″/2)Ω₋²·L/2 = _SINC_SUPPORT_X at the band edge
-        omega_minus_max = math.sqrt(4.0 * _SINC_SUPPORT_X / (abs(ks2) * config.length_m))
+        reach = abs(ks2) * config.length_m
+        if not reach > 4.0 * _SINC_SUPPORT_X / sys.float_info.max:
+            raise DomainError(
+                f"crystal length {config.length_m:g} m is too short: its "
+                "phase-matching band is beyond the float range")
+        omega_minus_max = math.sqrt(4.0 * _SINC_SUPPORT_X / reach)
         extent = max(extent, omega_minus_max / math.sqrt(2.0))
     return FrequencyGrid(n=n, omega_max_rad_s=extent)
 
@@ -191,25 +207,21 @@ class JsaGrid:
     whose singular values are the Schmidt coefficients, and the only array
     held. ``values`` and ``parts`` are recomputed from ``config``, ``pump``
     and ``grid`` on each access, by the expressions that built the kernel.
-    ``config``/``pump`` are None for synthetic amplitudes. All arrays are
-    read-only.
+    All arrays are read-only.
     """
 
     kernel: np.ndarray
     grid: FrequencyGrid
-    config: PdcConfig | None = None
-    pump: PumpPulse | None = None
+    config: PdcConfig
+    pump: PumpPulse
 
     @property
     def values(self) -> np.ndarray:
         """``values[i, j]`` = α̃(Ωᵢ+Ωⱼ)·exp(i·x)·sinc(x).
 
         Built anew on each access, one complex n × n array (16 bytes per
-        cell) whose upper triangle is evaluated and mirrored. Synthetic
-        amplitudes carry no chirp: their values are the kernel over δΩ/2π.
+        cell) whose upper triangle is evaluated and mirrored.
         """
-        if self.config is None:
-            return _frozen((self.kernel / _weight(self.grid)).astype(complex))
         values, = _assemble(self.config, self.pump, self.grid,
                             lambda x, envelope: (envelope * np.exp(1j * x),))
         return values
@@ -221,9 +233,6 @@ class JsaGrid:
         Each part is taken from one complex block of ``values`` at a time,
         so the complex n × n array is never built.
         """
-        if self.config is None:
-            values = self.values
-            return _frozen(np.abs(values)), values.real, values.imag
         return tuple(_assemble(self.config, self.pump, self.grid, _abs_real_imag))
 
 
@@ -341,7 +350,13 @@ def schmidt_decompose(jsa: JsaGrid) -> SchmidtDecomposition:
     if not np.any(matrix):
         raise DomainError("JSA is identically zero; nothing to decompose")
     u, sv = np.linalg.svd(matrix)[:2]   # V† (= U up to signs) is dropped
-    raw_norm = float(np.sum(sv ** 2))
+    with np.errstate(over="ignore"):   # an overflow is reported below
+        raw_norm = float(np.sum(sv ** 2))
+    if not sys.float_info.min <= raw_norm < math.inf:
+        fault = "overflows" if raw_norm == math.inf else "underflows"
+        raise DomainError(
+            f"the JSA norm ∬|J|² = Σs² {fault} the float range ({raw_norm:g}): "
+            "the crystal length or the pump bandwidth is too extreme")
     s = sv / math.sqrt(raw_norm)
     k = 1.0 / float(np.sum(s ** 4))
     return SchmidtDecomposition(s=_frozen(s), u=_frozen(u), grid=jsa.grid,
@@ -351,39 +366,3 @@ def schmidt_decompose(jsa: JsaGrid) -> SchmidtDecomposition:
 def jsa_efficiency(decomp: SchmidtDecomposition) -> float:
     """Shape efficiency η = s₀²·∬|J|² dΩ₁dΩ₂/(2π)² of the dominant mode."""
     return float(decomp.s[0] ** 2 * decomp.raw_norm)
-
-
-def double_gaussian_jsa(omega_p_rad_s: float, r_ratio: float,
-                        grid: FrequencyGrid) -> JsaGrid:
-    """Analytic double-Gaussian amplitude used as a decomposition oracle.
-
-    Widths are ``omega_p_rad_s`` along Ω₊ and ``r_ratio``× that along Ω₋
-    (amplitude standard deviations in the rotated frame); the Ω₊ factor is
-    the normalized pump amplitude of matching width, so ``raw_norm`` of the
-    decomposition equals R/4. The grid should cover at least four standard
-    deviations in both rotated directions.
-    """
-    if not omega_p_rad_s > 0:
-        raise DomainError(f"width must be > 0, got {omega_p_rad_s}")
-    if r_ratio < 1.0:
-        raise DomainError(f"aspect ratio must be ≥ 1, got {r_ratio}")
-    om = grid.detunings()
-    total = om[:, None] + om[None, :]
-    diff = om[:, None] - om[None, :]
-    kernel = ((math.sqrt(math.pi) / omega_p_rad_s)
-              * np.exp(-total ** 2 / (4.0 * omega_p_rad_s ** 2))
-              * np.exp(-diff ** 2 / (4.0 * (r_ratio * omega_p_rad_s) ** 2)))
-    kernel *= _weight(grid)
-    return JsaGrid(kernel=_frozen(kernel), grid=grid)
-
-
-def double_gaussian_analytics(r_ratio: float) -> tuple[float, float]:
-    """Closed-form (K, η) of the double Gaussian with aspect ratio R ≥ 1.
-
-        K = (1 + R²)/(2R),   η = R²/(1 + R)²
-    """
-    if r_ratio < 1.0:
-        raise DomainError(f"aspect ratio must be ≥ 1, got {r_ratio}")
-    k = (1.0 + r_ratio ** 2) / (2.0 * r_ratio)
-    eta = r_ratio ** 2 / (1.0 + r_ratio) ** 2
-    return k, eta

@@ -8,9 +8,8 @@ wavevector sign is chosen to cancel the actual central mismatch, so the
 reported poling period is always the positive 2π/|k_p0 − 2k_s0|.
 
 ``phase_mismatch`` always uses the full Sellmeier dispersion. The quadratic
-Taylor expansion around the central frequencies (``taylor_dispersion`` /
-``taylor_phase_mismatch``) is a separate diagnostic path and is never
-substituted for the full form.
+Taylor coefficients around the central frequencies (``taylor_dispersion``)
+are a diagnostic and are never substituted for the full form.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ __all__ = [
     "grating_wavevector",
     "phase_mismatch",
     "taylor_dispersion",
-    "taylor_phase_mismatch",
-    "phasematch_hyperbola",
     "walkoff_time",
     "solve_cgvm",
     "solve_cgvm_temperature",
@@ -210,48 +207,6 @@ def taylor_dispersion(config: PdcConfig) -> TaylorDispersion:
             "offset is undefined for this design")
     omega_d = -math.sqrt(2.0) * dk1 / denom
     return TaylorDispersion(dk1, kp2, ks2, omega_d)
-
-
-def taylor_phase_mismatch(td: TaylorDispersion, omega1_rad_s, omega2_rad_s):
-    """Quadratic-form mismatch (rad/m) in rotated coordinates Ω± = (Ω₁±Ω₂)/√2."""
-    import numpy as np
-    om1 = np.asarray(omega1_rad_s, dtype=float)
-    om2 = np.asarray(omega2_rad_s, dtype=float)
-    om_plus = (om1 + om2) / math.sqrt(2.0)
-    om_minus = (om1 - om2) / math.sqrt(2.0)
-    delta = (math.sqrt(2.0) * td.dk1_s_per_m * om_plus
-             + (td.kp2_s2_per_m - 0.5 * td.ks2_s2_per_m) * om_plus ** 2
-             - 0.5 * td.ks2_s2_per_m * om_minus ** 2)
-    if np.isscalar(omega1_rad_s) and np.isscalar(omega2_rad_s):
-        return float(delta)
-    return delta
-
-
-def phasematch_hyperbola(config: PdcConfig, omega_minus_rad_s):
-    """The two perfectly phase-matched Ω₊ branches at a given Ω₋ (rad/s).
-
-    Solves the quadratic-form mismatch for Ω₊:
-
-        Ω₊ = Ω_d ± sqrt(Ω_d² + Ω₋²/(2·k_p″/k_s″ − 1))
-
-    valid in the normal-dispersion regime k_p″ > k_s″/2 > 0. Returns
-    (lower, upper) branches; at Ω₋ = 0 these are the vertices {2Ω_d, 0}
-    (in some order), symmetric about 0 when group velocities match.
-    """
-    td = taylor_dispersion(config)
-    if td.ks2_s2_per_m <= 0 or 2.0 * td.kp2_s2_per_m / td.ks2_s2_per_m <= 1.0:
-        raise DomainError(
-            "hyperbola regime violated: need k_s″ > 0 and 2·k_p″/k_s″ > 1, "
-            f"got k_p″ = {td.kp2_s2_per_m:.3e}, k_s″ = {td.ks2_s2_per_m:.3e} s²/m")
-    import numpy as np
-    om = np.asarray(omega_minus_rad_s, dtype=float)
-    ratio = 2.0 * td.kp2_s2_per_m / td.ks2_s2_per_m - 1.0
-    root = np.sqrt(td.omega_d_rad_s ** 2 + om ** 2 / ratio)
-    lower = td.omega_d_rad_s - root
-    upper = td.omega_d_rad_s + root
-    if np.isscalar(omega_minus_rad_s):
-        return float(lower), float(upper)
-    return lower, upper
 
 
 def walkoff_time(config: PdcConfig) -> float:

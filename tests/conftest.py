@@ -8,6 +8,7 @@ each of them once.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -122,7 +123,8 @@ def rng():
 # bit for bit.
 
 def expression_n_squared(sell, lam_um, t_c):
-    """GayerTwoPole.n_squared as a single expression."""
+    """The two-pole n² that GayerTwoPole.n takes the root of, as a single
+    expression."""
     f = (t_c - sell.t_ref_c) * (t_c + sell.t_ref_c + 2.0 * 273.16)
     lam2 = lam_um * lam_um
     pole1 = (sell.a3 + sell.b3 * f) ** 2
@@ -192,6 +194,42 @@ def expression_envelope_and_half_phase(amplitude):
     envelope = p.pump_spectral_amplitude(
         amplitude.pump, om[:, None] + om[None, :]) * sinc(x)
     return envelope, x
+
+
+def double_gaussian_jsa(omega_p_rad_s, r_ratio, grid):
+    """Analytic double-Gaussian amplitude, the oracle of the Schmidt tests:
+    a stand-in for a JsaGrid that carries the ``kernel`` and ``grid`` that
+    schmidt_decompose reads.
+
+    Widths are ``omega_p_rad_s`` along Ω₊ and ``r_ratio``× that along Ω₋
+    (amplitude standard deviations in the rotated frame); the Ω₊ factor is
+    the normalized pump amplitude of matching width, so ``raw_norm`` of the
+    decomposition equals R/4. The grid should cover at least four standard
+    deviations in both rotated directions.
+    """
+    if r_ratio < 1.0:
+        raise ValueError(f"aspect ratio must be ≥ 1, got {r_ratio}")
+    om = grid.detunings()
+    total = om[:, None] + om[None, :]
+    diff = om[:, None] - om[None, :]
+    kernel = ((math.sqrt(math.pi) / omega_p_rad_s)
+              * np.exp(-total ** 2 / (4.0 * omega_p_rad_s ** 2))
+              * np.exp(-diff ** 2 / (4.0 * (r_ratio * omega_p_rad_s) ** 2)))
+    kernel *= grid.step_rad_s / (2.0 * math.pi)
+    kernel.setflags(write=False)
+    return SimpleNamespace(kernel=kernel, grid=grid)
+
+
+def double_gaussian_analytics(r_ratio):
+    """Closed-form (K, η) of the double Gaussian with aspect ratio R ≥ 1.
+
+        K = (1 + R²)/(2R),   η = R²/(1 + R)²
+    """
+    if r_ratio < 1.0:
+        raise ValueError(f"aspect ratio must be ≥ 1, got {r_ratio}")
+    k = (1.0 + r_ratio ** 2) / (2.0 * r_ratio)
+    eta = r_ratio ** 2 / (1.0 + r_ratio) ** 2
+    return k, eta
 
 
 def eager_modes(kernel, grid):

@@ -14,7 +14,7 @@ from scipy.constants import c, epsilon_0, hbar
 import pdcmodes as p
 from pdcmodes.dispersion import k_double_prime, k_prime, wavevector_at_omega
 
-from conftest import ROOM_T_C
+from conftest import ROOM_T_C, double_gaussian_analytics, double_gaussian_jsa
 
 _DB_PER_R = 20.0 * math.log10(math.e)
 
@@ -123,9 +123,9 @@ def test_criterion_9_double_gaussian_oracle():
     for r_ratio in (1.0, 1.5, 2.0, 3.0, 5.0, 10.0):
         extent = 4.5 * r_ratio * 1e12 / math.sqrt(2.0) * 2.0
         grid = p.FrequencyGrid(n=512, omega_max_rad_s=extent)
-        amplitude = p.double_gaussian_jsa(1e12, r_ratio, grid)
+        amplitude = double_gaussian_jsa(1e12, r_ratio, grid)
         decomp = p.schmidt_decompose(amplitude)
-        k_exact, eta_exact = p.double_gaussian_analytics(r_ratio)
+        k_exact, eta_exact = double_gaussian_analytics(r_ratio)
         worst_k = max(worst_k,
                       abs(decomp.schmidt_number - k_exact) / k_exact)
         worst_eta = max(worst_eta,

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -916,6 +917,45 @@ class TestErrorPaths:
         assert result.returncode == 3, result.stderr
         assert result.stderr.splitlines() == [
             "error[validity]: grid omega_max_rad_s must be a finite number, got inf"]
+        assert not out.exists()
+
+    TINY_LENGTH = ("crystal_length_mm: 80.0", "crystal_length_mm: 1.0e-300")
+
+    @pytest.mark.parametrize("args, edit, message", [
+        (("scan", "--lengths-mm", "1e-300"), None,
+         "crystal length 1e-303 m is too short"),
+        (("squeeze",), TINY_LENGTH,
+         "crystal length 1e-303 m is too short"),
+        (("modes",), TINY_LENGTH,
+         "crystal length 1e-303 m is too short"),
+        (("jsa",), TINY_LENGTH,
+         "crystal length 1e-303 m is too short"),
+        (("scan", "--lengths-mm", "1e300"), None,
+         "the JSA norm ∬|J|² = Σs² underflows the float range"),
+        (("squeeze",), ("bandwidth_fwhm_nm: 4.0", "bandwidth_fwhm_nm: 1.0e-300"),
+         "pump bandwidth_fwhm_nm = 1e-300 at 0.775 µm"),
+        (("squeeze",), ("bandwidth_fwhm_nm: 4.0", "bandwidth_fwhm_nm: 1.0e-160"),
+         "the JSA norm ∬|J|² = Σs² overflows the float range"),
+    ], ids=["tiny_length_scan", "tiny_length_squeeze", "tiny_length_modes",
+            "tiny_length_jsa", "huge_length_scan", "tiny_bandwidth",
+            "narrow_bandwidth"])
+    def test_extreme_length_or_bandwidth_is_one_domain_line(
+            self, tmp_path, monkeypatch, capsys, args, edit, message):
+        # k_s″·L underflows, Σs² of the kernel underflows or overflows, or
+        # 4σ₊² underflows: each is refused with its reason, before any warning
+        text = MATCHED_YAML.replace(*edit) if edit else MATCHED_YAML
+        (tmp_path / "run.yaml").write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status = cli.main([*args, "--config", "run.yaml", "--grid-n", "64",
+                               "--out", str(out)])
+        lines = capsys.readouterr().err.splitlines()
+        assert status == 3, lines
+        assert [str(w.message) for w in caught] == []
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error[domain]: {message}"), lines
         assert not out.exists()
 
     @pytest.mark.parametrize("args", [

@@ -139,9 +139,9 @@ class TestGvd:
 # relative target even near the GVD zero crossing; truncation of the
 # fourth-order stencils is negligible for these smooth curves
 class TestInPlaceEvaluation:
-    """n², n and the wavevector at array inputs (1-D and 2-D) equal the
-    one-expression oracles of conftest bit for bit, on both axes, at
-    0–200 °C, across the validity range."""
+    """n, its λ-derivatives and the wavevector at array inputs (1-D and
+    2-D) equal the one-expression oracles of conftest bit for bit, on both
+    axes, at 0–200 °C, across the validity range."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(axis=st.sampled_from(["o", "e"]), t_c=st.floats(0.0, 200.0),
@@ -152,12 +152,10 @@ class TestInPlaceEvaluation:
         grid = np.add.outer(lam, lam[::-1]) / 2.0   # a 2-D input, like the pump grid
         for arr in (lam, grid):
             expected = expression_n_squared(sell, arr, t_c)
-            assert np.array_equal(sell.n_squared(arr, t_c), expected)
             assert np.array_equal(sell.n(arr, t_c), np.sqrt(expected))
         scalar = float(lam[0])
         expected = expression_n_squared(sell, scalar, t_c)
-        assert type(sell.n_squared(scalar, t_c)) is type(expected)
-        assert sell.n_squared(scalar, t_c) == expected
+        assert type(sell.n(scalar, t_c)) is float
         assert sell.n(scalar, t_c) == np.sqrt(expected)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -210,7 +208,7 @@ class TestNonFiniteEvaluation:
         for lam in (1.55, np.linspace(0.6, 3.0, 5)):
             with pytest.raises(p.DomainError, match=r"not finite at 1e\+155 °C"):
                 p.refractive_index(crystal, "o", lam, 1e155)
-        for method in ("n_squared", "n_derivatives"):
+        for method in ("n", "n_derivatives"):
             with pytest.raises(p.DomainError, match=r"not finite at 1e\+155 °C"):
                 getattr(crystal.axis("e"), method)(1.55, 1e155)
 
@@ -230,7 +228,7 @@ class TestNonFiniteEvaluation:
         # a float, does not warn
         xtl = _edited_crystal(("b1: 7.941e-7", "b1: -1.0e-5"))
         for lam in (1.55, np.array([0.6, 1.55, 3.6])):
-            smallest = np.min(xtl.axis("o").n_squared(lam, 1000.0))
+            smallest = np.min(expression_n_squared(xtl.axis("o"), lam, 1000.0))
             assert smallest < 0.0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -243,7 +241,7 @@ class TestNonFiniteEvaluation:
         # evaluation names the crystal and the axis
         xtl = _edited_crystal(("b1: 7.941e-7", "b1: -1.0e-5"))
         lam = np.array([[3.6, 0.6], [1.55, 2.0]])
-        n2 = xtl.axis("o").n_squared(lam, 1000.0)
+        n2 = expression_n_squared(xtl.axis("o"), lam, 1000.0)
         at = lam.flat[n2.argmin()]
         with pytest.raises(p.DomainError) as info:
             p.group_index(xtl, "o", lam, 1000.0)
@@ -260,14 +258,14 @@ class TestNonFiniteEvaluation:
                    r"\[0.5, 4\] µm of crystal 'MgO:LN-5pct'")
         with pytest.raises(p.DomainError, match=message):
             wavevector_at_omega(crystal, "o", omega, ROOM_T_C)
-        with np.errstate(divide="ignore"), pytest.raises(p.DomainError, match=message):
+        with pytest.raises(p.DomainError, match=message):
             wavevector_at_omega(crystal, "o", np.array([omega, 1.2e15]), ROOM_T_C)
 
     def test_pole_on_the_sample_is_domain_error(self, crystal):
         # λ = a5 puts the second pole exactly on the sample: c4/0, which is
         # inf in an array and ZeroDivisionError on a float; neither warns
         sell = crystal.axis("o")
-        for method in ("n_squared", "n_derivatives"):
+        for method in ("n", "n_derivatives"):
             for lam in (np.array([1.0, sell.a5]), sell.a5):
                 with pytest.raises(p.DomainError, match="not finite"):
                     getattr(sell, method)(lam, ROOM_T_C)

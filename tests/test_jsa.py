@@ -1,6 +1,8 @@
-"""JSA construction, Schmidt decomposition, and the double-Gaussian oracle."""
+"""JSA construction and Schmidt decomposition, checked against the
+double-Gaussian oracle of conftest."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -13,7 +15,8 @@ from scipy.constants import c
 import pdcmodes as p
 from pdcmodes.jsa import sinc
 
-from conftest import (assert_within, eager_modes,
+from conftest import (assert_within, double_gaussian_analytics,
+                      double_gaussian_jsa, eager_modes,
                       expression_envelope_and_half_phase)
 
 
@@ -94,6 +97,14 @@ class TestPumpPulse:
                            match=f"pump {field} must be a finite number, got {value}"):
             p.PumpPulse(**fields)
 
+    @pytest.mark.parametrize("bandwidth_nm", [1e-300, 1e-170, 1e200])
+    def test_rejects_width_whose_square_leaves_the_float_range(self, bandwidth_nm):
+        # pump_spectral_amplitude divides by 4σ₊², which would underflow
+        # to 0 or overflow
+        with pytest.raises(p.DomainError, match=re.escape(
+                f"pump bandwidth_fwhm_nm = {bandwidth_nm:g} at 0.775 µm")):
+            p.PumpPulse(0.775, bandwidth_nm, 12e-3, 1e8)
+
     def test_sigma_plus(self, pump775):
         lam = 0.775e-6
         expected = math.pi * c * 4e-9 / (lam ** 2 * math.sqrt(2 * math.log(2)))
@@ -162,6 +173,13 @@ class TestDefaultGrid:
                 f"grid omega_max_rad_s must be a finite number, got {value}")):
             p.FrequencyGrid(n=64, omega_max_rad_s=value)
 
+    @pytest.mark.parametrize("length_m", [1e-303, 1e-293])
+    def test_rejects_length_whose_band_leaves_the_float_range(
+            self, matched_config, pump775, length_m):
+        # k_s″·L underflows to 0, or the band 4·20/(k_s″·L) overflows
+        with pytest.raises(p.DomainError, match=f"crystal length {length_m:g} m"):
+            p.default_grid(replace(matched_config, length_m=length_m), pump775)
+
     def test_grid_is_symmetric(self, matched_config, pump775):
         grid = p.default_grid(matched_config, pump775)
         om = grid.detunings()
@@ -191,8 +209,7 @@ class TestComputeJsa:
 
     def test_parts_are_the_parts_of_values_bit_for_bit(self, walkoff_jsa,
                                                       partial_block_jsas):
-        synthetic = p.double_gaussian_jsa(1e12, 2.0, _dg_grid(2.0, 1e12, n=64))
-        for amplitude in (walkoff_jsa, *partial_block_jsas, synthetic):
+        for amplitude in (walkoff_jsa, *partial_block_jsas):
             values = amplitude.values
             parts = amplitude.parts()
             for part, expected in zip(parts, (np.abs(values), values.real,
@@ -335,16 +352,23 @@ class TestSchmidtDecompose:
 
     def test_separable_input_is_single_mode(self):
         grid = _dg_grid(1.0, 1e12)
-        decomp = p.schmidt_decompose(p.double_gaussian_jsa(1e12, 1.0, grid))
+        decomp = p.schmidt_decompose(double_gaussian_jsa(1e12, 1.0, grid))
         assert abs(decomp.schmidt_number - 1.0) < 1e-6
         assert abs(decomp.s[0] - 1.0) < 1e-6
 
-    def test_all_zero_input_raises(self):
-        grid = p.FrequencyGrid(n=64, omega_max_rad_s=1e13)
-        dummy = p.double_gaussian_jsa(1e12, 1.0, grid)
-        zero = p.JsaGrid(kernel=np.zeros_like(dummy.kernel), grid=grid)
+    def test_all_zero_input_raises(self, walkoff_jsa):
+        zero = replace(walkoff_jsa, kernel=np.zeros_like(walkoff_jsa.kernel))
         with pytest.raises(p.DomainError, match="zero"):
             p.schmidt_decompose(zero)
+
+    @pytest.mark.parametrize("scale, fault", [(1e-170, "underflows"),
+                                              (1e170, "overflows")])
+    def test_norm_beyond_the_float_range_raises(self, partial_block_jsas,
+                                                scale, fault):
+        amplitude = partial_block_jsas[0]
+        extreme = replace(amplitude, kernel=amplitude.kernel * scale)
+        with pytest.raises(p.DomainError, match=f"Σs² {fault} the float range"):
+            p.schmidt_decompose(extreme)
 
     def test_mode_shapes_are_hermite_gauss_like(self, matched_decomp):
         for n in range(3):
@@ -366,7 +390,7 @@ class TestSchmidtInvariants:
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(r_ratio=st.floats(1.0, 20.0), n=st.integers(64, 160))
     def test_double_gaussian(self, r_ratio, n):
-        amplitude = p.double_gaussian_jsa(1e12, r_ratio, _dg_grid(r_ratio, 1e12, n=n))
+        amplitude = double_gaussian_jsa(1e12, r_ratio, _dg_grid(r_ratio, 1e12, n=n))
         _assert_normalized(p.schmidt_decompose(amplitude))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=20)
@@ -388,14 +412,14 @@ class TestJsaEfficiency:
 
     def test_single_mode_limit(self):
         grid = _dg_grid(1.0, 1e12)
-        amplitude = p.double_gaussian_jsa(1e12, 1.0, grid)
+        amplitude = double_gaussian_jsa(1e12, 1.0, grid)
         decomp = p.schmidt_decompose(amplitude)
         assert_within(p.jsa_efficiency(decomp), 0.25, 0.01,
                       "η at R = 1")
 
     def test_highly_multimode_limit(self):
         grid = _dg_grid(50.0, 1e12, n=1024, n_sigma=4.0)
-        amplitude = p.double_gaussian_jsa(1e12, 50.0, grid)
+        amplitude = double_gaussian_jsa(1e12, 50.0, grid)
         decomp = p.schmidt_decompose(amplitude)
         assert abs(p.jsa_efficiency(decomp) - 1.0) < 0.05
 
@@ -403,36 +427,36 @@ class TestJsaEfficiency:
 class TestDoubleGaussian:
     def test_rejects_aspect_ratio_below_one(self):
         grid = _dg_grid(1.0, 1e12)
-        with pytest.raises(p.DomainError, match="ratio"):
-            p.double_gaussian_jsa(1e12, 0.5, grid)
-        with pytest.raises(p.DomainError, match="ratio"):
-            p.double_gaussian_analytics(0.5)
+        with pytest.raises(ValueError, match="ratio"):
+            double_gaussian_jsa(1e12, 0.5, grid)
+        with pytest.raises(ValueError, match="ratio"):
+            double_gaussian_analytics(0.5)
 
     def test_analytics_limiting_cases(self):
-        assert p.double_gaussian_analytics(1.0) == (1.0, 0.25)
-        k, eta = p.double_gaussian_analytics(2.0)
+        assert double_gaussian_analytics(1.0) == (1.0, 0.25)
+        k, eta = double_gaussian_analytics(2.0)
         assert k == pytest.approx(1.25, rel=1e-15)
         assert eta == pytest.approx(4.0 / 9.0, rel=1e-15)
-        _, eta_large = p.double_gaussian_analytics(1e4)
+        _, eta_large = double_gaussian_analytics(1e4)
         assert abs(eta_large - 1.0) <= 2e-4
 
     def test_mode_count_at_r3(self):
         grid = _dg_grid(3.0, 2e12)
-        decomp = p.schmidt_decompose(p.double_gaussian_jsa(2e12, 3.0, grid))
+        decomp = p.schmidt_decompose(double_gaussian_jsa(2e12, 3.0, grid))
         assert_within(decomp.schmidt_number, (1 + 9) / 6, 0.01, "K at R = 3")
 
     def test_raw_norm_is_quarter_r(self):
         for width in (5e11, 2e12, 8e12):
             grid = _dg_grid(2.5, width)
-            decomp = p.schmidt_decompose(p.double_gaussian_jsa(width, 2.5, grid))
+            decomp = p.schmidt_decompose(double_gaussian_jsa(width, 2.5, grid))
             assert_within(decomp.raw_norm, 2.5 / 4, 0.01, "raw norm")
 
     @pytest.mark.parametrize("r_ratio", [1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
     def test_oracle_equivalence(self, r_ratio):
         grid = _dg_grid(r_ratio, 1e12)
-        amplitude = p.double_gaussian_jsa(1e12, r_ratio, grid)
+        amplitude = double_gaussian_jsa(1e12, r_ratio, grid)
         decomp = p.schmidt_decompose(amplitude)
-        k_exact, eta_exact = p.double_gaussian_analytics(r_ratio)
+        k_exact, eta_exact = double_gaussian_analytics(r_ratio)
         assert_within(decomp.schmidt_number, k_exact, 0.01, f"K at R={r_ratio}")
         assert_within(p.jsa_efficiency(decomp), eta_exact, 0.01,
                       f"η at R={r_ratio}")

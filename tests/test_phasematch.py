@@ -1,4 +1,4 @@
-"""Phase matching: poling periods, mismatch, hyperbolas, cGVM solving."""
+"""Phase matching: poling periods, mismatch, Taylor coefficients, cGVM solving."""
 
 import dataclasses
 import math
@@ -239,39 +239,6 @@ class TestTaylorDispersion:
                              temperature_c=20.0, length_m=1e-3)
         with pytest.raises(p.DomainError, match="parabolic degeneracy"):
             p.taylor_dispersion(config)
-
-
-class TestHyperbola:
-    def test_vertices(self, walkoff_config):
-        td = p.taylor_dispersion(walkoff_config)
-        lower, upper = p.phasematch_hyperbola(walkoff_config, 0.0)
-        vertices = sorted((lower, upper), key=abs)
-        assert abs(vertices[0]) < 1e-6 * abs(td.omega_d_rad_s)
-        assert vertices[1] == pytest.approx(2 * td.omega_d_rad_s, rel=1e-12)
-
-    def test_cgvm_branches_are_symmetric(self, cgvm_config):
-        for om_minus in (1e12, 5e13, 2e14):
-            lower, upper = p.phasematch_hyperbola(cgvm_config, om_minus)
-            assert lower == pytest.approx(-upper, rel=1e-6)
-
-    def test_branches_null_the_taylor_mismatch(self, walkoff_config):
-        td = p.taylor_dispersion(walkoff_config)
-        om_minus = np.linspace(-3e14, 3e14, 41)
-        for branch in p.phasematch_hyperbola(walkoff_config, om_minus):
-            om1 = (branch + om_minus) / math.sqrt(2)
-            om2 = (branch - om_minus) / math.sqrt(2)
-            residual = p.taylor_phase_mismatch(td, om1, om2)
-            typical = np.maximum(np.abs(0.5 * td.ks2_s2_per_m * om_minus ** 2),
-                                 np.abs(td.kp2_s2_per_m * td.omega_d_rad_s ** 2))
-            assert np.all(np.abs(residual) < 1e-9 * typical)
-
-    def test_regime_violation_raises(self, crystal):
-        # type-0 mid-infrared design where the signal GVD is anomalous
-        config = p.PdcConfig(crystal=crystal, pdc_type="type-0", pump_axis="e",
-                             signal_axis="e", pump_wavelength_um=1.35,
-                             temperature_c=ROOM_T_C, length_m=1e-3)
-        with pytest.raises(p.DomainError, match="regime"):
-            p.phasematch_hyperbola(config, 1e13)
 
 
 class TestWalkoff:
