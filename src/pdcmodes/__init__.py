@@ -28,8 +28,8 @@ _HOMES = {
                      "solve_cgvm", "solve_cgvm_temperature"), "phasematch"),
     **dict.fromkeys(("PumpPulse", "FrequencyGrid", "JsaGrid",
                      "SchmidtDecomposition", "pump_spectral_amplitude",
-                     "default_grid", "compute_jsa", "schmidt_decompose",
-                     "jsa_efficiency"), "jsa"),
+                     "default_grid", "compute_jsa", "jsa_parts",
+                     "schmidt_decompose", "jsa_efficiency"), "jsa"),
     **dict.fromkeys(("SqueezingResult", "pulse_duration", "peak_power",
                      "beam_waist", "pdc_efficiency", "squeezing_spectrum",
                      "length_scan"), "squeezing"),

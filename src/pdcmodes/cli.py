@@ -78,7 +78,8 @@ def _write_csv(path: Path, header: list[str] | None, rows, precision: int) -> No
 
     One template formats every row: ``%.<precision>g`` for each cell that is
     a float in the first row, ``%s`` for the others, so a column keeps the
-    kind of its first cell. A matrix may be passed as ``rows`` directly.
+    kind of its first cell. A matrix may be passed as ``rows`` directly;
+    without a header there must be at least one row.
     """
     with _atomic_open(path) as fh:
         if header is not None:
@@ -89,8 +90,6 @@ def _write_csv(path: Path, header: list[str] | None, rows, precision: int) -> No
                 template = ",".join(f"%.{precision}g" if isinstance(cell, float)
                                     else "%s" for cell in row) + "\n"
             fh.write(template % tuple(row))
-        if header is None and template is None:   # an empty file still ends a line
-            fh.write("\n")
 
 
 def _write_json(path: Path, payload) -> None:
@@ -255,11 +254,11 @@ def _cmd_poling(args, run: RunConfig, crystal, out_dir: Path) -> int:
 
 
 def _run_pipeline(run: RunConfig, crystal):
+    """``_design``'s design, pump pulse and grid, and the Schmidt
+    decomposition of the JSA they give."""
     from .jsa import compute_jsa, schmidt_decompose
     config, pump, grid = _design(run, crystal)
-    amplitude = compute_jsa(config, pump, grid)
-    decomp = schmidt_decompose(amplitude)
-    return config, grid, amplitude, decomp
+    return config, pump, grid, schmidt_decompose(compute_jsa(config, pump, grid))
 
 
 def _design_fields(config) -> dict:
@@ -286,13 +285,13 @@ def _jsa_meta(config, grid, decomp, eta) -> dict:
 
 
 def _cmd_jsa(args, run: RunConfig, crystal, out_dir: Path) -> int:
-    from .jsa import jsa_efficiency
-    config, grid, amplitude, decomp = _run_pipeline(run, crystal)
+    from .jsa import jsa_efficiency, jsa_parts
+    config, pump, grid, decomp = _run_pipeline(run, crystal)
     eta = jsa_efficiency(decomp)
     meta = _jsa_meta(config, grid, decomp, eta)
     f_thz = _signal_axis_thz(config, grid)
     precision = run.output.precision
-    grids = dict(zip(("abs", "real", "imag"), amplitude.parts()))
+    grids = dict(zip(("abs", "real", "imag"), jsa_parts(config, pump, grid)))
     if not args.include_complex:
         del grids["real"], grids["imag"]
     if run.output.format == "csv":
@@ -313,7 +312,7 @@ def _cmd_modes(args, run: RunConfig, crystal, out_dir: Path) -> int:
     import numpy as np
     if args.modes < 1:
         raise UsageError("--modes must be at least 1")
-    config, grid, _, decomp = _run_pipeline(run, crystal)
+    config, _, grid, decomp = _run_pipeline(run, crystal)
     if args.modes > decomp.s.size:
         raise DomainError(
             f"requested {args.modes} modes but the decomposition has rank "

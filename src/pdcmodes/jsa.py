@@ -9,12 +9,13 @@ with the dimensionless gain prefactor stripped off. α̃ is the pump spectral
 amplitude normalized to ∫α̃ dΩ/2π = 1 (unit time-domain peak), the unique
 convention under which the double-Gaussian closed forms used as test oracles
 hold. :class:`JsaGrid` holds one array, the real envelope α̃·sinc times the
-quadrature weight δΩ/2π, and recomputes the complex entries above only when
-they are read. The Schmidt decomposition acts on the envelope, i.e. with the
-propagation chirp exp(iΔ̃L/2) removed. That chirp is a reference-plane
-artifact of writing the interaction from the crystal input face; keeping it
-would fold pump-dispersion phase into the mode functions and inflate the
-mode count without changing any generated-light observable derived here.
+quadrature weight δΩ/2π; :func:`jsa_parts` gives the parts of the complex
+entries above, for export. The Schmidt decomposition acts on the envelope,
+i.e. with the propagation chirp exp(iΔ̃L/2) removed. That chirp is a
+reference-plane artifact of writing the interaction from the crystal input
+face; keeping it would fold pump-dispersion phase into the mode functions
+and inflate the mode count without changing any generated-light observable
+derived here.
 
 Singular values are normalized to Σ s_n² = 1; the pre-normalization weight
 ∬|J|² dΩ₁dΩ₂/(2π)² is kept as ``raw_norm`` so shape efficiencies and gain
@@ -43,6 +44,7 @@ __all__ = [
     "pump_spectral_amplitude",
     "default_grid",
     "compute_jsa",
+    "jsa_parts",
     "schmidt_decompose",
     "jsa_efficiency",
 ]
@@ -181,59 +183,42 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
     Per-axis extent is the larger of 4·√2·σ₊ (pump support) and
     sqrt(2·_SINC_SUPPORT_X / (k_s″·L/2))/√2, the |sinc| > 0.05 reach along
     the Ω₋ diagonal projected onto one axis. The extent is independent of
-    ``n``.
+    ``n``, and must stay below the signal frequency ω_s, so that every
+    sampled frequency is positive (``DomainError`` otherwise).
     """
-    sig = pump.sigma_plus_rad_s
+    pump_extent = 4.0 * math.sqrt(2.0) * pump.sigma_plus_rad_s
+    extent = pump_extent
     ks2 = config.central[1][2]   # the signal's k″
-    extent = 4.0 * math.sqrt(2.0) * sig
+    too_short = f"crystal length {config.length_m:g} m is too short"
     if ks2 != 0.0:
         # |Δ̃|·L/2 ≈ (k_s″/2)Ω₋²·L/2 = _SINC_SUPPORT_X at the band edge
         reach = abs(ks2) * config.length_m
         if not reach > 4.0 * _SINC_SUPPORT_X / sys.float_info.max:
             raise DomainError(
-                f"crystal length {config.length_m:g} m is too short: its "
-                "phase-matching band is beyond the float range")
+                f"{too_short}: its phase-matching band is beyond the float range")
         omega_minus_max = math.sqrt(4.0 * _SINC_SUPPORT_X / reach)
         extent = max(extent, omega_minus_max / math.sqrt(2.0))
+    if not extent < config.omega_s_rad_s:
+        cause = (too_short if extent > pump_extent else
+                 f"pump bandwidth_fwhm_nm = {pump.bandwidth_fwhm_nm:g} is too wide")
+        raise DomainError(
+            f"{cause}: the grid it needs reaches {extent:.4g} rad/s from the "
+            f"signal frequency ω_s = {config.omega_s_rad_s:.4g} rad/s, past "
+            "zero frequency")
     return FrequencyGrid(n=n, omega_max_rad_s=extent)
 
 
 @dataclass(frozen=True)
 class JsaGrid:
-    """Sampled two-photon amplitude, held as its Schmidt kernel.
+    """Sampled two-photon amplitude, held as its Schmidt kernel on ``grid``.
 
     ``kernel[i, j]`` = α̃(Ωᵢ+Ωⱼ)·sinc(x)·δΩ/2π with x = Δ̃(Ωᵢ,Ωⱼ)·L/2, the
     chirp-free envelope with the quadrature weight folded in: the matrix
-    whose singular values are the Schmidt coefficients, and the only array
-    held. ``values`` and ``parts`` are recomputed from ``config``, ``pump``
-    and ``grid`` on each access, by the expressions that built the kernel.
-    All arrays are read-only.
+    whose singular values are the Schmidt coefficients, read-only.
     """
 
     kernel: np.ndarray
     grid: FrequencyGrid
-    config: PdcConfig
-    pump: PumpPulse
-
-    @property
-    def values(self) -> np.ndarray:
-        """``values[i, j]`` = α̃(Ωᵢ+Ωⱼ)·exp(i·x)·sinc(x).
-
-        Built anew on each access, one complex n × n array (16 bytes per
-        cell) whose upper triangle is evaluated and mirrored.
-        """
-        values, = _assemble(self.config, self.pump, self.grid,
-                            lambda x, envelope: (envelope * np.exp(1j * x),))
-        return values
-
-    def parts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``np.abs(values)``, ``values.real`` and ``values.imag``, bit for
-        bit, as three real n × n arrays (24 bytes per cell).
-
-        Each part is taken from one complex block of ``values`` at a time,
-        so the complex n × n array is never built.
-        """
-        return tuple(_assemble(self.config, self.pump, self.grid, _abs_real_imag))
 
 
 def _abs_real_imag(x, envelope):
@@ -262,7 +247,24 @@ def _assemble(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid, parts):
     function of Ωᵢ+Ωⱼ or a commuted sum of per-axis terms, so a cell and
     its mirror have the same bits, and each array equals the one filled
     row block by row block over whole rows.
+
+    The pump record must agree with the design's pump wavelength, and the
+    grid step h must resolve the pump ridge: α̃(Ωᵢ+Ωⱼ) has the standard
+    deviation √2·σ₊ along Ω₊, where one grid step moves Ωᵢ+Ωⱼ by h.
     """
+    if not math.isclose(pump.wavelength_um, config.pump_wavelength_um,
+                        rel_tol=1e-12):
+        raise ValidationError(
+            f"pump record wavelength {pump.wavelength_um:g} µm does not match "
+            f"the design pump wavelength {config.pump_wavelength_um:g} µm")
+    sig, step = pump.sigma_plus_rad_s, grid.step_rad_s
+    if step > math.sqrt(2.0) * sig:
+        ratio = 2.0 * grid.omega_max_rad_s / (math.sqrt(2.0) * sig)
+        n_min = math.ceil(ratio) + 1 if ratio < math.inf else ratio
+        raise DomainError(
+            f"the grid does not resolve the pump ridge: its step h = "
+            f"{step:.4g} rad/s exceeds √2·σ₊, with σ₊ = {sig:.4g} rad/s; "
+            f"this extent needs at least n = {n_min:g} points per axis")
     om, n = grid.detunings(), grid.n
     arrays = None
     # the last, smallest block first: with the block temporaries growing,
@@ -275,7 +277,7 @@ def _assemble(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid, parts):
         envelope = pump_spectral_amplitude(pump, om[rows, None] + om[None, cols]) * sinc(x)
         blocks = parts(x, envelope)
         if arrays is None:
-            arrays = [np.empty((n, n), dtype=block.dtype) for block in blocks]
+            arrays = [np.empty((n, n)) for _ in blocks]
         for array, block in zip(arrays, blocks):
             array[rows, cols] = block
             array[cols, rows] = block.T
@@ -285,19 +287,29 @@ def _assemble(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid, parts):
 def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaGrid:
     """Sample the normalized JSA for a design on a grid.
 
-    The pump record must agree with the design's pump wavelength. Exact
-    (i, j) ↔ (j, i) symmetry holds by construction: every factor is a
-    function of Ωᵢ+Ωⱼ or a symmetrized sum of per-axis terms, so only the
-    upper triangle is evaluated.
+    The pump record must agree with the design's pump wavelength, and the
+    grid step must be at most √2·σ₊, one step per standard deviation of the
+    pump ridge (``DomainError`` otherwise). Exact (i, j) ↔ (j, i) symmetry
+    holds by construction: every factor is a function of Ωᵢ+Ωⱼ or a
+    symmetrized sum of per-axis terms, so only the upper triangle is
+    evaluated.
     """
-    if not math.isclose(pump.wavelength_um, config.pump_wavelength_um,
-                        rel_tol=1e-12):
-        raise ValidationError(
-            f"pump record wavelength {pump.wavelength_um:g} µm does not match "
-            f"the design pump wavelength {config.pump_wavelength_um:g} µm")
     weight = _weight(grid)
     kernel, = _assemble(config, pump, grid, lambda x, envelope: (envelope * weight,))
-    return JsaGrid(kernel=kernel, grid=grid, config=config, pump=pump)
+    return JsaGrid(kernel=kernel, grid=grid)
+
+
+def jsa_parts(config: PdcConfig, pump: PumpPulse,
+              grid: FrequencyGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|J|, Re J and Im J of J(Ωᵢ, Ωⱼ) = α̃(Ωᵢ+Ωⱼ)·exp(i·x)·sinc(x), with
+    the propagation chirp, as three read-only real n × n arrays (24 bytes
+    per cell), refusing what ``compute_jsa`` refuses.
+
+    Each part is taken from one complex block at a time, so the complex
+    n × n array is never built, and each part has the bits of the part of
+    that array.
+    """
+    return tuple(_assemble(config, pump, grid, _abs_real_imag))
 
 
 @dataclass(frozen=True)

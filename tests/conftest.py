@@ -8,7 +8,6 @@ each of them once.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,21 +184,20 @@ def joined_csv(header, rows, precision):
     return "\n".join(lines) + "\n"
 
 
-def expression_envelope_and_half_phase(amplitude):
-    """α̃(Ωᵢ+Ωⱼ)·sinc(x) and x = Δ̃(Ωᵢ, Ωⱼ)·L/2 of a design's JSA, each as
-    one expression of the public functions over all n² cells at once: the
-    oracle for the arrays that jsa assembles from their upper triangle."""
-    config, om = amplitude.config, amplitude.grid.detunings()
+def expression_envelope_and_half_phase(config, pump, grid):
+    """α̃(Ωᵢ+Ωⱼ)·sinc(x) and x = Δ̃(Ωᵢ, Ωⱼ)·L/2 of a design's JSA on a grid,
+    each as one expression of the public functions over all n² cells at
+    once: the oracle for the arrays that jsa assembles from their upper
+    triangle."""
+    om = grid.detunings()
     x = p.phase_mismatch(config, om[:, None], om[None, :]) * (config.length_m / 2.0)
-    envelope = p.pump_spectral_amplitude(
-        amplitude.pump, om[:, None] + om[None, :]) * sinc(x)
+    envelope = p.pump_spectral_amplitude(pump, om[:, None] + om[None, :]) * sinc(x)
     return envelope, x
 
 
 def double_gaussian_jsa(omega_p_rad_s, r_ratio, grid):
-    """Analytic double-Gaussian amplitude, the oracle of the Schmidt tests:
-    a stand-in for a JsaGrid that carries the ``kernel`` and ``grid`` that
-    schmidt_decompose reads.
+    """Analytic double-Gaussian amplitude, the oracle of the Schmidt tests,
+    as a JsaGrid.
 
     Widths are ``omega_p_rad_s`` along Ω₊ and ``r_ratio``× that along Ω₋
     (amplitude standard deviations in the rotated frame); the Ω₊ factor is
@@ -217,7 +215,7 @@ def double_gaussian_jsa(omega_p_rad_s, r_ratio, grid):
               * np.exp(-diff ** 2 / (4.0 * (r_ratio * omega_p_rad_s) ** 2)))
     kernel *= grid.step_rad_s / (2.0 * math.pi)
     kernel.setflags(write=False)
-    return SimpleNamespace(kernel=kernel, grid=grid)
+    return p.JsaGrid(kernel=kernel, grid=grid)
 
 
 def double_gaussian_analytics(r_ratio):

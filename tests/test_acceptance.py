@@ -149,7 +149,8 @@ def test_criterion_10_property_suite(crystal, matched_config, matched_jsa,
     gram = matched_decomp.modes @ matched_decomp.modes.T * weight
     checks["orthonormal"] = np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-6
 
-    checks["symmetry"] = np.array_equal(matched_jsa.values, matched_jsa.values.T)
+    checks["symmetry"] = all(np.array_equal(part, part.T) for part in
+                             p.jsa_parts(matched_config, pump775, matched_jsa.grid))
 
     strong = replace(pump775, mean_power_w=4 * pump775.mean_power_w)
     boosted = p.squeezing_spectrum(matched_config, strong)

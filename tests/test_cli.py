@@ -365,12 +365,14 @@ _TEXT_CELLS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=5)
 
 @st.composite
 def _tables(draw):
-    """A header or None, and rows whose columns each keep one kind of cell."""
+    """A header and rows, or rows alone (at least one, as _write_csv takes
+    them), whose columns each keep one kind of cell."""
     kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
-    rows = draw(st.lists(st.tuples(*(_FLOAT_CELLS if is_float else _TEXT_CELLS
-                                     for is_float in kinds)), max_size=4))
     header = draw(st.none() | st.lists(st.text("abc_", min_size=1),
                                        min_size=len(kinds), max_size=len(kinds)))
+    rows = draw(st.lists(st.tuples(*(_FLOAT_CELLS if is_float else _TEXT_CELLS
+                                     for is_float in kinds)),
+                         min_size=1 if header is None else 0, max_size=4))
     return header, rows
 
 
@@ -389,7 +391,7 @@ class TestWriters:
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(matrix=st.lists(st.lists(_FLOAT_CELLS, min_size=3, max_size=3),
-                           max_size=3),
+                           min_size=1, max_size=3),
            precision=st.integers(1, 17))
     def test_csv_of_a_matrix_matches_per_cell_joiner(self, out_dir, matrix,
                                                     precision):
@@ -935,14 +937,20 @@ class TestErrorPaths:
         (("squeeze",), ("bandwidth_fwhm_nm: 4.0", "bandwidth_fwhm_nm: 1.0e-300"),
          "pump bandwidth_fwhm_nm = 1e-300 at 0.775 µm"),
         (("squeeze",), ("bandwidth_fwhm_nm: 4.0", "bandwidth_fwhm_nm: 1.0e-160"),
-         "the JSA norm ∬|J|² = Σs² overflows the float range"),
+         "the grid does not resolve the pump ridge: its step h = "),
+        (("squeeze",), ("bandwidth_fwhm_nm: 4.0", "bandwidth_fwhm_nm: 0.01"),
+         "the grid does not resolve the pump ridge: its step h = "),
+        (("scan", "--lengths-mm", "1e-5"), None,
+         "crystal length 1e-08 m is too short: the grid it needs reaches"),
     ], ids=["tiny_length_scan", "tiny_length_squeeze", "tiny_length_modes",
             "tiny_length_jsa", "huge_length_scan", "tiny_bandwidth",
-            "narrow_bandwidth"])
+            "narrow_bandwidth", "unresolved_pump_ridge", "band_past_signal"])
     def test_extreme_length_or_bandwidth_is_one_domain_line(
             self, tmp_path, monkeypatch, capsys, args, edit, message):
-        # k_s″·L underflows, Σs² of the kernel underflows or overflows, or
-        # 4σ₊² underflows: each is refused with its reason, before any warning
+        # k_s″·L underflows, the band reaches past ω_s, Σs² of the kernel
+        # underflows, 4σ₊² underflows, or the grid step exceeds √2·σ₊ (so
+        # the kernel, at most √(2π)/2π per cell, cannot make Σs² overflow):
+        # each is refused with its reason, before any warning
         text = MATCHED_YAML.replace(*edit) if edit else MATCHED_YAML
         (tmp_path / "run.yaml").write_text(text, encoding="utf-8")
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 """JSA construction and Schmidt decomposition, checked against the
 double-Gaussian oracle of conftest."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -36,12 +37,42 @@ def _assert_same_bits(got, expected):
 
 
 @pytest.fixture(scope="module")
-def partial_block_jsas(walkoff_config, matched_config, pump740, pump775):
-    """Both designs on a grid whose last row block is partly filled."""
+def partial_block_designs(walkoff_config, matched_config, pump740, pump775):
+    """Both designs, with their pumps, on a grid whose last row block is
+    partly filled."""
     n = 200
     assert n % p.jsa._BLOCK_ROWS
-    return [p.compute_jsa(config, pump, p.default_grid(config, pump, n=n))
+    return [(config, pump, p.default_grid(config, pump, n=n))
             for config, pump in ((walkoff_config, pump740), (matched_config, pump775))]
+
+
+@pytest.fixture(scope="module")
+def partial_block_jsas(partial_block_designs):
+    return [p.compute_jsa(*design) for design in partial_block_designs]
+
+
+@pytest.fixture(scope="module")
+def reference_designs(walkoff_config, matched_config, pump740, pump775,
+                      walkoff_jsa, matched_jsa):
+    """Both designs, with their pumps, on the grids of walkoff_jsa and
+    matched_jsa."""
+    return [(walkoff_config, pump740, walkoff_jsa.grid),
+            (matched_config, pump775, matched_jsa.grid)]
+
+
+@pytest.fixture(scope="module")
+def reference_parts(reference_designs):
+    """jsa_parts of walkoff_jsa's and matched_jsa's designs."""
+    return [p.jsa_parts(*design) for design in reference_designs]
+
+
+def _values(parts):
+    """The complex J whose parts jsa_parts gives, rebuilt bit for bit from
+    its real and imaginary parts."""
+    real, imag = parts[1:]
+    values = np.empty(real.shape, dtype=complex)
+    values.real, values.imag = real, imag
+    return values
 
 
 def _dg_grid(r_ratio, width, n=512, n_sigma=4.5):
@@ -180,6 +211,21 @@ class TestDefaultGrid:
         with pytest.raises(p.DomainError, match=f"crystal length {length_m:g} m"):
             p.default_grid(replace(matched_config, length_m=length_m), pump775)
 
+    @pytest.mark.parametrize("length_m", [1e-8, 1e-11])
+    def test_rejects_length_whose_band_reaches_past_the_signal_frequency(
+            self, matched_config, pump775, length_m):
+        # the band is finite, but it reaches below zero frequency
+        with pytest.raises(p.DomainError, match=(
+                f"crystal length {length_m:g} m is too short: the grid it "
+                "needs reaches .* past zero frequency")):
+            p.default_grid(replace(matched_config, length_m=length_m), pump775)
+
+    def test_rejects_pump_band_reaching_past_the_signal_frequency(self, matched_config):
+        wide = p.PumpPulse(0.775, 400.0, 12e-3, 1e8)
+        with pytest.raises(p.DomainError, match=(
+                "pump bandwidth_fwhm_nm = 400 is too wide: .* past zero frequency")):
+            p.default_grid(matched_config, wide)
+
     def test_grid_is_symmetric(self, matched_config, pump775):
         grid = p.default_grid(matched_config, pump775)
         om = grid.detunings()
@@ -187,63 +233,75 @@ class TestDefaultGrid:
 
 
 class TestComputeJsa:
-    def test_values_exactly_symmetric(self, walkoff_jsa, matched_jsa):
-        for amplitude in (walkoff_jsa, matched_jsa):
-            values = amplitude.values
+    def test_values_exactly_symmetric(self, walkoff_jsa, matched_jsa, reference_parts):
+        for amplitude, parts in zip((walkoff_jsa, matched_jsa), reference_parts):
+            values = _values(parts)
             assert np.array_equal(values, values.T)
             assert np.array_equal(amplitude.kernel, amplitude.kernel.T)
 
-    def test_kernel_is_weighted_envelope_bit_for_bit(self, walkoff_jsa, matched_jsa,
-                                                     partial_block_jsas, walkoff_config,
-                                                     matched_config, pump740, pump775):
+    def test_kernel_is_weighted_envelope_bit_for_bit(
+            self, walkoff_jsa, matched_jsa, reference_designs, partial_block_jsas,
+            partial_block_designs, walkoff_config, matched_config, pump740, pump775):
         # the upper triangle, mirrored, against every cell at once, zero
         # signs included: n = 512 and 256 in whole row blocks, n = 200 with
         # a partial last block
-        whole_blocks = [p.compute_jsa(config, pump, p.default_grid(config, pump, n=256))
+        whole_blocks = [(config, pump, p.default_grid(config, pump, n=256))
                         for config, pump in ((walkoff_config, pump740),
                                              (matched_config, pump775))]
-        for amplitude in (walkoff_jsa, matched_jsa, *partial_block_jsas, *whole_blocks):
-            envelope = expression_envelope_and_half_phase(amplitude)[0]
+        amplitudes = [walkoff_jsa, matched_jsa, *partial_block_jsas,
+                      *(p.compute_jsa(*design) for design in whole_blocks)]
+        designs = [*reference_designs, *partial_block_designs, *whole_blocks]
+        for amplitude, design in zip(amplitudes, designs, strict=True):
+            envelope = expression_envelope_and_half_phase(*design)[0]
             weight = amplitude.grid.step_rad_s / (2 * math.pi)
             _assert_same_bits(amplitude.kernel, envelope * weight)
 
-    def test_parts_are_the_parts_of_values_bit_for_bit(self, walkoff_jsa,
-                                                      partial_block_jsas):
-        for amplitude in (walkoff_jsa, *partial_block_jsas):
-            values = amplitude.values
-            parts = amplitude.parts()
+    def test_parts_are_the_parts_of_values_bit_for_bit(self, reference_designs,
+                                                      reference_parts,
+                                                      partial_block_designs):
+        designs = [reference_designs[0], *partial_block_designs]
+        parts_of = [reference_parts[0],
+                    *(p.jsa_parts(*design) for design in partial_block_designs)]
+        for design, parts in zip(designs, parts_of):
+            envelope, x = expression_envelope_and_half_phase(*design)
+            values = envelope * np.exp(1j * x)
             for part, expected in zip(parts, (np.abs(values), values.real,
-                                              values.imag)):
+                                              values.imag), strict=True):
                 _assert_same_bits(part, expected)
                 assert not part.flags.writeable
 
-    def test_values_carry_the_mismatch_chirp(self, matched_jsa, partial_block_jsas):
-        for amplitude in (matched_jsa, *partial_block_jsas):
-            envelope, x = expression_envelope_and_half_phase(amplitude)
-            assert np.array_equal(amplitude.values, envelope * np.exp(1j * x))
+    def test_values_carry_the_mismatch_chirp(self, reference_designs, reference_parts,
+                                             partial_block_designs):
+        designs = [reference_designs[1], *partial_block_designs]
+        parts_of = [reference_parts[1],
+                    *(p.jsa_parts(*design) for design in partial_block_designs)]
+        for design, parts in zip(designs, parts_of):
+            envelope, x = expression_envelope_and_half_phase(*design)
+            assert np.array_equal(_values(parts), envelope * np.exp(1j * x))
 
     def test_support_is_pump_band_times_phase_matched_band(
-            self, walkoff_jsa, pump740):
+            self, walkoff_jsa, reference_designs, reference_parts, pump740):
         om = walkoff_jsa.grid.detunings()
         total = om[:, None] + om[None, :]
         alpha = p.pump_spectral_amplitude(pump740, total)
         alpha_peak = p.pump_spectral_amplitude(pump740, 0.0)
-        x = expression_envelope_and_half_phase(walkoff_jsa)[1]
+        x = expression_envelope_and_half_phase(*reference_designs[0])[1]
         inside = (alpha > 0.5 * alpha_peak) & (np.abs(sinc(x)) > 0.5)
-        magnitude = np.abs(walkoff_jsa.values)
+        magnitude = np.abs(_values(reference_parts[0]))
         assert inside.any()
         assert np.all(magnitude[inside] >= 0.25 * alpha_peak)
         peak = np.unravel_index(np.argmax(magnitude), magnitude.shape)
         assert inside[peak]
 
-    def test_matched_design_peaks_at_degeneracy(self, matched_jsa):
+    def test_matched_design_peaks_at_degeneracy(self, matched_jsa, matched_config,
+                                                pump775, reference_parts):
         om = matched_jsa.grid.detunings()
-        diagonal = np.abs(np.diagonal(matched_jsa.values))
+        diagonal = np.abs(np.diagonal(_values(reference_parts[1])))
         peak = np.argmax(diagonal)
         assert abs(om[peak]) <= matched_jsa.grid.step_rad_s
         # both hyperbola vertices sit within a fraction of the pump width
-        td = p.taylor_dispersion(matched_jsa.config)
-        assert abs(2 * td.omega_d_rad_s) < 0.2 * matched_jsa.pump.sigma_plus_rad_s
+        td = p.taylor_dispersion(matched_config)
+        assert abs(2 * td.omega_d_rad_s) < 0.2 * pump775.sigma_plus_rad_s
 
     def test_pump_record_must_match_design(self, matched_config, pump740):
         grid = p.FrequencyGrid(n=64, omega_max_rad_s=1e13)
@@ -251,13 +309,31 @@ class TestComputeJsa:
             p.compute_jsa(matched_config, pump740, grid)
 
     def test_grid_beyond_dispersion_validity(self, matched_config, pump775):
-        grid = p.FrequencyGrid(n=64, omega_max_rad_s=9e14)
+        # n = 512 resolves the pump ridge at this extent
+        grid = p.FrequencyGrid(n=512, omega_max_rad_s=9e14)
         with pytest.raises(p.DomainError, match="valid range"):
             p.compute_jsa(matched_config, pump775, grid)
 
-    def test_arrays_are_read_only(self, matched_jsa):
-        with pytest.raises(ValueError):
-            matched_jsa.values[0, 0] = 0.0
+    def test_rejects_grid_that_does_not_resolve_the_pump_ridge(self, matched_config,
+                                                               pump775):
+        # one step per standard deviation √2·σ₊ of α̃ along Ω₊: at this
+        # extent n = 64 is just too coarse and n = 65 fine enough
+        sig = pump775.sigma_plus_rad_s
+        extent = 1.01 * 63 * math.sqrt(2.0) * sig / 2.0
+        coarse = p.FrequencyGrid(n=64, omega_max_rad_s=extent)
+        message = re.escape(
+            f"its step h = {coarse.step_rad_s:.4g} rad/s exceeds √2·σ₊, with "
+            f"σ₊ = {sig:.4g} rad/s; this extent needs at least n = 65 points")
+        for assemble in (p.compute_jsa, p.jsa_parts):
+            with pytest.raises(p.DomainError, match=message):
+                assemble(matched_config, pump775, coarse)
+        fine = p.FrequencyGrid(n=65, omega_max_rad_s=extent)
+        assert p.compute_jsa(matched_config, pump775, fine).grid is fine
+
+    def test_arrays_are_read_only(self, matched_jsa, reference_parts):
+        for array in (matched_jsa.kernel, *reference_parts[1]):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
 
     def test_holds_one_n2_array(self, matched_config, pump775):
         n = 256
@@ -425,6 +501,13 @@ class TestJsaEfficiency:
 
 
 class TestDoubleGaussian:
+    def test_is_a_jsa_grid_of_kernel_and_grid(self):
+        grid = _dg_grid(2.0, 1e12, n=64)
+        amplitude = double_gaussian_jsa(1e12, 2.0, grid)
+        assert isinstance(amplitude, p.JsaGrid)
+        assert [f.name for f in dataclasses.fields(p.JsaGrid)] == ["kernel", "grid"]
+        assert amplitude.grid is grid
+
     def test_rejects_aspect_ratio_below_one(self):
         grid = _dg_grid(1.0, 1e12)
         with pytest.raises(ValueError, match="ratio"):
