@@ -23,7 +23,6 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -209,9 +208,8 @@ def _cmd_cgvm(args, run: RunConfig, crystal, out_dir: Path) -> int:
     t_c = _temperature_c(args, run)
     lam_cgvm = pm.solve_cgvm(crystal, args.pump_axis, args.signal_axis, t_c,
                              tuple(args.bracket_um))
-    pdc_type = "type-0" if args.pump_axis == args.signal_axis else "type-I"
     config = pm.PdcConfig(
-        crystal=crystal, pdc_type=pdc_type,
+        crystal=crystal, pdc_type=pm._pdc_type(args.pump_axis, args.signal_axis),
         pump_axis=args.pump_axis, signal_axis=args.signal_axis,
         pump_wavelength_um=lam_cgvm / 2.0, temperature_c=t_c,
         length_m=1e-3)
@@ -482,10 +480,10 @@ def _merge_run_config(args) -> RunConfig:
         return {key: value for key, value in flags.items() if value is not None}
 
     run = load_run_config(args.config)
-    return replace(run, **given(crystal_file=args.crystal),
-                   grid=replace(run.grid, **given(points_per_axis=args.grid_n)),
-                   output=replace(run.output, **given(format=args.format,
-                                                       directory=args.out)))
+    return run.replace(**given(crystal_file=args.crystal),
+                       grid=run.grid.replace(**given(points_per_axis=args.grid_n)),
+                       output=run.output.replace(**given(format=args.format,
+                                                         directory=args.out)))
 
 
 def _check_finite(args) -> None:

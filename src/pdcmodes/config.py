@@ -8,15 +8,15 @@ mode in this domain, and a typo like ``pump_wavelength_um`` must fail loud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
+from ._record import Record
 from .constants import DEFAULT_GRID_POINTS
 from .dispersion import (CrystalModel, _load_yaml, _number, _read_utf8,
                          load_bundled_crystal, load_crystal_file)
 from .errors import ValidationError
-from .phasematch import PdcConfig
+from .phasematch import PdcConfig, _pdc_type
 
 if TYPE_CHECKING:
     from .jsa import PumpPulse
@@ -49,8 +49,7 @@ def _as_number(mapping: Mapping, key: str, context: str,
     return _number(mapping[key], f"{context}: {key}")
 
 
-@dataclass(frozen=True)
-class PdcSettings:
+class PdcSettings(Record):
     pdc_type: str
     pump_axis: str
     signal_axis: str
@@ -64,12 +63,21 @@ class PdcSettings:
 
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "PdcSettings":
+        """The ``pdc`` section; its optional ``type`` is derived from the
+        two axes, and a given one must agree with them."""
         _reject_unknown(doc, cls._KEYS, "pdc")
-        for key in ("type", "pump_axis", "signal_axis"):
+        for key in ("pump_axis", "signal_axis"):
             if key not in doc or not isinstance(doc[key], str):
                 raise ValidationError(f"pdc: missing or non-text key {key!r}")
+        pdc_type = _pdc_type(doc["pump_axis"], doc["signal_axis"])
+        given = doc.get("type")
+        if given is not None and given != pdc_type:
+            raise ValidationError(
+                f"pdc: type {given!r} disagrees with pump_axis "
+                f"{doc['pump_axis']!r} and signal_axis {doc['signal_axis']!r}, "
+                f"which make {pdc_type!r}")
         return cls(
-            pdc_type=doc["type"],
+            pdc_type=pdc_type,
             pump_axis=doc["pump_axis"],
             signal_axis=doc["signal_axis"],
             pump_wavelength_nm=_as_number(doc, "pump_wavelength_nm", "pdc"),
@@ -80,8 +88,7 @@ class PdcSettings:
         )
 
 
-@dataclass(frozen=True)
-class PumpSettings:
+class PumpSettings(Record):
     bandwidth_fwhm_nm: float
     mean_power_mw: float
     repetition_rate_mhz: float
@@ -98,8 +105,7 @@ class PumpSettings:
         )
 
 
-@dataclass(frozen=True)
-class GridSettings:
+class GridSettings(Record):
     points_per_axis: int = DEFAULT_GRID_POINTS
     detuning_extent_thz: float | None = None
 
@@ -119,8 +125,7 @@ class GridSettings:
         )
 
 
-@dataclass(frozen=True)
-class OutputSettings:
+class OutputSettings(Record):
     directory: str = "out"
     format: str = "csv"
     precision: int = 9
@@ -146,8 +151,7 @@ class OutputSettings:
         return cls(directory=directory, format=fmt, precision=precision)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Validated run configuration; sections may be absent until needed."""
 
     crystal_file: str | None = None

@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
 import yaml
 
+from ._record import Record, field
 from .constants import c
 from .errors import DomainError, ValidationError
 
@@ -311,8 +311,7 @@ _TEMPERATURE_MODELS = {
 }
 
 
-@dataclass(frozen=True)
-class CrystalModel:
+class CrystalModel(Record):
     """A named dispersion model: per-axis Sellmeier sets plus metadata.
 
     Immutable after load; every operation on it is a pure function.

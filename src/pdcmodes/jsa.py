@@ -183,8 +183,11 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
     Per-axis extent is the larger of 4·√2·σ₊ (pump support) and
     sqrt(2·_SINC_SUPPORT_X / (k_s″·L/2))/√2, the |sinc| > 0.05 reach along
     the Ω₋ diagonal projected onto one axis. The extent is independent of
-    ``n``, and must stay below the signal frequency ω_s, so that every
-    sampled frequency is positive (``DomainError`` otherwise).
+    ``n``. It must stay below the signal frequency ω_s, so that every
+    sampled frequency is positive, and both bands the JSA evaluates, the
+    signal's ω_s ± extent and the pump's ω_p ± 2·extent, must lie in the
+    crystal's valid range (``DomainError`` otherwise, naming the crystal
+    length or the pump bandwidth, whichever sets the extent).
     """
     pump_extent = 4.0 * math.sqrt(2.0) * pump.sigma_plus_rad_s
     extent = pump_extent
@@ -198,13 +201,27 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
                 f"{too_short}: its phase-matching band is beyond the float range")
         omega_minus_max = math.sqrt(4.0 * _SINC_SUPPORT_X / reach)
         extent = max(extent, omega_minus_max / math.sqrt(2.0))
-    if not extent < config.omega_s_rad_s:
-        cause = (too_short if extent > pump_extent else
-                 f"pump bandwidth_fwhm_nm = {pump.bandwidth_fwhm_nm:g} is too wide")
+    cause = (too_short if extent > pump_extent else
+             f"pump bandwidth_fwhm_nm = {pump.bandwidth_fwhm_nm:g} is too wide")
+    omega_s, omega_p = config.omega_s_rad_s, config.omega_p_rad_s
+    if not extent < omega_s:
         raise DomainError(
             f"{cause}: the grid it needs reaches {extent:.4g} rad/s from the "
-            f"signal frequency ω_s = {config.omega_s_rad_s:.4g} rad/s, past "
-            "zero frequency")
+            f"signal frequency ω_s = {omega_s:.4g} rad/s, past zero frequency")
+    # the grid's end frequencies, with the bits of phase_mismatch's sums
+    # (2·extent is exact), and their wavelengths as wavevector_at_omega
+    # converts them: a grid is refused here exactly when its evaluation
+    # would leave the valid range
+    lo, hi = config.crystal.valid_range_um
+    for band, omegas in (("signal", (omega_s - extent, omega_s + extent)),
+                         ("pump", (omega_p - 2.0 * extent, omega_p + 2.0 * extent))):
+        for omega in omegas:
+            lam_um = 2.0e6 * math.pi * c / omega
+            if not lo <= lam_um <= hi:
+                raise DomainError(
+                    f"{cause}: the grid it needs takes the {band} to "
+                    f"{lam_um:.6g} µm, outside the valid range [{lo:g}, {hi:g}] "
+                    f"µm of crystal {config.crystal.name!r}")
     return FrequencyGrid(n=n, omega_max_rad_s=extent)
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import dispersion
+from ._record import Record, field
 from .constants import c
 from .dispersion import CrystalModel
 from .errors import DomainError, SolverError
@@ -54,8 +54,7 @@ _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-@dataclass(frozen=True)
-class PdcConfig:
+class PdcConfig(Record):
     """One collinear frequency-degenerate PDC source design.
 
     The signal central wavelength is 2·pump_wavelength_um by construction.
@@ -81,10 +80,10 @@ class PdcConfig:
         if self.pdc_type not in PDC_TYPES:
             raise DomainError(
                 f"pdc_type must be one of {PDC_TYPES}, got {self.pdc_type!r}")
-        if self.pdc_type == "type-0" and self.pump_axis != self.signal_axis:
-            raise DomainError("type-0 requires pump and signal on the same axis")
-        if self.pdc_type == "type-I" and self.pump_axis == self.signal_axis:
-            raise DomainError("type-I requires pump and signal on different axes")
+        if self.pdc_type != _pdc_type(self.pump_axis, self.signal_axis):
+            raise DomainError(f"{self.pdc_type} requires pump and signal on "
+                              + ("the same axis" if self.pdc_type == "type-0"
+                                 else "different axes"))
         for name in ("length_m", "poling_period_um"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -110,6 +109,12 @@ class PdcConfig:
     @property
     def omega_s_rad_s(self) -> float:
         return self.omega_p_rad_s / 2.0
+
+
+def _pdc_type(pump_axis: str, signal_axis: str) -> str:
+    """The PDC type that the two polarization axes make: type-0 when pump
+    and signal share an axis, type-I when they do not."""
+    return "type-0" if pump_axis == signal_axis else "type-I"
 
 
 def _central_mismatch(config: PdcConfig) -> float:
@@ -181,8 +186,7 @@ def phase_mismatch(config: PdcConfig, omega1_rad_s, omega2_rad_s):
     return delta
 
 
-@dataclass(frozen=True)
-class TaylorDispersion:
+class TaylorDispersion(Record):
     """Quadratic dispersion coefficients around the central frequencies.
 
     dk1 = k_p′ − k_s′ (s/m); kp2, ks2 are the pump/signal GVDs (s²/m);

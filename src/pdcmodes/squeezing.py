@@ -20,7 +20,7 @@ formulas still evaluate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def length_scan(config: PdcConfig, pump: PumpPulse, lengths_m,
     """
     results = []
     for length in lengths_m:
-        point = replace(config, length_m=float(length))
+        point = config.replace(length_m=float(length))
         results.append((float(length),
                         squeezing_spectrum(point, pump, grid=grid,
                                            grid_n=grid_n)))

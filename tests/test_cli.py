@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -221,15 +220,17 @@ class TestLazyImports:
     def test_bundled_crystal_loads_only_the_dispersion_layer(self, tmp_path):
         code = "import pdcmodes; pdcmodes.load_bundled_crystal()"
         assert loaded_modules(code, tmp_path) == [
-            "pdcmodes", "pdcmodes.constants", "pdcmodes.dispersion",
-            "pdcmodes.errors"]
+            "pdcmodes", "pdcmodes._record", "pdcmodes.constants",
+            "pdcmodes.dispersion", "pdcmodes.errors"]
 
-    @pytest.mark.parametrize("args", [
+    DESIGN_COMMANDS = pytest.mark.parametrize("args", [
         ["dispersion", "--lambda-min-um", "0.6", "--lambda-max-um", "3.6",
          "--samples", "5"],
         ["cgvm", "--pump-axis", "e", "--signal-axis", "o"],
         ["poling", "--config", "matched.yaml"],
     ], ids=["dispersion", "cgvm", "poling"])
+
+    @DESIGN_COMMANDS
     def test_design_commands_skip_the_pipeline(self, workdir, tmp_path, args):
         code = ("from pdcmodes import cli; "
                 f"assert cli.main({[*args, '--out', str(tmp_path)]!r}) == 0")
@@ -237,6 +238,17 @@ class TestLazyImports:
         assert "pdcmodes.phasematch" in loaded
         assert "pdcmodes.jsa" not in loaded
         assert "pdcmodes.squeezing" not in loaded
+
+    # the design chain's records are built without dataclasses, whose
+    # import pulls in inspect, ast, dis and tokenize
+    @DESIGN_COMMANDS
+    def test_design_commands_skip_dataclasses_and_inspect(self, workdir,
+                                                          tmp_path, args):
+        code = ("import pdcmodes; pdcmodes.load_bundled_crystal(); "
+                "from pdcmodes import cli; "
+                f"assert cli.main({[*args, '--out', str(tmp_path)]!r}) == 0")
+        for package in ("dataclasses", "inspect"):
+            assert loaded_modules(code, workdir, package=package) == []
 
     # the design chain (crystal load, dispersion, cgvm, poling, and their
     # errors) runs on the stdlib; numpy loads only for the JSA pipeline
@@ -315,7 +327,7 @@ class TestYamlLoaders:
     def fields(model):
         """A crystal model as comparable values: its Sellmeier forms define
         no equality of their own."""
-        return (replace(model, axes={}),
+        return (model.replace(axes={}),
                 {label: (type(sell), vars(sell)) for label, sell in model.axes.items()})
 
     @pytest.mark.parametrize("text", [None, CONSTANT_INDEX_YAML],
@@ -873,6 +885,34 @@ class TestErrorPaths:
         assert result.stderr.startswith("error[validity]:")
         assert "pump_wavelength_um" in result.stderr
 
+    @pytest.mark.parametrize("edit, kind", [
+        (("  type: type-I\n", ""), None),
+        (("type: type-I", "type: null"), None),
+        (("type: type-I", "type: type-0"), "type 'type-0'"),
+        (("type: type-I", "type: type-II"), "type 'type-II'"),
+        (("type: type-I", "type: 0"), "type 0"),
+    ], ids=["absent", "null", "type0", "unknown", "number"])
+    def test_pdc_type_is_derived_from_the_axes(self, tmp_path, monkeypatch,
+                                               capsys, edit, kind):
+        # a given type must agree with the axes; one line names both
+        (tmp_path / "given.yaml").write_text(MATCHED_YAML, encoding="utf-8")
+        (tmp_path / "edited.yaml").write_text(MATCHED_YAML.replace(*edit),
+                                             encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["poling", "--config", "given.yaml", "--out", "given"]) == 0
+        capsys.readouterr()
+        status = cli.main(["poling", "--config", "edited.yaml", "--out", "edited"])
+        lines = capsys.readouterr().err.splitlines()
+        if kind is None:
+            assert status == 0, lines
+            assert (tmp_path / "edited" / "poling.json").read_bytes() == \
+                (tmp_path / "given" / "poling.json").read_bytes()
+            return
+        assert status == 3
+        assert lines == [f"error[validity]: pdc: {kind} disagrees with pump_axis "
+                         "'e' and signal_axis 'o', which make 'type-I'"]
+        assert not (tmp_path / "edited").exists()
+
     def test_missing_crystal_file_is_io_error(self, workdir):
         result = run_cli("poling", "--config", "matched.yaml", "--crystal",
                          "missing.yaml", cwd=workdir)
@@ -942,9 +982,16 @@ class TestErrorPaths:
          "the grid does not resolve the pump ridge: its step h = "),
         (("scan", "--lengths-mm", "1e-5"), None,
          "crystal length 1e-08 m is too short: the grid it needs reaches"),
+        (("scan", "--lengths-mm", "0.3"), None,
+         "crystal length 0.0003 m is too short: the grid it needs takes the "
+         "signal to 15.6748 µm, outside the valid range [0.5, 4] µm"),
+        (("squeeze",), ("bandwidth_fwhm_nm: 4.0", "bandwidth_fwhm_nm: 100.0"),
+         "pump bandwidth_fwhm_nm = 100 is too wide: the grid it needs takes "
+         "the signal to 4.07824 µm, outside the valid range [0.5, 4] µm"),
     ], ids=["tiny_length_scan", "tiny_length_squeeze", "tiny_length_modes",
             "tiny_length_jsa", "huge_length_scan", "tiny_bandwidth",
-            "narrow_bandwidth", "unresolved_pump_ridge", "band_past_signal"])
+            "narrow_bandwidth", "unresolved_pump_ridge", "band_past_signal",
+            "band_outside_valid_range", "pump_band_outside_valid_range"])
     def test_extreme_length_or_bandwidth_is_one_domain_line(
             self, tmp_path, monkeypatch, capsys, args, edit, message):
         # k_s″·L underflows, the band reaches past ω_s, Σs² of the kernel

@@ -209,7 +209,7 @@ class TestDefaultGrid:
             self, matched_config, pump775, length_m):
         # k_s″·L underflows to 0, or the band 4·20/(k_s″·L) overflows
         with pytest.raises(p.DomainError, match=f"crystal length {length_m:g} m"):
-            p.default_grid(replace(matched_config, length_m=length_m), pump775)
+            p.default_grid(matched_config.replace(length_m=length_m), pump775)
 
     @pytest.mark.parametrize("length_m", [1e-8, 1e-11])
     def test_rejects_length_whose_band_reaches_past_the_signal_frequency(
@@ -218,13 +218,51 @@ class TestDefaultGrid:
         with pytest.raises(p.DomainError, match=(
                 f"crystal length {length_m:g} m is too short: the grid it "
                 "needs reaches .* past zero frequency")):
-            p.default_grid(replace(matched_config, length_m=length_m), pump775)
+            p.default_grid(matched_config.replace(length_m=length_m), pump775)
 
     def test_rejects_pump_band_reaching_past_the_signal_frequency(self, matched_config):
         wide = p.PumpPulse(0.775, 400.0, 12e-3, 1e8)
         with pytest.raises(p.DomainError, match=(
                 "pump bandwidth_fwhm_nm = 400 is too wide: .* past zero frequency")):
             p.default_grid(matched_config, wide)
+
+    @pytest.mark.parametrize("length_m, bandwidth_nm, cause", [
+        (0.3e-3, 4.0, "crystal length 0.0003 m is too short"),
+        (80e-3, 100.0, "pump bandwidth_fwhm_nm = 100 is too wide"),
+    ], ids=["length", "bandwidth"])
+    def test_rejects_band_outside_the_valid_range(
+            self, matched_config, length_m, bandwidth_nm, cause):
+        # below ω_s, but the signal band leaves [0.5, 4] µm
+        pump = p.PumpPulse(0.775, bandwidth_nm, 12e-3, 1e8)
+        with pytest.raises(p.DomainError, match=(
+                f"{cause}: the grid it needs takes the signal to "
+                r"\S+ µm, outside the valid range \[0.5, 4\] µm")):
+            p.default_grid(matched_config.replace(length_m=length_m), pump)
+
+    def test_band_check_refuses_exactly_what_the_evaluation_refuses(
+            self, matched_config, pump775):
+        # bisect to the adjacent lengths where default_grid turns to refusal
+        ok, bad = matched_config.length_m, 0.3e-3
+        while (ok + bad) / 2 not in (ok, bad):
+            mid = (ok + bad) / 2
+            try:
+                p.default_grid(matched_config.replace(length_m=mid), pump775)
+                ok = mid
+            except p.DomainError:
+                bad = mid
+        # the grids both lengths need, from a crystal with a wider valid
+        # range and the same dispersion, evaluated on the real crystal
+        wide = matched_config.crystal.replace(valid_range_um=(0.1, 10.0))
+        for length_m, evaluates in ((ok, True), (bad, False)):
+            config = matched_config.replace(length_m=length_m)
+            grid = p.default_grid(config.replace(crystal=wide), pump775)
+            ends = grid.detunings()[[0, -1]]
+            if evaluates:
+                assert p.default_grid(config, pump775) == grid
+                p.phase_mismatch(config, ends[:, None], ends[None, :])
+            else:
+                with pytest.raises(p.DomainError, match="valid range"):
+                    p.phase_mismatch(config, ends[:, None], ends[None, :])
 
     def test_grid_is_symmetric(self, matched_config, pump775):
         grid = p.default_grid(matched_config, pump775)
@@ -356,7 +394,7 @@ class TestComputeJsa:
             calls["_terms"] += 1
             return terms(self, t_c)
         monkeypatch.setattr(p.dispersion.GayerTwoPole, "_terms", counted)
-        config = replace(matched_config)
+        config = matched_config.replace()
         assert calls["_terms"] == 2
         n = 256
         p.compute_jsa(config, pump775, p.default_grid(config, pump775, n=n))
@@ -476,7 +514,7 @@ class TestSchmidtInvariants:
                                           pump740, pump775, design, n, dt_c):
         config, pump = ((walkoff_config, pump740) if design == "walkoff"
                         else (matched_config, pump775))
-        config = replace(config, temperature_c=config.temperature_c + dt_c)
+        config = config.replace(temperature_c=config.temperature_c + dt_c)
         grid = p.default_grid(config, pump, n=n)
         _assert_normalized(p.schmidt_decompose(p.compute_jsa(config, pump, grid)))
 

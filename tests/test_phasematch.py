@@ -1,8 +1,6 @@
 """Phase matching: poling periods, mismatch, Taylor coefficients, cGVM solving."""
 
-import dataclasses
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +9,7 @@ from scipy.constants import c
 from scipy.optimize import brentq
 
 import pdcmodes as p
+from pdcmodes._record import FrozenInstanceError
 from pdcmodes.dispersion import GayerTwoPole, k_double_prime, k_prime
 from pdcmodes.phasematch import (_CGVM_XTOL_UM, _TEMP_XTOL_C, _brentq,
                                  _group_index_gap)
@@ -64,11 +63,11 @@ class TestPdcConfig:
             assert all(type(v) is float for v in (n, k1, k2))
 
     def test_central_follows_a_replaced_field(self, matched_config):
-        warmer = replace(matched_config, temperature_c=40.0)
+        warmer = matched_config.replace(temperature_c=40.0)
         assert warmer.central[0][0] == p.refractive_index(
             warmer.crystal, "e", warmer.pump_wavelength_um, 40.0)
-        assert warmer == replace(matched_config, temperature_c=40.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert warmer == matched_config.replace(temperature_c=40.0)
+        with pytest.raises(FrozenInstanceError):
             warmer.central = matched_config.central
 
     def test_centre_without_a_real_index_is_refused_when_built(self):
@@ -122,7 +121,7 @@ class TestPolingPeriod:
 
     def test_explicit_period_round_trip(self, matched_config):
         period = p.poling_period(matched_config)
-        pinned = replace(matched_config, poling_period_um=period)
+        pinned = matched_config.replace(poling_period_um=period)
         # the µm round trip costs a few ulp, well inside the 1e-6 rad/m budget
         assert abs(p.phase_mismatch(pinned, 0.0, 0.0)) < 1e-6
 
@@ -150,7 +149,7 @@ class TestPhaseMismatch:
             self, walkoff_config, matched_config, pump740, pump775, design, t_c, n):
         config, pump = ((walkoff_config, pump740) if design == "walkoff"
                         else (matched_config, pump775))
-        config = replace(config, temperature_c=t_c)
+        config = config.replace(temperature_c=t_c)
         om = np.linspace(-1, 1, n) * p.default_grid(config, pump).omega_max_rad_s
         assert np.array_equal(p.phase_mismatch(config, om[:, None], om[None, :]),
                               expression_phase_mismatch(config, om[:, None], om[None, :]))
@@ -246,11 +245,11 @@ class TestWalkoff:
         assert_within(p.walkoff_time(walkoff_config), 115e-15, 0.05, "τ_w")
 
     def test_scales_linearly_in_length(self, walkoff_config):
-        doubled = replace(walkoff_config, length_m=2 * walkoff_config.length_m)
+        doubled = walkoff_config.replace(length_m=2 * walkoff_config.length_m)
         assert p.walkoff_time(doubled) == 2 * p.walkoff_time(walkoff_config)
 
     def test_vanishes_at_cgvm(self, cgvm_config):
-        long_config = replace(cgvm_config, length_m=0.1)
+        long_config = cgvm_config.replace(length_m=0.1)
         assert abs(p.walkoff_time(long_config)) < 0.1e-15
 
 

@@ -50,7 +50,7 @@ class TestBeamWaist:
         assert 60e-6 < p.beam_waist(matched_config) < 75e-6   # ≈ 67 µm
 
     def test_square_root_scaling(self, matched_config):
-        quadrupled = replace(matched_config, length_m=4 * matched_config.length_m)
+        quadrupled = matched_config.replace(length_m=4 * matched_config.length_m)
         assert p.beam_waist(quadrupled) == 2 * p.beam_waist(matched_config)
 
     def test_positive_and_finite(self, walkoff_config, matched_config):
@@ -73,7 +73,7 @@ class TestPdcEfficiency:
         assert_within(got, 3.4e-3, 0.10, "η_PDC")
 
     def test_linear_in_length(self, matched_config):
-        doubled = replace(matched_config, length_m=2 * matched_config.length_m)
+        doubled = matched_config.replace(length_m=2 * matched_config.length_m)
         assert p.pdc_efficiency(doubled, 0.6) == 2 * p.pdc_efficiency(matched_config, 0.6)
 
     def test_proportional_to_shape_efficiency(self, matched_config):
@@ -173,6 +173,6 @@ class TestLengthScan:
         eta = 0.75
         p_peak = 543.0
         r_base = math.sqrt(p.pdc_efficiency(matched_config, eta) * p_peak)
-        quadrupled = replace(matched_config, length_m=4 * matched_config.length_m)
+        quadrupled = matched_config.replace(length_m=4 * matched_config.length_m)
         r_long = math.sqrt(p.pdc_efficiency(quadrupled, eta) * p_peak)
         assert r_long == 2 * r_base
