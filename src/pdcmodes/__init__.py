@@ -23,9 +23,9 @@ _HOMES = {
                      "load_bundled_crystal", "bundled_crystal_path",
                      "refractive_index", "wavevector", "group_index", "gvd"),
                     "dispersion"),
-    **dict.fromkeys(("PdcConfig", "TaylorDispersion", "poling_period",
-                     "phase_mismatch", "taylor_dispersion", "walkoff_time",
-                     "solve_cgvm", "solve_cgvm_temperature"), "phasematch"),
+    **dict.fromkeys(("PdcConfig", "poling_period", "phase_mismatch",
+                     "walkoff_time", "solve_cgvm", "solve_cgvm_temperature"),
+                    "phasematch"),
     **dict.fromkeys(("PumpPulse", "FrequencyGrid", "JsaGrid",
                      "SchmidtDecomposition", "pump_spectral_amplitude",
                      "default_grid", "compute_jsa", "jsa_parts",

@@ -146,14 +146,18 @@ def _thz(omega_rad_s):
 # pipeline helpers shared by the jsa/modes/squeeze/scan commands
 
 
-def _pinned_grid(run: RunConfig) -> FrequencyGrid | None:
-    """The grid that ``detuning_extent_thz`` fixes, or None when it is unset."""
-    from .jsa import FrequencyGrid
+def _pinned_grid(run: RunConfig, config) -> FrequencyGrid | None:
+    """The grid that ``detuning_extent_thz`` fixes, or None when it is unset;
+    an extent the design cannot evaluate is refused by that name."""
+    from .jsa import FrequencyGrid, _check_extent
     extent = run.grid.detuning_extent_thz
     if extent is None:
         return None
-    return FrequencyGrid(n=run.grid.points_per_axis,
+    grid = FrequencyGrid(n=run.grid.points_per_axis,
                          omega_max_rad_s=2.0 * math.pi * extent * 1e12)
+    _check_extent(config, grid.omega_max_rad_s,
+                  f"grid detuning_extent_thz = {extent:g} THz")
+    return grid
 
 
 def _design(run: RunConfig, crystal):
@@ -161,7 +165,7 @@ def _design(run: RunConfig, crystal):
     from .jsa import default_grid
     config = run.to_pdc_config(crystal)
     pump = run.to_pump_pulse()
-    grid = _pinned_grid(run) or default_grid(
+    grid = _pinned_grid(run, config) or default_grid(
         config, pump, n=run.grid.points_per_axis)
     return config, pump, grid
 
@@ -209,10 +213,8 @@ def _cmd_cgvm(args, run: RunConfig, crystal, out_dir: Path) -> int:
     lam_cgvm = pm.solve_cgvm(crystal, args.pump_axis, args.signal_axis, t_c,
                              tuple(args.bracket_um))
     config = pm.PdcConfig(
-        crystal=crystal, pdc_type=pm._pdc_type(args.pump_axis, args.signal_axis),
-        pump_axis=args.pump_axis, signal_axis=args.signal_axis,
-        pump_wavelength_um=lam_cgvm / 2.0, temperature_c=t_c,
-        length_m=1e-3)
+        crystal=crystal, pump_axis=args.pump_axis, signal_axis=args.signal_axis,
+        pump_wavelength_um=lam_cgvm / 2.0, temperature_c=t_c, length_m=1e-3)
     period = pm.poling_period(config)
     payload = {
         "crystal": crystal.name,
@@ -369,7 +371,7 @@ def _cmd_scan(args, run: RunConfig, crystal, out_dir: Path) -> int:
     config = run.to_pdc_config(crystal)
     pump = run.to_pump_pulse()
     lengths_m = [l * 1e-3 for l in args.lengths_mm]
-    results = length_scan(config, pump, lengths_m, grid=_pinned_grid(run),
+    results = length_scan(config, pump, lengths_m, grid=_pinned_grid(run, config),
                           grid_n=run.grid.points_per_axis)
     header = ["l_mm", "k", "eta_jsa", "eta_pdc_per_w", "r0", "s_db",
               "validity_flag"]

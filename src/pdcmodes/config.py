@@ -50,7 +50,6 @@ def _as_number(mapping: Mapping, key: str, context: str,
 
 
 class PdcSettings(Record):
-    pdc_type: str
     pump_axis: str
     signal_axis: str
     pump_wavelength_nm: float
@@ -63,8 +62,8 @@ class PdcSettings(Record):
 
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "PdcSettings":
-        """The ``pdc`` section; its optional ``type`` is derived from the
-        two axes, and a given one must agree with them."""
+        """The ``pdc`` section; its optional ``type`` must agree with the
+        one the two axes make, which ``PdcConfig`` derives."""
         _reject_unknown(doc, cls._KEYS, "pdc")
         for key in ("pump_axis", "signal_axis"):
             if key not in doc or not isinstance(doc[key], str):
@@ -77,7 +76,6 @@ class PdcSettings(Record):
                 f"{doc['pump_axis']!r} and signal_axis {doc['signal_axis']!r}, "
                 f"which make {pdc_type!r}")
         return cls(
-            pdc_type=pdc_type,
             pump_axis=doc["pump_axis"],
             signal_axis=doc["signal_axis"],
             pump_wavelength_nm=_as_number(doc, "pump_wavelength_nm", "pdc"),
@@ -198,7 +196,6 @@ class RunConfig(Record):
                 "run config has no 'pdc' section, required by this command")
         return PdcConfig(
             crystal=crystal,
-            pdc_type=self.pdc.pdc_type,
             pump_axis=self.pdc.pump_axis,
             signal_axis=self.pdc.signal_axis,
             pump_wavelength_um=self.pdc.pump_wavelength_nm * 1e-3,

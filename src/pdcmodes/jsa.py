@@ -176,6 +176,36 @@ def pump_spectral_amplitude(pump: PumpPulse, omega_rad_s):
     return amplitude
 
 
+def _check_extent(config: PdcConfig, extent: float, cause: str) -> None:
+    """Refuse a per-axis grid extent (rad/s) that the JSA cannot evaluate.
+
+    The extent must stay below the signal frequency ω_s, so that every
+    sampled frequency is positive, and both bands the JSA evaluates, the
+    signal's ω_s ± extent and the pump's ω_p ± 2·extent, must lie in the
+    crystal's valid range. ``cause`` names what set the extent; each
+    ``DomainError`` message begins with it.
+    """
+    omega_s, omega_p = config.omega_s_rad_s, config.omega_p_rad_s
+    if not extent < omega_s:
+        raise DomainError(
+            f"{cause} reaches {extent:.4g} rad/s from the signal frequency "
+            f"ω_s = {omega_s:.4g} rad/s, past zero frequency")
+    # the grid's end frequencies, with the bits of phase_mismatch's sums
+    # (2·extent is exact), and their wavelengths as wavevector_at_omega
+    # converts them: an extent is refused here exactly when its evaluation
+    # would leave the valid range
+    lo, hi = config.crystal.valid_range_um
+    for band, omegas in (("signal", (omega_s - extent, omega_s + extent)),
+                         ("pump", (omega_p - 2.0 * extent, omega_p + 2.0 * extent))):
+        for omega in omegas:
+            lam_um = 2.0e6 * math.pi * c / omega
+            if not lo <= lam_um <= hi:
+                raise DomainError(
+                    f"{cause} takes the {band} to {lam_um:.6g} µm, outside "
+                    f"the valid range [{lo:g}, {hi:g}] µm of crystal "
+                    f"{config.crystal.name!r}")
+
+
 def default_grid(config: PdcConfig, pump: PumpPulse,
                  n: int = DEFAULT_GRID_POINTS) -> FrequencyGrid:
     """Grid sized to hold both the pump ridge and the phase-matching band.
@@ -183,11 +213,10 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
     Per-axis extent is the larger of 4·√2·σ₊ (pump support) and
     sqrt(2·_SINC_SUPPORT_X / (k_s″·L/2))/√2, the |sinc| > 0.05 reach along
     the Ω₋ diagonal projected onto one axis. The extent is independent of
-    ``n``. It must stay below the signal frequency ω_s, so that every
-    sampled frequency is positive, and both bands the JSA evaluates, the
-    signal's ω_s ± extent and the pump's ω_p ± 2·extent, must lie in the
-    crystal's valid range (``DomainError`` otherwise, naming the crystal
-    length or the pump bandwidth, whichever sets the extent).
+    ``n``. An extent that reaches past ω_s, or takes a band the JSA
+    evaluates out of the crystal's valid range, is refused with a
+    ``DomainError`` naming the crystal length or the pump bandwidth,
+    whichever sets it.
     """
     pump_extent = 4.0 * math.sqrt(2.0) * pump.sigma_plus_rad_s
     extent = pump_extent
@@ -203,25 +232,7 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
         extent = max(extent, omega_minus_max / math.sqrt(2.0))
     cause = (too_short if extent > pump_extent else
              f"pump bandwidth_fwhm_nm = {pump.bandwidth_fwhm_nm:g} is too wide")
-    omega_s, omega_p = config.omega_s_rad_s, config.omega_p_rad_s
-    if not extent < omega_s:
-        raise DomainError(
-            f"{cause}: the grid it needs reaches {extent:.4g} rad/s from the "
-            f"signal frequency ω_s = {omega_s:.4g} rad/s, past zero frequency")
-    # the grid's end frequencies, with the bits of phase_mismatch's sums
-    # (2·extent is exact), and their wavelengths as wavevector_at_omega
-    # converts them: a grid is refused here exactly when its evaluation
-    # would leave the valid range
-    lo, hi = config.crystal.valid_range_um
-    for band, omegas in (("signal", (omega_s - extent, omega_s + extent)),
-                         ("pump", (omega_p - 2.0 * extent, omega_p + 2.0 * extent))):
-        for omega in omegas:
-            lam_um = 2.0e6 * math.pi * c / omega
-            if not lo <= lam_um <= hi:
-                raise DomainError(
-                    f"{cause}: the grid it needs takes the {band} to "
-                    f"{lam_um:.6g} µm, outside the valid range [{lo:g}, {hi:g}] "
-                    f"µm of crystal {config.crystal.name!r}")
+    _check_extent(config, extent, f"{cause}: the grid it needs")
     return FrequencyGrid(n=n, omega_max_rad_s=extent)
 
 

@@ -7,9 +7,10 @@ wavelength. Only first-order quasi-phase matching is modeled; the grating
 wavevector sign is chosen to cancel the actual central mismatch, so the
 reported poling period is always the positive 2π/|k_p0 − 2k_s0|.
 
-``phase_mismatch`` always uses the full Sellmeier dispersion. The quadratic
-Taylor coefficients around the central frequencies (``taylor_dispersion``)
-are a diagnostic and are never substituted for the full form.
+The PDC type follows from the two polarization axes: type-0 when pump and
+signal share an axis, type-I when they do not. ``phase_mismatch`` always
+uses the full Sellmeier dispersion; the design's k′ and k″ at the centre
+are held in ``PdcConfig.central``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ from .errors import DomainError, SolverError
 
 __all__ = [
     "PdcConfig",
-    "TaylorDispersion",
     "poling_period",
     "grating_wavevector",
     "phase_mismatch",
-    "taylor_dispersion",
     "walkoff_time",
     "solve_cgvm",
     "solve_cgvm_temperature",
@@ -59,6 +58,8 @@ class PdcConfig(Record):
 
     The signal central wavelength is 2·pump_wavelength_um by construction.
     ``poling_period_um=None`` means "use the computed first-order period".
+    ``pdc_type=None`` means "the type the two axes make"; a given type
+    must be one of ``PDC_TYPES`` and agree with the axes.
 
     ``central`` is ((n, k′, k″) of the pump, (n, k′, k″) of the signal) at
     their central wavelengths, in SI, one Sellmeier pass each when the
@@ -67,20 +68,23 @@ class PdcConfig(Record):
     """
 
     crystal: CrystalModel
-    pdc_type: str                    # "type-0" | "type-I"
     pump_axis: str
     signal_axis: str
     pump_wavelength_um: float
     temperature_c: float
     length_m: float
     poling_period_um: float | None = None
+    pdc_type: str | None = None      # "type-0" | "type-I"
     central: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.pdc_type not in PDC_TYPES:
+        derived = _pdc_type(self.pump_axis, self.signal_axis)
+        if self.pdc_type is None:
+            object.__setattr__(self, "pdc_type", derived)
+        elif self.pdc_type not in PDC_TYPES:
             raise DomainError(
                 f"pdc_type must be one of {PDC_TYPES}, got {self.pdc_type!r}")
-        if self.pdc_type != _pdc_type(self.pump_axis, self.signal_axis):
+        elif self.pdc_type != derived:
             raise DomainError(f"{self.pdc_type} requires pump and signal on "
                               + ("the same axis" if self.pdc_type == "type-0"
                                  else "different axes"))
@@ -184,33 +188,6 @@ def phase_mismatch(config: PdcConfig, omega1_rad_s, omega2_rad_s):
     if np.isscalar(omega1_rad_s) and np.isscalar(omega2_rad_s):
         return float(delta)
     return delta
-
-
-class TaylorDispersion(Record):
-    """Quadratic dispersion coefficients around the central frequencies.
-
-    dk1 = k_p′ − k_s′ (s/m); kp2, ks2 are the pump/signal GVDs (s²/m);
-    omega_d = −√2·dk1/(2·kp2 − ks2) locates the phase-matching hyperbola
-    vertices on the Ω₊ axis (rad/s).
-    """
-
-    dk1_s_per_m: float
-    kp2_s2_per_m: float
-    ks2_s2_per_m: float
-    omega_d_rad_s: float
-
-
-def taylor_dispersion(config: PdcConfig) -> TaylorDispersion:
-    """Evaluate the quadratic-expansion coefficients for a design."""
-    (_, kp1, kp2), (_, ks1, ks2) = config.central
-    dk1 = kp1 - ks1
-    denom = 2.0 * kp2 - ks2
-    if denom == 0.0 or abs(denom) < 1e-9 * max(abs(kp2), abs(ks2)):
-        raise DomainError(
-            "parabolic degeneracy: 2·k_p″ = k_s″, the hyperbola vertex "
-            "offset is undefined for this design")
-    omega_d = -math.sqrt(2.0) * dk1 / denom
-    return TaylorDispersion(dk1, kp2, ks2, omega_d)
 
 
 def walkoff_time(config: PdcConfig) -> float:

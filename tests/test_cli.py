@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import pdcmodes as p
 from conftest import joined_csv
 from pdcmodes import cli
-from pdcmodes.config import load_run_config
+from pdcmodes.config import RunConfig, load_run_config
 
 MATCHED_YAML = """\
 pdc:
@@ -962,6 +962,9 @@ class TestErrorPaths:
         assert not out.exists()
 
     TINY_LENGTH = ("crystal_length_mm: 80.0", "crystal_length_mm: 1.0e-300")
+    PUMP_END = "repetition_rate_mhz: 100.0\n"
+    PINNED_150 = (PUMP_END, PUMP_END + "grid:\n  detuning_extent_thz: 150\n")
+    PINNED_250 = (PUMP_END, PUMP_END + "grid:\n  detuning_extent_thz: 250\n")
 
     @pytest.mark.parametrize("args, edit, message", [
         (("scan", "--lengths-mm", "1e-300"), None,
@@ -988,10 +991,29 @@ class TestErrorPaths:
         (("squeeze",), ("bandwidth_fwhm_nm: 4.0", "bandwidth_fwhm_nm: 100.0"),
          "pump bandwidth_fwhm_nm = 100 is too wide: the grid it needs takes "
          "the signal to 4.07824 µm, outside the valid range [0.5, 4] µm"),
+        # a pinned extent is refused by name before the ridge check, which
+        # would ask for a larger n that cannot help
+        (("squeeze",), PINNED_150,
+         "grid detuning_extent_thz = 150 THz takes the signal to 6.90535 µm, "
+         "outside the valid range [0.5, 4] µm"),
+        (("scan", "--lengths-mm", "10", "80"), PINNED_150,
+         "grid detuning_extent_thz = 150 THz takes the signal to 6.90535 µm, "
+         "outside the valid range [0.5, 4] µm"),
+        (("squeeze",), (PUMP_END, PUMP_END + "grid:\n  detuning_extent_thz: 110\n"),
+         "grid detuning_extent_thz = 110 THz takes the pump to 0.494031 µm, "
+         "outside the valid range [0.5, 4] µm"),
+        (("squeeze",), PINNED_250,
+         "grid detuning_extent_thz = 250 THz reaches 1.571e+15 rad/s from the "
+         "signal frequency ω_s = 1.215e+15 rad/s, past zero frequency"),
+        (("scan", "--lengths-mm", "10", "80"), PINNED_250,
+         "grid detuning_extent_thz = 250 THz reaches 1.571e+15 rad/s from the "
+         "signal frequency ω_s = 1.215e+15 rad/s, past zero frequency"),
     ], ids=["tiny_length_scan", "tiny_length_squeeze", "tiny_length_modes",
             "tiny_length_jsa", "huge_length_scan", "tiny_bandwidth",
             "narrow_bandwidth", "unresolved_pump_ridge", "band_past_signal",
-            "band_outside_valid_range", "pump_band_outside_valid_range"])
+            "band_outside_valid_range", "pump_band_outside_valid_range",
+            "pinned_band_squeeze", "pinned_band_scan", "pinned_pump_band",
+            "pinned_past_signal_squeeze", "pinned_past_signal_scan"])
     def test_extreme_length_or_bandwidth_is_one_domain_line(
             self, tmp_path, monkeypatch, capsys, args, edit, message):
         # k_s″·L underflows, the band reaches past ω_s, Σs² of the kernel
@@ -1012,6 +1034,34 @@ class TestErrorPaths:
         assert len(lines) == 1, lines
         assert lines[0].startswith(f"error[domain]: {message}"), lines
         assert not out.exists()
+
+    def test_pinned_extent_check_refuses_exactly_what_the_evaluation_refuses(
+            self, matched_config):
+        # bisect to the adjacent extents where the pinned grid turns to
+        # refusal: the pump band's 0.5 µm end, on the matched design
+        run = RunConfig.from_mapping(yaml.safe_load(MATCHED_YAML))
+
+        def pinned(thz):
+            grid = run.grid.replace(points_per_axis=64, detuning_extent_thz=thz)
+            return cli._pinned_grid(run.replace(grid=grid), matched_config)
+
+        ok, bad = 15.0, 110.0
+        while (ok + bad) / 2 not in (ok, bad):
+            mid = (ok + bad) / 2
+            try:
+                pinned(mid)
+                ok = mid
+            except p.DomainError:
+                bad = mid
+        for thz, evaluates in ((ok, True), (bad, False)):
+            ends = p.FrequencyGrid(n=64, omega_max_rad_s=2.0 * math.pi * thz
+                                   * 1e12).detunings()[[0, -1]]
+            if evaluates:
+                assert pinned(thz).detunings()[[0, -1]].tolist() == ends.tolist()
+                p.phase_mismatch(matched_config, ends[:, None], ends[None, :])
+            else:
+                with pytest.raises(p.DomainError, match="valid range"):
+                    p.phase_mismatch(matched_config, ends[:, None], ends[None, :])
 
     @pytest.mark.parametrize("args", [
         ("dispersion", "--lambda-min-um", "1.0", "--lambda-max-um", "nan"),

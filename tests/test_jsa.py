@@ -337,9 +337,12 @@ class TestComputeJsa:
         diagonal = np.abs(np.diagonal(_values(reference_parts[1])))
         peak = np.argmax(diagonal)
         assert abs(om[peak]) <= matched_jsa.grid.step_rad_s
-        # both hyperbola vertices sit within a fraction of the pump width
-        td = p.taylor_dispersion(matched_config)
-        assert abs(2 * td.omega_d_rad_s) < 0.2 * pump775.sigma_plus_rad_s
+        # both hyperbola vertices, at Ω₊ = ±Ω_d with
+        # Ω_d = −√2·(k_p′ − k_s′)/(2k_p″ − k_s″), sit within a fraction of
+        # the pump width
+        (_, kp1, kp2), (_, ks1, ks2) = matched_config.central
+        omega_d = -math.sqrt(2.0) * (kp1 - ks1) / (2.0 * kp2 - ks2)
+        assert abs(2 * omega_d) < 0.2 * pump775.sigma_plus_rad_s
 
     def test_pump_record_must_match_design(self, matched_config, pump740):
         grid = p.FrequencyGrid(n=64, omega_max_rad_s=1e13)

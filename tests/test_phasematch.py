@@ -1,6 +1,9 @@
 """Phase matching: poling periods, mismatch, Taylor coefficients, cGVM solving."""
 
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from pdcmodes.phasematch import (_CGVM_XTOL_UM, _TEMP_XTOL_C, _brentq,
 
 from conftest import ROOM_T_C, assert_within, expression_phase_mismatch
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
 
 @pytest.fixture(scope="module")
 def cgvm_config(crystal):
@@ -28,6 +33,37 @@ def cgvm_config(crystal):
 
 
 class TestPdcConfig:
+    @pytest.mark.parametrize("design", ["walkoff_config", "matched_config"])
+    def test_type_is_derived_from_the_axes(self, request, design):
+        # each reference design is built with pdc_type="type-I"
+        config = request.getfixturevalue(design)
+        fields = {name: getattr(config, name) for name in config.__match_args__
+                  if name != "pdc_type"}
+        derived = p.PdcConfig(**fields)
+        assert derived.pdc_type == "type-I"
+        assert derived == config
+        assert repr(derived) == repr(config)
+
+    def test_benchmark_worker_call_builds_the_reference_designs(
+            self, monkeypatch, crystal, matched_config, walkoff_config):
+        # the lib-modes worker still passes pdc_type="type-I" by keyword
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        loaded = set(sys.modules)
+        try:
+            child = importlib.import_module("child")
+            configs = [child._inputs(p, crystal, {"design": design,
+                                                  "temperature_c": t_c,
+                                                  "bandwidth_fwhm_nm": 4.0})[0]
+                       for design, t_c in (("matched", 11.0),
+                                           ("walkoff", ROOM_T_C))]
+        finally:
+            for name in set(sys.modules) - loaded:
+                if str(PERFBENCH) in str(getattr(sys.modules[name], "__file__", "")):
+                    del sys.modules[name]
+        assert configs == [matched_config, walkoff_config]
+        assert list(map(repr, configs)) == [repr(matched_config),
+                                            repr(walkoff_config)]
+
     def test_type0_needs_equal_axes(self, crystal):
         with pytest.raises(p.DomainError, match="same axis"):
             p.PdcConfig(crystal=crystal, pdc_type="type-0", pump_axis="e",
@@ -191,53 +227,22 @@ class TestPhaseMismatch:
         assert np.abs(full - taylor).max() < 0.02 * scale
 
 
-CONSTANT_INDEX = """
-name: constant-index
-class: uniaxial
-temperature_model: none
-d_eff_pm_per_V: 1.0
-valid_range_um: [0.5, 4.0]
-provenance: synthetic dispersionless medium
-sellmeier:
-  o:
-    form: sellmeier_standard
-    coefficients: {a: 4.84, b: [], c: [], d: 0.0, dn_dt: 0.0, t_ref_c: 20.0}
-  e:
-    form: sellmeier_standard
-    coefficients: {a: 4.41, b: [], c: [], d: 0.0, dn_dt: 0.0, t_ref_c: 20.0}
-"""
-
-
 class TestTaylorDispersion:
+    """The expansion coefficients k′ and k″ held in ``PdcConfig.central``."""
+
     def test_cgvm_design_has_no_group_velocity_gap(self, cgvm_config):
-        td = p.taylor_dispersion(cgvm_config)
-        assert abs(td.dk1_s_per_m) < 1e-14
-        assert abs(td.omega_d_rad_s) < 1e8   # ≈ 0 on any grid scale
+        (_, kp1, _), (_, ks1, _) = cgvm_config.central
+        assert abs(kp1 - ks1) < 1e-14
 
     def test_walk_off_design_gvds(self, walkoff_config):
-        td = p.taylor_dispersion(walkoff_config)
-        assert_within(td.kp2_s2_per_m, 0.41e-24, 0.05, "k_p''")
-        assert_within(td.ks2_s2_per_m, 0.13e-24, 0.05, "k_s''")
+        (_, _, kp2), (_, _, ks2) = walkoff_config.central
+        assert_within(kp2, 0.41e-24, 0.05, "k_p''")
+        assert_within(ks2, 0.13e-24, 0.05, "k_s''")
 
     def test_walk_off_design_group_velocity_gap(self, walkoff_config):
-        td = p.taylor_dispersion(walkoff_config)
+        (_, kp1, _), (_, ks1, _) = walkoff_config.central
         # 2·τ_w/L with τ_w = 115 fs over L = 5 mm
-        assert_within(td.dk1_s_per_m, 46e-12, 0.05, "dk1")
-
-    def test_omega_d_invariant(self, walkoff_config):
-        td = p.taylor_dispersion(walkoff_config)
-        expected = -math.sqrt(2) * td.dk1_s_per_m / (2 * td.kp2_s2_per_m
-                                                     - td.ks2_s2_per_m)
-        assert td.omega_d_rad_s == pytest.approx(expected, rel=1e-14)
-
-    def test_parabolic_degeneracy_raises(self):
-        # a dispersionless medium has 2·k_p″ = k_s″ = 0 exactly
-        flat = p.load_crystal(CONSTANT_INDEX)
-        config = p.PdcConfig(crystal=flat, pdc_type="type-I", pump_axis="e",
-                             signal_axis="o", pump_wavelength_um=0.775,
-                             temperature_c=20.0, length_m=1e-3)
-        with pytest.raises(p.DomainError, match="parabolic degeneracy"):
-            p.taylor_dispersion(config)
+        assert_within(kp1 - ks1, 46e-12, 0.05, "dk1")
 
 
 class TestWalkoff:

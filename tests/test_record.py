@@ -10,12 +10,9 @@ from pdcmodes.config import (GridSettings, OutputSettings, PdcSettings,
 RECORD_FIELDS = {
     p.CrystalModel: ("name", "crystal_class", "axes", "temperature_model",
                      "d_eff_pm_per_v", "valid_range_um", "provenance"),
-    p.PdcConfig: ("crystal", "pdc_type", "pump_axis", "signal_axis",
-                  "pump_wavelength_um", "temperature_c", "length_m",
-                  "poling_period_um"),
-    p.TaylorDispersion: ("dk1_s_per_m", "kp2_s2_per_m", "ks2_s2_per_m",
-                         "omega_d_rad_s"),
-    PdcSettings: ("pdc_type", "pump_axis", "signal_axis", "pump_wavelength_nm",
+    p.PdcConfig: ("crystal", "pump_axis", "signal_axis", "pump_wavelength_um",
+                  "temperature_c", "length_m", "poling_period_um", "pdc_type"),
+    PdcSettings: ("pump_axis", "signal_axis", "pump_wavelength_nm",
                   "temperature_c", "crystal_length_mm", "poling_period_um"),
     PumpSettings: ("bandwidth_fwhm_nm", "mean_power_mw", "repetition_rate_mhz"),
     GridSettings: ("points_per_axis", "detuning_extent_thz"),
@@ -25,7 +22,7 @@ RECORD_FIELDS = {
 
 
 def _settings():
-    return PdcSettings("type-I", "e", "o", 775.0, 11.0, 80.0)
+    return PdcSettings("e", "o", 775.0, 11.0, 80.0)
 
 
 @pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
@@ -36,10 +33,11 @@ def test_constructor_takes_the_fields_in_order(cls):
 def test_positional_and_keyword_construction_agree(matched_config):
     args = [getattr(matched_config, name) for name in RECORD_FIELDS[p.PdcConfig]]
     assert p.PdcConfig(*args) == matched_config
-    assert p.PdcConfig(*args[:4], pump_wavelength_um=args[4],
-                       temperature_c=args[5], length_m=args[6]) == matched_config
+    # the type left out is the one the axes make
+    assert p.PdcConfig(*args[:3], pump_wavelength_um=args[3],
+                       temperature_c=args[4], length_m=args[5]) == matched_config
     assert _settings() == PdcSettings(
-        pdc_type="type-I", pump_axis="e", signal_axis="o", pump_wavelength_nm=775.0,
+        pump_axis="e", signal_axis="o", pump_wavelength_nm=775.0,
         temperature_c=11.0, crystal_length_mm=80.0, poling_period_um=None)
 
 
@@ -51,14 +49,14 @@ def test_defaults_are_filled_and_stay_class_attributes():
 
 
 @pytest.mark.parametrize("args, kwargs, message", [
-    ((), {"pump_axis": "e"}, r"missing required argument\(s\): 'pdc_type', "
-                             "'signal_axis'"),
-    (("type-I", "e", "o", 775.0, 11.0, 80.0), {"colour": "red"},
+    ((), {"pump_axis": "e"}, r"missing required argument\(s\): 'signal_axis', "
+                             "'pump_wavelength_nm'"),
+    (("e", "o", 775.0, 11.0, 80.0), {"colour": "red"},
      "unexpected keyword argument 'colour'"),
-    (("type-I", "e", "o", 775.0, 11.0, 80.0), {"pump_axis": "o"},
+    (("e", "o", 775.0, 11.0, 80.0), {"pump_axis": "o"},
      "multiple values for argument 'pump_axis'"),
-    (("type-I", "e", "o", 775.0, 11.0, 80.0, None, 1.0), {},
-     "takes 7 positional arguments but 8 were given"),
+    (("e", "o", 775.0, 11.0, 80.0, None, 1.0), {},
+     "takes 6 positional arguments but 7 were given"),
 ], ids=["missing", "unknown", "repeated", "too_many"])
 def test_bad_arguments_are_type_errors(args, kwargs, message):
     with pytest.raises(TypeError, match=message):
@@ -67,7 +65,7 @@ def test_bad_arguments_are_type_errors(args, kwargs, message):
 
 def test_derived_field_is_not_an_argument(crystal, matched_config):
     with pytest.raises(TypeError, match="unexpected keyword argument 'central'"):
-        p.PdcConfig(crystal, "type-I", "e", "o", 0.775, 11.0, 80e-3,
+        p.PdcConfig(crystal, "e", "o", 0.775, 11.0, 80e-3,
                     central=matched_config.central)
     with pytest.raises(ValueError, match="'central' is derived"):
         matched_config.replace(central=())
@@ -87,7 +85,7 @@ def test_assignment_and_deletion_are_refused(matched_config, record):
 def test_equality_and_hash_follow_the_compared_fields(matched_config):
     assert _settings() == _settings() and hash(_settings()) == hash(_settings())
     assert _settings() != _settings().replace(temperature_c=12.0)
-    assert _settings() != RunConfig() and _settings() != ("type-I",)
+    assert _settings() != RunConfig() and _settings() != ("e",)
     run = RunConfig(pdc=_settings(), pump=PumpSettings(4.0, 12.0, 100.0))
     assert len({run, run.replace(), RunConfig()}) == 2
     # central is derived, so it takes no part in equality
@@ -106,8 +104,8 @@ def test_repr_hides_provenance_and_central(matched_config):
                                     "crystal_class='uniaxial', axes=")
     assert "provenance" not in repr(crystal)
     text = repr(matched_config)
-    assert text.startswith(f"PdcConfig(crystal={crystal!r}, pdc_type='type-I', ")
-    assert text.endswith("temperature_c=11.0, length_m=0.08, poling_period_um=None)")
+    assert text.startswith(f"PdcConfig(crystal={crystal!r}, pump_axis='e', ")
+    assert text.endswith("length_m=0.08, poling_period_um=None, pdc_type='type-I')")
     assert "central" not in text
     assert repr(GridSettings()) == \
         "GridSettings(points_per_axis=512, detuning_extent_thz=None)"
