@@ -5,111 +5,71 @@ and imports ``inspect`` (with ``ast``, ``dis`` and ``tokenize``) to do so.
 The design chain loads nothing else that needs them, and that import and
 the compiling were the largest start-up cost the package itself owned in
 a design command. A :class:`Record` subclass declares its fields as a
-dataclass does, as annotated class attributes in positional order, with
-:func:`field` for the options a default cannot carry, and shares one
-generic ``__init__``, ``__eq__``, ``__hash__``, ``__repr__`` and
-:meth:`Record.replace`.
+dataclass does, as annotated class attributes in positional order whose
+values are the defaults, and shares one generic ``__init__``, ``__eq__``,
+``__hash__``, ``__repr__`` and :meth:`Record.replace`. The fields are
+exactly the constructor's arguments.
 """
-
-_MISSING = object()
 
 
 class FrozenInstanceError(AttributeError):
     """An assignment to, or deletion of, an attribute of a frozen record."""
 
 
-class field:
-    """The options of one field, spelled as ``dataclasses.field`` spells them.
-
-    ``init=False`` leaves the field out of the constructor, for
-    ``__post_init__`` to set; ``repr=False`` hides it from the repr and
-    ``compare=False`` from equality and the hash.
-    """
-
-    __slots__ = ("default", "init", "repr", "compare")
-
-    def __init__(self, *, default=_MISSING, init=True, repr=True, compare=True):
-        self.default, self.init, self.repr, self.compare = default, init, repr, compare
-
-
 class Record:
     """Base of a frozen record with the behaviour of a frozen dataclass.
 
-    The constructor takes the ``init`` fields by position or keyword, fills
-    the defaults and calls ``__post_init__`` when the class defines one.
-    Instances compare equal, and hash alike, when they are of the same
-    class and their compared fields are equal. Setting or deleting any
-    attribute raises :class:`FrozenInstanceError`; ``__post_init__`` sets
-    derived fields with ``object.__setattr__``.
+    The constructor takes the fields by position or keyword (one not given
+    reads its default, the class attribute) and calls ``__post_init__``
+    when the class defines one. Records of one class are equal, and hash
+    alike, when their fields are; the repr omits the fields named in
+    ``_hidden``. Setting or deleting an attribute raises
+    :class:`FrozenInstanceError`; ``__post_init__`` may set derived
+    attributes with ``object.__setattr__``, which are not fields.
     """
+
+    _fields: tuple = ()
+    _hidden: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        specs = dict(getattr(cls, "_specs", {}))
-        for name in cls.__dict__.get("__annotations__", {}):
-            spec = cls.__dict__.get(name, _MISSING)
-            if not isinstance(spec, field):
-                spec = field(default=spec)
-            # the class attribute is the default, as on a dataclass
-            if spec.default is not _MISSING:
-                setattr(cls, name, spec.default)
-            elif name in cls.__dict__:
-                delattr(cls, name)
-            specs[name] = spec
-        init = [name for name, spec in specs.items() if spec.init]
-        for before, after in zip(init, init[1:]):
-            if (specs[before].default is not _MISSING
-                    and specs[after].default is _MISSING):
-                raise TypeError(f"{cls.__qualname__}: field {after!r} without "
-                                f"a default follows field {before!r} with one")
-        cls._specs = specs
-        cls._init = tuple(init)
-        cls._compared = tuple(n for n, spec in specs.items() if spec.compare)
-        cls._shown = tuple(n for n, spec in specs.items() if spec.repr)
-        cls.__match_args__ = cls._init
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        defaulted = [hasattr(cls, name) for name in cls._fields]
+        if defaulted != sorted(defaulted):
+            raise TypeError(f"{cls.__qualname__}: a field without a default "
+                            "follows a field with one")
+        cls.__match_args__ = cls._fields
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
-        if len(args) > len(cls._init):
-            raise TypeError(f"{cls.__qualname__}() takes {len(cls._init)} "
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(cls._fields)} "
                             f"positional arguments but {len(args)} were given")
-        values = dict(zip(cls._init, args))
+        values = dict(zip(cls._fields, args))
         for name, value in kwargs.items():
-            if name not in cls._init:
+            if name not in cls._fields:
                 raise TypeError(f"{cls.__qualname__}() got an unexpected "
                                 f"keyword argument {name!r}")
             if name in values:
                 raise TypeError(f"{cls.__qualname__}() got multiple values "
                                 f"for argument {name!r}")
             values[name] = value
-        missing = []
-        for name, spec in cls._specs.items():
-            if name not in values:
-                if spec.default is not _MISSING:
-                    values[name] = spec.default
-                elif spec.init:
-                    missing.append(repr(name))
+        missing = [repr(name) for name in cls._fields
+                   if name not in values and not hasattr(cls, name)]
         if missing:
             raise TypeError(f"{cls.__qualname__}() missing required "
                             f"argument(s): {', '.join(missing)}")
         self.__dict__.update(values)
-        post_init = getattr(self, "__post_init__", None)
-        if post_init is not None:
-            post_init()
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
 
     def replace(self, **changes):
-        """A new record with ``changes`` applied to this one's ``init``
-        fields, built, validated and derived anew by the constructor."""
-        for name in changes:
-            spec = self._specs.get(name)
-            if spec is not None and not spec.init:
-                raise ValueError(f"field {name!r} is derived (init=False) "
-                                 "and cannot be replaced")
-        return type(self)(**{**{n: getattr(self, n) for n in self._init},
+        """A new record with ``changes`` to its fields, built anew."""
+        return type(self)(**{**{n: getattr(self, n) for n in self._fields},
                              **changes})
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -120,7 +80,8 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields if name not in self._hidden)
         return f"{type(self).__qualname__}({shown})"
 
     def __setattr__(self, name, value):

@@ -57,14 +57,11 @@ class PdcSettings(Record):
     crystal_length_mm: float
     poling_period_um: float | None = None
 
-    _KEYS = ("type", "pump_axis", "signal_axis", "pump_wavelength_nm",
-             "temperature_c", "crystal_length_mm", "poling_period_um")
-
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "PdcSettings":
         """The ``pdc`` section; its optional ``type`` must agree with the
-        one the two axes make, which ``PdcConfig`` derives."""
-        _reject_unknown(doc, cls._KEYS, "pdc")
+        one the two axes make."""
+        _reject_unknown(doc, ("type", *cls._fields), "pdc")
         for key in ("pump_axis", "signal_axis"):
             if key not in doc or not isinstance(doc[key], str):
                 raise ValidationError(f"pdc: missing or non-text key {key!r}")
@@ -91,11 +88,9 @@ class PumpSettings(Record):
     mean_power_mw: float
     repetition_rate_mhz: float
 
-    _KEYS = ("bandwidth_fwhm_nm", "mean_power_mw", "repetition_rate_mhz")
-
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "PumpSettings":
-        _reject_unknown(doc, cls._KEYS, "pump")
+        _reject_unknown(doc, cls._fields, "pump")
         return cls(
             bandwidth_fwhm_nm=_as_number(doc, "bandwidth_fwhm_nm", "pump"),
             mean_power_mw=_as_number(doc, "mean_power_mw", "pump"),
@@ -107,11 +102,9 @@ class GridSettings(Record):
     points_per_axis: int = DEFAULT_GRID_POINTS
     detuning_extent_thz: float | None = None
 
-    _KEYS = ("points_per_axis", "detuning_extent_thz")
-
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "GridSettings":
-        _reject_unknown(doc, cls._KEYS, "grid")
+        _reject_unknown(doc, cls._fields, "grid")
         n = doc.get("points_per_axis", cls.points_per_axis)
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValidationError(
@@ -128,11 +121,9 @@ class OutputSettings(Record):
     format: str = "csv"
     precision: int = 9
 
-    _KEYS = ("directory", "format", "precision")
-
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "OutputSettings":
-        _reject_unknown(doc, cls._KEYS, "output")
+        _reject_unknown(doc, cls._fields, "output")
         fmt = doc.get("format", cls.format)
         if fmt not in _FORMATS:
             raise ValidationError(
@@ -158,11 +149,9 @@ class RunConfig(Record):
     grid: GridSettings = GridSettings()
     output: OutputSettings = OutputSettings()
 
-    _KEYS = ("crystal_file", "pdc", "pump", "grid", "output")
-
     @classmethod
     def from_mapping(cls, doc: Mapping) -> "RunConfig":
-        _reject_unknown(doc, cls._KEYS, "run config")
+        _reject_unknown(doc, cls._fields, "run config")
         crystal_file = doc.get("crystal_file")
         if crystal_file is not None and not isinstance(crystal_file, str):
             raise ValidationError(

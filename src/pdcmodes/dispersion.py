@@ -37,7 +37,7 @@ from typing import Mapping
 
 import yaml
 
-from ._record import Record, field
+from ._record import Record
 from .constants import c
 from .errors import DomainError, ValidationError
 
@@ -323,7 +323,9 @@ class CrystalModel(Record):
     temperature_model: str
     d_eff_pm_per_v: float
     valid_range_um: tuple[float, float]
-    provenance: str = field(repr=False, default="")
+    provenance: str = ""
+
+    _hidden = ("provenance",)
 
     def axis(self, label: str) -> GayerTwoPole | StandardSellmeier:
         try:
@@ -581,6 +583,16 @@ def _index(crystal: CrystalModel, axis: str, wavelength_um,
             f"crystal {crystal.name!r}, axis {axis!r}: {exc}") from None
 
 
+def _um_rad_s(x):
+    """2π·c/x: a vacuum wavelength (µm) as an angular frequency (rad/s), or back."""
+    return 2.0e6 * math.pi * c / x
+
+
+def _wavenumber(lam_um, n):
+    """k = n·ω/c = 2π·n/λ in rad/m at vacuum wavelength λ (µm)."""
+    return 2.0e6 * math.pi * n / lam_um
+
+
 def refractive_index(crystal: CrystalModel, axis: str, wavelength_um,
                      temperature_c: float):
     """Refractive index n(λ, T); λ in µm, T in °C. A float in gives a
@@ -591,8 +603,7 @@ def refractive_index(crystal: CrystalModel, axis: str, wavelength_um,
 def wavevector(crystal: CrystalModel, axis: str, wavelength_um,
                temperature_c: float):
     """Wavevector k = n·ω/c in rad/m at vacuum wavelength λ (µm)."""
-    lam, n = _index(crystal, axis, wavelength_um, temperature_c)
-    return 2.0e6 * math.pi * n / lam
+    return _wavenumber(*_index(crystal, axis, wavelength_um, temperature_c))
 
 
 def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
@@ -601,11 +612,11 @@ def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
     omega = _float_or_array(omega_rad_s)
     # an ω = 0 has an infinite wavelength, which the range check refuses
     if isinstance(omega, float):
-        lam_um = 2.0e6 * math.pi * c / omega if omega else math.copysign(math.inf, omega)
+        lam_um = _um_rad_s(omega) if omega else math.copysign(math.inf, omega)
     else:
         import numpy as np
         with np.errstate(divide="ignore"):
-            lam_um = 2.0e6 * math.pi * c / omega
+            lam_um = _um_rad_s(omega)
     return _index(crystal, axis, lam_um, temperature_c)[1] * omega / c
 
 

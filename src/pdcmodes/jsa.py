@@ -32,6 +32,7 @@ import numpy as np
 
 from . import phasematch as _phasematch
 from .constants import DEFAULT_GRID_POINTS, c
+from .dispersion import _um_rad_s
 from .errors import DomainError, ValidationError
 from .phasematch import PdcConfig
 
@@ -191,14 +192,14 @@ def _check_extent(config: PdcConfig, extent: float, cause: str) -> None:
             f"{cause} reaches {extent:.4g} rad/s from the signal frequency "
             f"ω_s = {omega_s:.4g} rad/s, past zero frequency")
     # the grid's end frequencies, with the bits of phase_mismatch's sums
-    # (2·extent is exact), and their wavelengths as wavevector_at_omega
-    # converts them: an extent is refused here exactly when its evaluation
+    # (2·extent is exact), and their wavelengths by wavevector_at_omega's
+    # conversion: an extent is refused here exactly when its evaluation
     # would leave the valid range
     lo, hi = config.crystal.valid_range_um
     for band, omegas in (("signal", (omega_s - extent, omega_s + extent)),
                          ("pump", (omega_p - 2.0 * extent, omega_p + 2.0 * extent))):
         for omega in omegas:
-            lam_um = 2.0e6 * math.pi * c / omega
+            lam_um = _um_rad_s(omega)
             if not lo <= lam_um <= hi:
                 raise DomainError(
                     f"{cause} takes the {band} to {lam_um:.6g} µm, outside "
@@ -300,8 +301,14 @@ def _assemble(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid, parts):
     # full-row assembly; with them shrinking it kept about 2 MiB more heap
     for start in reversed(range(0, n, _BLOCK_ROWS)):
         rows, cols = slice(start, start + _BLOCK_ROWS), slice(start, n)
-        x = (_phasematch.phase_mismatch(config, om[rows, None], om[None, cols])
-             * (config.length_m / 2.0))
+        delta = _phasematch.phase_mismatch(config, om[rows, None], om[None, cols])
+        try:
+            with np.errstate(over="raise"):
+                x = delta * (config.length_m / 2.0)
+        except FloatingPointError:
+            raise DomainError(
+                f"crystal length {config.length_m:g} m is too long: its phase "
+                "Δ̃·L/2 on the grid leaves the float range") from None
         envelope = pump_spectral_amplitude(pump, om[rows, None] + om[None, cols]) * sinc(x)
         blocks = parts(x, envelope)
         if arrays is None:

@@ -19,8 +19,7 @@ import math
 import sys
 
 from . import dispersion
-from ._record import Record, field
-from .constants import c
+from ._record import Record
 from .dispersion import CrystalModel
 from .errors import DomainError, SolverError
 
@@ -58,13 +57,15 @@ class PdcConfig(Record):
 
     The signal central wavelength is 2·pump_wavelength_um by construction.
     ``poling_period_um=None`` means "use the computed first-order period".
-    ``pdc_type=None`` means "the type the two axes make"; a given type
-    must be one of ``PDC_TYPES`` and agree with the axes.
+    ``pdc_type`` holds what was given; ``None`` means "the type the two
+    axes make", and a given type must be one of ``PDC_TYPES`` and agree
+    with the axes.
 
-    ``central`` is ((n, k′, k″) of the pump, (n, k′, k″) of the signal) at
-    their central wavelengths, in SI, one Sellmeier pass each when the
-    design is built: a centre with no finite real index in the crystal's
-    valid range refuses the design with a DomainError.
+    ``central``, derived when the design is built and not a field, is
+    ((n, k′, k″) of the pump, (n, k′, k″) of the signal) at their central
+    wavelengths, in SI, one Sellmeier pass each: a centre with no finite
+    real index in the crystal's valid range refuses the design with a
+    DomainError.
     """
 
     crystal: CrystalModel
@@ -75,16 +76,12 @@ class PdcConfig(Record):
     length_m: float
     poling_period_um: float | None = None
     pdc_type: str | None = None      # "type-0" | "type-I"
-    central: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        derived = _pdc_type(self.pump_axis, self.signal_axis)
-        if self.pdc_type is None:
-            object.__setattr__(self, "pdc_type", derived)
-        elif self.pdc_type not in PDC_TYPES:
+        if self.pdc_type is not None and self.pdc_type not in PDC_TYPES:
             raise DomainError(
                 f"pdc_type must be one of {PDC_TYPES}, got {self.pdc_type!r}")
-        elif self.pdc_type != derived:
+        if self.pdc_type not in (None, _pdc_type(self.pump_axis, self.signal_axis)):
             raise DomainError(f"{self.pdc_type} requires pump and signal on "
                               + ("the same axis" if self.pdc_type == "type-0"
                                  else "different axes"))
@@ -97,6 +94,9 @@ class PdcConfig(Record):
         if self.poling_period_um is not None and not self.poling_period_um > 0:
             raise DomainError(
                 f"poling period must be > 0 when given, got {self.poling_period_um}")
+        if self.poling_period_um and 2.0e6 * math.pi / self.poling_period_um == math.inf:
+            raise DomainError(f"poling period {self.poling_period_um:g} µm is too "
+                              "short: its grating wavevector 2π/Λ leaves the float range")
         object.__setattr__(self, "central", tuple(
             dispersion._k_terms(self.crystal, axis, lam, self.temperature_c)
             for axis, lam in ((self.pump_axis, self.pump_wavelength_um),
@@ -108,7 +108,7 @@ class PdcConfig(Record):
 
     @property
     def omega_p_rad_s(self) -> float:
-        return 2.0e6 * math.pi * c / self.pump_wavelength_um
+        return dispersion._um_rad_s(self.pump_wavelength_um)
 
     @property
     def omega_s_rad_s(self) -> float:
@@ -124,9 +124,8 @@ def _pdc_type(pump_axis: str, signal_axis: str) -> str:
 def _central_mismatch(config: PdcConfig) -> float:
     """k_p0 − 2·k_s0 in rad/m at the central wavelengths (signed)."""
     (n_p, _, _), (n_s, _, _) = config.central
-    # k = n·ω/c, written as dispersion.wavevector writes it
-    kp0 = 2.0e6 * math.pi * n_p / config.pump_wavelength_um
-    ks0 = 2.0e6 * math.pi * n_s / config.signal_wavelength_um
+    kp0 = dispersion._wavenumber(config.pump_wavelength_um, n_p)
+    ks0 = dispersion._wavenumber(config.signal_wavelength_um, n_s)
     return kp0 - 2.0 * ks0
 
 

@@ -78,7 +78,12 @@ def pulse_duration(pump: PumpPulse) -> float:
 
 def peak_power(pump: PumpPulse) -> float:
     """Peak power P_peak = P_mean/(f_R·τ_p) in watts."""
-    return pump.mean_power_w / (pump.rep_rate_hz * pulse_duration(pump))
+    duty = pump.rep_rate_hz * pulse_duration(pump)
+    if not duty > 0:
+        raise DomainError(
+            f"pump rep_rate_hz = {pump.rep_rate_hz:g} gives a duty cycle "
+            "f_R·τ_p that underflows the float range")
+    return pump.mean_power_w / duty
 
 
 def beam_waist(config: PdcConfig) -> float:

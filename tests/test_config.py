@@ -22,10 +22,10 @@ def _section(keys):
 # the shape of a run config, so that generated documents reach every check
 _DOCS = st.fixed_dictionaries({}, optional={
     "crystal_file": st.none() | st.text(max_size=6) | _LEAVES,
-    "pdc": _section(PdcSettings._KEYS) | _LEAVES,
-    "pump": _section(PumpSettings._KEYS) | _LEAVES,
-    "grid": _section(GridSettings._KEYS) | _LEAVES,
-    "output": _section(OutputSettings._KEYS) | _LEAVES,
+    "pdc": _section(("type", *PdcSettings.__match_args__)) | _LEAVES,
+    "pump": _section(PumpSettings.__match_args__) | _LEAVES,
+    "grid": _section(GridSettings.__match_args__) | _LEAVES,
+    "output": _section(OutputSettings.__match_args__) | _LEAVES,
 })
 
 

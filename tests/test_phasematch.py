@@ -13,9 +13,9 @@ from scipy.optimize import brentq
 
 import pdcmodes as p
 from pdcmodes._record import FrozenInstanceError
-from pdcmodes.dispersion import GayerTwoPole, k_double_prime, k_prime
+from pdcmodes.dispersion import GayerTwoPole, _k_terms, k_double_prime, k_prime
 from pdcmodes.phasematch import (_CGVM_XTOL_UM, _TEMP_XTOL_C, _brentq,
-                                 _group_index_gap)
+                                 _group_index_gap, _pdc_type)
 
 from conftest import ROOM_T_C, assert_within, expression_phase_mismatch
 
@@ -35,14 +35,32 @@ def cgvm_config(crystal):
 class TestPdcConfig:
     @pytest.mark.parametrize("design", ["walkoff_config", "matched_config"])
     def test_type_is_derived_from_the_axes(self, request, design):
-        # each reference design is built with pdc_type="type-I"
+        # each reference design is built with pdc_type="type-I", the type
+        # its axes make; left out, the type reads None and the design is the
+        # same but for that field
         config = request.getfixturevalue(design)
+        assert _pdc_type(config.pump_axis, config.signal_axis) == "type-I"
         fields = {name: getattr(config, name) for name in config.__match_args__
                   if name != "pdc_type"}
-        derived = p.PdcConfig(**fields)
-        assert derived.pdc_type == "type-I"
-        assert derived == config
-        assert repr(derived) == repr(config)
+        typeless = p.PdcConfig(**fields)
+        assert typeless.pdc_type is None
+        assert typeless != config
+        assert typeless.replace(pdc_type="type-I") == config
+        assert typeless.central == config.central
+        assert p.poling_period(typeless) == p.poling_period(config)
+        assert repr(typeless) == repr(config).replace("pdc_type='type-I')",
+                                                      "pdc_type=None)")
+
+    def test_replace_changes_the_axes_of_a_typeless_design(self, crystal,
+                                                           matched_config):
+        type0 = matched_config.replace(pdc_type=None).replace(signal_axis="e")
+        assert type0 == p.PdcConfig(crystal, "e", "e", 0.775, 11.0, 80e-3)
+        assert type0.central[1] == _k_terms(crystal, "e", 1.55, 11.0)
+        assert type0.replace(pdc_type="type-0").pdc_type == "type-0"
+        # a given type still binds the axes
+        with pytest.raises(p.DomainError,
+                           match="type-I requires pump and signal on different axes"):
+            matched_config.replace(signal_axis="e")
 
     def test_benchmark_worker_call_builds_the_reference_designs(
             self, monkeypatch, crystal, matched_config, walkoff_config):
@@ -126,6 +144,13 @@ class TestPdcConfig:
             p.PdcConfig(crystal=crystal, pdc_type="type-I", pump_axis="e",
                         signal_axis="o", pump_wavelength_um=0.775,
                         temperature_c=ROOM_T_C, length_m=0.0)
+
+    def test_rejects_a_period_whose_grating_wavevector_overflows(self, crystal):
+        # found by fuzzing the constructors: 2π/Λ was inf, and sinc(inf) warned
+        with pytest.raises(p.DomainError, match=r"poling period 1e-310 µm is too "
+                                                r"short: its grating wavevector"):
+            p.PdcConfig(crystal, "e", "o", 0.775, ROOM_T_C, 1e-3,
+                        poling_period_um=1e-310)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["length_m", "poling_period_um"])

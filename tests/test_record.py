@@ -3,7 +3,7 @@
 import pytest
 
 import pdcmodes as p
-from pdcmodes._record import FrozenInstanceError
+from pdcmodes._record import FrozenInstanceError, Record
 from pdcmodes.config import (GridSettings, OutputSettings, PdcSettings,
                              PumpSettings, RunConfig)
 
@@ -33,9 +33,10 @@ def test_constructor_takes_the_fields_in_order(cls):
 def test_positional_and_keyword_construction_agree(matched_config):
     args = [getattr(matched_config, name) for name in RECORD_FIELDS[p.PdcConfig]]
     assert p.PdcConfig(*args) == matched_config
-    # the type left out is the one the axes make
-    assert p.PdcConfig(*args[:3], pump_wavelength_um=args[3],
-                       temperature_c=args[4], length_m=args[5]) == matched_config
+    # the type left out is None, not the one the axes make
+    typeless = p.PdcConfig(*args[:3], pump_wavelength_um=args[3],
+                           temperature_c=args[4], length_m=args[5])
+    assert typeless == matched_config.replace(pdc_type=None) != matched_config
     assert _settings() == PdcSettings(
         pump_axis="e", signal_axis="o", pump_wavelength_nm=775.0,
         temperature_c=11.0, crystal_length_mm=80.0, poling_period_um=None)
@@ -67,7 +68,7 @@ def test_derived_field_is_not_an_argument(crystal, matched_config):
     with pytest.raises(TypeError, match="unexpected keyword argument 'central'"):
         p.PdcConfig(crystal, "e", "o", 0.775, 11.0, 80e-3,
                     central=matched_config.central)
-    with pytest.raises(ValueError, match="'central' is derived"):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'central'"):
         matched_config.replace(central=())
 
 
@@ -122,3 +123,45 @@ def test_replace_validates_and_derives_anew(matched_config):
     assert warmer.central != matched_config.central
     assert warmer.replace(temperature_c=11.0).central == matched_config.central
     assert matched_config.temperature_c == 11.0
+
+
+class _Point(Record):
+    x: float
+    label: str = ""
+
+    _hidden = ("label",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "size", abs(self.x))
+
+
+def test_hidden_field_is_compared_but_not_shown(matched_config):
+    assert _Point.__match_args__ == ("x", "label")
+    assert repr(_Point(-2.0, "a")) == "_Point(x=-2.0)"
+    assert _Point(-2.0, "a") != _Point(-2.0, "b")
+    assert _Point(-2.0, "a") == _Point(x=-2.0, label="a")
+    crystal = matched_config.crystal
+    other = crystal.replace(provenance="elsewhere")
+    assert repr(other) == repr(crystal) and other != crystal
+
+
+def test_derived_attribute_is_not_a_field():
+    point = _Point(-2.0)
+    assert point.size == 2.0
+    changed = _Point(-2.0)
+    object.__setattr__(changed, "size", 3.0)
+    assert changed == point and hash(changed) == hash(point)
+    assert repr(changed) == repr(point) == "_Point(x=-2.0)"
+    assert changed.replace().size == 2.0
+    with pytest.raises(TypeError, match="unexpected keyword argument 'size'"):
+        point.replace(size=1.0)
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'size'"):
+        point.size = 1.0
+
+
+def test_a_field_without_a_default_cannot_follow_one_with_a_default():
+    with pytest.raises(TypeError, match="_Bad: a field without a default "
+                                        "follows a field with one"):
+        class _Bad(Record):
+            x: float = 0.0
+            y: float

@@ -1,10 +1,13 @@
 """Squeezing budget: pulse/beam quantities, efficiency chain, length scans."""
 
 import math
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.constants import c, epsilon_0, hbar
 
 import pdcmodes as p
@@ -133,6 +136,21 @@ class TestSqueezingSpectrum:
         with pytest.raises(p.ValidationError, match="does not match"):
             p.squeezing_spectrum(matched_config, pump740)
 
+    def test_phase_beyond_the_float_range_is_domain_error(self, walkoff_config,
+                                                         pump740):
+        # found by fuzzing the constructors: Δ̃·L/2 overflowed in the JSA
+        # assembly, and sinc(inf) warned
+        endless = walkoff_config.replace(length_m=1.1e305)
+        with pytest.raises(p.DomainError, match="crystal length 1.1e\\+305 m "
+                                                "is too long: its phase"):
+            p.squeezing_spectrum(endless, pump740, grid_n=64)
+
+    def test_duty_cycle_below_the_float_range_is_domain_error(self, pump740):
+        # found by fuzzing the constructors: f_R·τ_p underflowed to 0, and
+        # the peak power was a ZeroDivisionError
+        with pytest.raises(p.DomainError, match="duty cycle f_R·τ_p that underflows"):
+            p.peak_power(replace(pump740, rep_rate_hz=5e-324))
+
     def test_overflowing_photon_number_is_domain_error(self, matched_config,
                                                        pump775):
         # 1 kW mean power: r₀ ≈ 390, and sinh²r₀ is beyond the float range
@@ -176,3 +194,64 @@ class TestLengthScan:
         quadrupled = matched_config.replace(length_m=4 * matched_config.length_m)
         r_long = math.sqrt(p.pdc_efficiency(quadrupled, eta) * p_peak)
         assert r_long == 2 * r_base
+
+
+# The constructors' arguments: each takes a reference value unless it is
+# the one that an example may break. A broken number is an
+# edge of the float range; the pump record's wavelength is the design's
+# unless it is broken.
+_EDGES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e300,
+          sys.float_info.max)
+_ARGUMENTS = {   # name: (reference values, broken values or None for a float)
+    "pump_axis": ("e", "oz"),
+    "signal_axis": ("o", "ez"),
+    "pdc_type": ((None, "type-I"), ("type-0", "type-II")),
+    "pump_wavelength_um": ((0.74, 0.775), None),
+    "temperature_c": ((11.0, 24.5), None),
+    "length_m": ((5e-3, 80e-3), None),
+    "poling_period_um": ((None, 19.2), None),
+    "wavelength_um": ((), None),
+    "bandwidth_fwhm_nm": ((4.0, 0.4), None),
+    "mean_power_w": ((12e-3,), None),
+    "rep_rate_hz": ((1e8,), None),
+    "n": ((64, 65), (-1, 0, 63, 10 ** 6)),
+    "omega_max_rad_s": ((2e13,), None),
+}
+
+
+@st.composite
+def _inputs(draw):
+    broken = draw(st.sampled_from((None, *_ARGUMENTS)))
+    args = {}
+    for name, (reference, bad) in _ARGUMENTS.items():
+        if name != broken:
+            args[name] = draw(st.sampled_from(reference)) if reference else None
+        else:
+            args[name] = draw(st.sampled_from(bad or _EDGES))
+    if args["wavelength_um"] is None:
+        args["wavelength_um"] = args["pump_wavelength_um"]
+    grid = {key: args.pop(key) for key in ("n", "omega_max_rad_s")}
+    pump = {key: args.pop(key) for key in ("wavelength_um", "bandwidth_fwhm_nm",
+                                           "mean_power_w", "rep_rate_hz")}
+    return args, pump, draw(st.sampled_from([None, grid]))
+
+
+class TestConstructorFuzz:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(inputs=_inputs())
+    def test_a_package_error_or_a_finite_spectrum(self, crystal, inputs):
+        # a PdcModesError where the arguments enter or from the pipeline at
+        # n = 64, or a finite result: any other exception fails, and so
+        # does any RuntimeWarning
+        design, pump, grid = inputs
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                config = p.PdcConfig(crystal, **design)
+                pulse = p.PumpPulse(**pump)
+                grid = grid if grid is None else p.FrequencyGrid(**grid)
+                result = p.squeezing_spectrum(config, pulse, grid=grid, grid_n=64)
+            except p.PdcModesError:
+                return
+        for name, value in vars(result).items():
+            assert np.isfinite(value).all(), name
