@@ -1,9 +1,11 @@
 """Temperature-dependent crystal dispersion from Sellmeier coefficient data.
 
 Crystals are described by data files (one YAML document per crystal) holding
-per-axis Sellmeier coefficient sets; see ``load_crystal``. All evaluation is
-pure: a loaded :class:`CrystalModel` is immutable and safe to share between
-threads.
+per-axis Sellmeier coefficient sets; see ``load_crystal``. The bundled
+crystal's file is written in JSON, which is YAML too, so the stdlib ``json``
+reads it; PyYAML is imported only when a YAML text is parsed. All evaluation
+is pure: a loaded :class:`CrystalModel` is immutable and safe to share
+between threads.
 
 Units at the public boundary are the conventional ones for this domain
 (wavelength in µm, temperature in °C, GVD in ps²/m); wavevector derivatives
@@ -30,12 +32,11 @@ may take a SIMD ``pow`` that differs from libm's in the last bits.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
-
-import yaml
 
 from ._record import Record
 from .constants import c
@@ -180,7 +181,16 @@ def _finite(formula):
 class _PoleSum:
     """The one Sellmeier formula that every functional form maps onto,
     n² = c0 + Σᵢ rᵢ/(λ² − qᵢ) − a6·λ² and n = √n² + Δn, through its
-    ``_terms(t_c)``: (c0, ((rᵢ, qᵢ), …), a6, Δn) at one temperature."""
+    ``_terms(t_c)``: (c0, ((rᵢ, qᵢ), …), a6, Δn) at one temperature.
+
+    Two forms are equal when they are of one type with equal coefficients,
+    so two loads of one file give equal crystals. A form is not hashable.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key) for key in self._KEYS)
 
     def _finite_terms(self, t_c):
         """``_terms(t_c)``, or a DomainError if one of them is not finite."""
@@ -494,17 +504,21 @@ def _validate_physical(model: CrystalModel) -> None:
                     f"(min n = {n_min:.6g})")
 
 
-# libyaml's parser when PyYAML was built with it, else PyYAML's own. Both
-# build the same documents; libyaml parses the bundled crystal in 0.37 ms
-# against 3.2 ms.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+def _yaml_loader():
+    """libyaml's parser when PyYAML was built with it, else PyYAML's own.
+    Both build the same documents; libyaml parses the bundled crystal in
+    0.37 ms against 3.2 ms."""
+    import yaml
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _load_yaml(text: str, what: str):
     """The one YAML document in ``text``; a syntax error is a ValidationError
-    naming ``what``."""
+    naming ``what``. PyYAML is imported on first use: its import costs a
+    design command 15–21 ms, the parse well under 1 ms."""
+    import yaml
     try:
-        return yaml.load(text, Loader=_YAML_LOADER)
+        return yaml.load(text, Loader=_yaml_loader())
     except yaml.YAMLError as exc:
         raise ValidationError(f"{what} is not valid YAML: {exc}") from exc
 
@@ -533,8 +547,10 @@ def bundled_crystal_path() -> Path:
 
 
 def load_bundled_crystal() -> CrystalModel:
-    """Load the crystal shipped with the package, 5% MgO:LN."""
-    return load_crystal(bundled_crystal_path().read_text(encoding="utf-8"))
+    """Load the crystal shipped with the package, 5% MgO:LN. Its file is
+    JSON, so ``json`` parses it; ``load_crystal`` checks it as any file."""
+    text = bundled_crystal_path().read_text(encoding="utf-8")
+    return load_crystal(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

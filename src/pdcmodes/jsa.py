@@ -139,6 +139,9 @@ class FrequencyGrid:
     omega_max_rad_s: float
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValidationError(
+                f"grid points per axis must be an integer, got {self.n!r}")
         if self.n < _MIN_GRID_POINTS:
             raise ValidationError(
                 f"grid needs at least {_MIN_GRID_POINTS} points per axis, got {self.n}")

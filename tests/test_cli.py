@@ -278,6 +278,24 @@ class TestLazyImports:
                 f"assert err.getvalue().startswith({f'error[{error}]:' if error else ''!r})")
         assert bool(loaded_modules(code, workdir, package="numpy")) == numpy
 
+    # the bundled crystal is JSON, which the stdlib reads: PyYAML loads only
+    # to parse a YAML file, such as a run config
+    @pytest.mark.parametrize("argv, yaml_loaded", [
+        (None, False),
+        (["cgvm", "--pump-axis", "e", "--signal-axis", "o"], False),
+        (["dispersion", "--lambda-min-um", "0.6", "--lambda-max-um", "3.6",
+          "--samples", "5"], False),
+        (["poling", "--config", "matched.yaml"], True),
+    ], ids=["bundled_crystal", "cgvm", "dispersion", "poling_config"])
+    def test_yaml_loads_only_to_parse_a_yaml_file(self, workdir, tmp_path,
+                                                  argv, yaml_loaded):
+        code = "import pdcmodes; pdcmodes.load_bundled_crystal()"
+        if argv is not None:
+            code += ("\nfrom pdcmodes import cli\n"
+                     f"assert cli.main({[*argv, '--out', str(tmp_path)]!r}) == 0")
+        loaded = loaded_modules(code, workdir, package="yaml")
+        assert bool(loaded) == yaml_loaded, loaded
+
     def test_bundled_crystal_loads_without_numpy(self, tmp_path):
         code = "import pdcmodes; pdcmodes.load_bundled_crystal()"
         assert loaded_modules(code, tmp_path, package="numpy") == []
@@ -319,16 +337,9 @@ class TestYamlLoaders:
     def load_each(self, monkeypatch, load):
         results = []
         for loader in LOADERS:
-            monkeypatch.setattr(p.dispersion, "_YAML_LOADER", loader)
+            monkeypatch.setattr(p.dispersion, "_yaml_loader", lambda: loader)
             results.append(load())
         return results
-
-    @staticmethod
-    def fields(model):
-        """A crystal model as comparable values: its Sellmeier forms define
-        no equality of their own."""
-        return (model.replace(axes={}),
-                {label: (type(sell), vars(sell)) for label, sell in model.axes.items()})
 
     @pytest.mark.parametrize("text", [None, CONSTANT_INDEX_YAML],
                              ids=["bundled", "constant_index"])
@@ -336,7 +347,17 @@ class TestYamlLoaders:
         python, libyaml = self.load_each(
             monkeypatch, lambda: p.load_crystal(text or p.bundled_crystal_path()
                                                 .read_text(encoding="utf-8")))
-        assert self.fields(python) == self.fields(libyaml)
+        assert python == libyaml
+
+    def test_bundled_json_is_the_same_yaml_document(self):
+        # the bundled file is JSON, which both YAML loaders read as the
+        # document json.loads gives, with the same types
+        text = p.bundled_crystal_path().read_text(encoding="utf-8")
+        documents = [json.loads(text)] + [yaml.load(text, Loader=loader)
+                                          for loader in LOADERS]
+        for document in documents[1:]:
+            assert document == documents[0]
+            assert repr(document) == repr(documents[0])
 
     @pytest.mark.parametrize("name", ["matched.yaml", "walkoff.yaml", "full.yaml"])
     def test_run_config_is_the_same(self, workdir, monkeypatch, name):
@@ -360,7 +381,7 @@ class TestYamlLoaders:
         bad.write_text(text, encoding="utf-8")
         argv = ["poling", option, str(bad), "--out", str(tmp_path / "out")]
         for loader in LOADERS:
-            monkeypatch.setattr(p.dispersion, "_YAML_LOADER", loader)
+            monkeypatch.setattr(p.dispersion, "_yaml_loader", lambda: loader)
             assert cli.main(argv) == 3
             lines = capsys.readouterr().err.splitlines()
             assert len(lines) == 1, (loader, lines)
@@ -817,7 +838,7 @@ class TestFlagPrecedence:
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
         for name in ("config", "flag"):
             (tmp_path / f"{name}.yaml").write_text(
-                crystal.replace("name: MgO:LN-5pct", f"name: {name}-crystal", 1),
+                crystal.replace('"name": "MgO:LN-5pct"', f'"name": "{name}-crystal"', 1),
                 encoding="utf-8")
         (tmp_path / "run.yaml").write_text(
             MATCHED_YAML + "crystal_file: config.yaml\n"
@@ -1131,7 +1152,7 @@ class TestErrorPaths:
     def test_text_crystal_coefficient_is_validity_error(self, workdir):
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
         (workdir / "text_coeff.yaml").write_text(
-            crystal.replace("a1: 5.653", "a1: x", 1), encoding="utf-8")
+            crystal.replace('"a1": 5.653', '"a1": x', 1), encoding="utf-8")
         result = run_cli("poling", "--config", "matched.yaml", "--crystal",
                          "text_coeff.yaml", cwd=workdir)
         assert result.returncode == 3, result.stderr
@@ -1139,8 +1160,8 @@ class TestErrorPaths:
         assert "a1" in result.stderr
 
     @pytest.mark.parametrize("old, bad", [
-        ("a1: 5.653", "a1: 5.653\n      1: 2.0"),
-        ("a3: 0.2091", "a3: 1.0e+200"),
+        ('"a1": 5.653', '"a1": 5.653, 1: 2.0'),
+        ('"a3": 0.2091', '"a3": 1.0e+200'),
     ], ids=["integer_key", "overflowing_coefficient"])
     def test_malformed_crystal_coefficients_are_validity_errors(
             self, workdir, tmp_path, old, bad):
@@ -1174,10 +1195,10 @@ class TestErrorPaths:
         # range and n finite at 0–200 °C, but dn/dλ and d²n/dλ² overflow,
         # so the crystal is refused at load
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
-        for old, new in (("a3: 0.2091", "a3: 1.0e+153"),
-                         ("b3: -4.641e-9", "b3: 1.0e+148"),
-                         ("a3: 0.2020", "a3: 1.0e+153"),
-                         ("b3: 6.113e-8", "b3: 1.0e+148")):
+        for old, new in (('"a3": 0.2091', '"a3": 1.0e+153'),
+                         ('"b3": -4.641e-9', '"b3": 1.0e+148'),
+                         ('"a3": 0.2020', '"a3": 1.0e+153'),
+                         ('"b3": 6.113e-8', '"b3": 1.0e+148')):
             assert old in crystal
             crystal = crystal.replace(old, new, 1)
         path = tmp_path / "crystal.yaml"
@@ -1198,9 +1219,9 @@ class TestErrorPaths:
         # 1000 °C: one error line naming the crystal, the axis, the first
         # wavelength and the temperature, no numpy warning and no table of NaN
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
-        assert "b1: 7.941e-7" in crystal
+        assert '"b1": 7.941e-7' in crystal
         path = tmp_path / "crystal.yaml"
-        path.write_text(crystal.replace("b1: 7.941e-7", "b1: -1.0e-5", 1),
+        path.write_text(crystal.replace('"b1": 7.941e-7', '"b1": -1.0e-5', 1),
                         encoding="utf-8")
         out = tmp_path / "out"
         result = run_cli("dispersion", "--crystal", str(path), "--lambda-min-um",
@@ -1267,7 +1288,7 @@ class TestErrorPaths:
         # no pole lies in the range, so the error does not suggest one
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
         path = tmp_path / "crystal.yaml"
-        path.write_text(crystal.replace("a3: 0.2091", "a3: 1.0e+200", 1),
+        path.write_text(crystal.replace('"a3": 0.2091', '"a3": 1.0e+200', 1),
                         encoding="utf-8")
         result = run_cli("cgvm", "--pump-axis", "e", "--signal-axis", "o",
                          "--crystal", str(path), "--out", str(tmp_path / "out"),

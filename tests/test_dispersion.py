@@ -226,7 +226,7 @@ class TestNonFiniteEvaluation:
         # b1 = −1e-5 on axis o: n² > 1 at 0–200 °C, so it loads, but
         # a1 + b1·f < 0 at 1000 °C; an array names its smallest n² and, like
         # a float, does not warn
-        xtl = _edited_crystal(("b1: 7.941e-7", "b1: -1.0e-5"))
+        xtl = _edited_crystal(('"b1": 7.941e-7', '"b1": -1.0e-5'))
         for lam in (1.55, np.array([0.6, 1.55, 3.6])):
             smallest = np.min(expression_n_squared(xtl.axis("o"), lam, 1000.0))
             assert smallest < 0.0
@@ -239,7 +239,7 @@ class TestNonFiniteEvaluation:
     def test_non_real_index_names_where_it_is(self):
         # an array names the wavelength of its smallest n², and the
         # evaluation names the crystal and the axis
-        xtl = _edited_crystal(("b1: 7.941e-7", "b1: -1.0e-5"))
+        xtl = _edited_crystal(('"b1": 7.941e-7', '"b1": -1.0e-5'))
         lam = np.array([[3.6, 0.6], [1.55, 2.0]])
         n2 = expression_n_squared(xtl.axis("o"), lam, 1000.0)
         at = lam.flat[n2.argmin()]
@@ -355,6 +355,27 @@ class TestLoadCrystal:
         assert set(crystal.axes) == {"o", "e"}
         assert crystal.d_eff_pm_per_v == 4.64
 
+    def test_bundled_crystal_is_the_crystal_file(self):
+        # the bundled load parses with json, a crystal file with PyYAML:
+        # both build one model
+        assert p.load_bundled_crystal() == p.load_crystal_file(
+            p.bundled_crystal_path())
+
+    def test_forms_compare_by_type_and_coefficients(self, crystal):
+        # two loads give equal crystals, whose forms are not the same objects
+        again = p.load_bundled_crystal()
+        assert again == crystal and again.axis("o") is not crystal.axis("o")
+        sell = crystal.axis("o")
+        coeffs = {key: getattr(sell, key) for key in sell._KEYS}
+        assert p.dispersion.GayerTwoPole(**coeffs) == sell
+        assert p.dispersion.GayerTwoPole(**{**coeffs, "b4": 0.0}) != sell
+        assert crystal.axis("e") != sell
+        standard = p.load_crystal(_STANDARD).axis("e")
+        assert standard != sell and sell != standard
+        assert standard == p.load_crystal(_STANDARD).axis("e")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(sell)
+
     def test_empty_axes_rejected(self):
         doc = {
             "name": "x", "class": "uniaxial", "temperature_model": "none",
@@ -378,8 +399,8 @@ class TestLoadCrystal:
         # b = 1e-3 makes the pole at √2.3104 µm so narrow that n² is finite
         # and above 1 at every sampled wavelength
         (_MINIMAL.format(a=4.0, b="[1.0e-3]", c="[2.3104]"), "1.52"),
-        (_BUNDLED_TEXT.replace("a3: 0.2091", "a3: 1.3", 1), "1.30006"),
-        (_BUNDLED_TEXT.replace("a5: 10.85", "a5: 2.5", 1), "2.5"),
+        (_BUNDLED_TEXT.replace('"a3": 0.2091', '"a3": 1.3', 1), "1.30006"),
+        (_BUNDLED_TEXT.replace('"a5": 10.85', '"a5": 2.5', 1), "2.5"),
     ], ids=["narrow_standard", "gayer_a3", "gayer_a5"])
     def test_pole_is_found_exactly(self, text, pole):
         with pytest.raises(p.ValidationError,
@@ -395,8 +416,8 @@ class TestLoadCrystal:
         # |a3 + b3·f(T)| is 0.221 µm at 0 °C, 4.75 µm at 100 °C and 10.7 µm
         # at 200 °C, all outside [0.5, 4.0] µm; at 50 °C it is at 2.31 µm,
         # where n would read 9.02 at 2.3085 µm
-        text = (_BUNDLED_TEXT.replace("a3: 0.2091", f"a3: {a3}", 1)
-                .replace("b3: -4.641e-9", f"b3: {b3}", 1))
+        text = (_BUNDLED_TEXT.replace('"a3": 0.2091', f'"a3": {a3}', 1)
+                .replace('"b3": -4.641e-9', f'"b3": {b3}', 1))
         with pytest.raises(p.ValidationError) as info:
             p.load_crystal(text)
         assert str(info.value) == (
@@ -409,7 +430,7 @@ class TestLoadCrystal:
         # and beyond 1e136 µm at the next float either side, so no float
         # temperature puts it in the range; the pole p(T) still crosses it,
         # from −1.4e152 µm at 0 °C to 1.4e153 µm at 200 °C
-        text = _BUNDLED_TEXT.replace("b3: -4.641e-9", "b3: 1.0e+148", 1)
+        text = _BUNDLED_TEXT.replace('"b3": -4.641e-9', '"b3": 1.0e+148', 1)
         with pytest.raises(p.ValidationError, match=(
                 r"axis 'o': Sellmeier pole crosses the validity range "
                 r"\[0.5, 4.0\] µm between 0.0 and 200.0 °C \(from "
@@ -439,8 +460,8 @@ class TestLoadCrystal:
             p.load_crystal(text)
 
     @pytest.mark.parametrize("old, bad", [
-        ("a3: 0.2091", "a3: 1.0e+200"),
-        ("a1: 5.653", "a1: -100.0"),
+        ('"a3": 0.2091', '"a3": 1.0e+200'),
+        ('"a1": 5.653', '"a1": -100.0'),
     ], ids=["overflow", "negative_n2"])
     def test_non_finite_n2_message_names_its_causes(self, old, bad):
         # a pole in the range is found before n² is sampled, so the message
@@ -476,23 +497,24 @@ class TestLoadCrystal:
             p.load_crystal(text)
 
     @pytest.mark.parametrize("old, bad", [
-        ("a1: 5.653", "a1: x"),
-        ("a1: 5.653", "a1: null"),
-        ("valid_range_um: [0.5, 4.0]", "valid_range_um: [true, 4.0]"),
-        ("d_eff_pm_per_V: 4.64", "d_eff_pm_per_V: true"),
+        ('"a1": 5.653', '"a1": x'),
+        ('"a1": 5.653', '"a1": null'),
+        ('"valid_range_um": [0.5, 4.0]', '"valid_range_um": [true, 4.0]'),
+        ('"d_eff_pm_per_V": 4.64', '"d_eff_pm_per_V": true'),
     ], ids=["text_coefficient", "null_coefficient", "bool_range", "bool_d_eff"])
     def test_malformed_number_rejected(self, old, bad):
         text = p.bundled_crystal_path().read_text(encoding="utf-8")
         assert old in text
-        with pytest.raises(p.ValidationError, match=bad.split(":")[0]):
+        with pytest.raises(p.ValidationError, match=bad.split(":")[0].strip('"')):
             p.load_crystal(text.replace(old, bad, 1))
 
     def test_numeric_text_is_a_number(self):
         # YAML 1.1 reads 4.64e0 and 5.0e-1 as text; the loader reads them as
         # the numbers a coefficient written that way would be
         text = p.bundled_crystal_path().read_text(encoding="utf-8")
-        for old, new in (("d_eff_pm_per_V: 4.64", "d_eff_pm_per_V: 4.64e0"),
-                         ("valid_range_um: [0.5, 4.0]", "valid_range_um: [5.0e-1, 4.0]")):
+        for old, new in (('"d_eff_pm_per_V": 4.64', '"d_eff_pm_per_V": 4.64e0'),
+                         ('"valid_range_um": [0.5, 4.0]',
+                          '"valid_range_um": [5.0e-1, 4.0]')):
             assert old in text
             text = text.replace(old, new, 1)
         xtl = p.load_crystal(text)
@@ -506,10 +528,10 @@ class TestLoadCrystal:
             p.load_crystal_file(path)
 
     @pytest.mark.parametrize("old, bad, message", [
-        ("a1: 5.653", "a1: 5.653\n      1: 2.0", "text keys|not finite"),
-        ("a3: 0.2091", "a3: 1.0e+200", "text keys|not finite"),
-        ("a5: 10.85", "a5: 1.0e+200", "text keys|not finite"),
-        ("b3: -4.641e-9", "b3: 1.0e+200", "pole crosses the validity range"),
+        ('"a1": 5.653', '"a1": 5.653, 1: 2.0', "text keys|not finite"),
+        ('"a3": 0.2091', '"a3": 1.0e+200', "text keys|not finite"),
+        ('"a5": 10.85', '"a5": 1.0e+200', "text keys|not finite"),
+        ('"b3": -4.641e-9', '"b3": 1.0e+200', "pole crosses the validity range"),
     ], ids=["integer_key", "huge_a3", "huge_a5", "huge_b3"])
     def test_malformed_coefficient_block_rejected(self, old, bad, message):
         # an integer key cannot name a coefficient; a squared coefficient

@@ -198,6 +198,17 @@ class TestDefaultGrid:
             p.FrequencyGrid(n=200_000, omega_max_rad_s=1e13)
         assert p.FrequencyGrid(n=2048, omega_max_rad_s=1e13).n == 2048
 
+    @pytest.mark.parametrize("n", [64.0, 64.5, "64", True])
+    def test_rejects_a_non_integer_point_count(self, n):
+        # refused where it enters, not by np.linspace's TypeError later
+        with pytest.raises(p.ValidationError, match=(
+                f"grid points per axis must be an integer, got {n!r}")):
+            p.FrequencyGrid(n=n, omega_max_rad_s=1e13)
+
+    def test_accepts_a_numpy_integer_point_count(self):
+        grid = p.FrequencyGrid(n=np.int64(64), omega_max_rad_s=1e13)
+        assert grid.detunings().size == 64
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_extent(self, value):
         with pytest.raises(p.ValidationError, match=(

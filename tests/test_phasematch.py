@@ -124,11 +124,17 @@ class TestPdcConfig:
         with pytest.raises(FrozenInstanceError):
             warmer.central = matched_config.central
 
+    def test_designs_from_two_crystal_loads_are_equal(self, matched_config):
+        # the crystal's Sellmeier forms compare by their coefficients
+        again = matched_config.replace(crystal=p.load_bundled_crystal())
+        assert again.crystal is not matched_config.crystal
+        assert again == matched_config
+
     def test_centre_without_a_real_index_is_refused_when_built(self):
         # b1 = −1e-5 on axis o loads, but n² < 0 at the 1.55 µm signal at
         # 1000 °C
         text = p.bundled_crystal_path().read_text(encoding="utf-8")
-        xtl = p.load_crystal(text.replace("b1: 7.941e-7", "b1: -1.0e-5", 1))
+        xtl = p.load_crystal(text.replace('"b1": 7.941e-7', '"b1": -1.0e-5', 1))
         with pytest.raises(p.DomainError, match=(
                 r"crystal 'MgO:LN-5pct', axis 'o': n² = -\S+ is not positive "
                 r"at 1.55 µm, 1000 °C")):

@@ -214,7 +214,7 @@ _ARGUMENTS = {   # name: (reference values, broken values or None for a float)
     "bandwidth_fwhm_nm": ((4.0, 0.4), None),
     "mean_power_w": ((12e-3,), None),
     "rep_rate_hz": ((1e8,), None),
-    "n": ((64, 65), (-1, 0, 63, 10 ** 6)),
+    "n": ((64, 65), (-1, 0, 63, 10 ** 6, 64.0, 64.5)),
     "omega_max_rad_s": ((2e13,), None),
 }
 
