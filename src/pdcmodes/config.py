@@ -41,11 +41,11 @@ def _reject_unknown(mapping: Mapping, allowed: tuple, context: str) -> None:
 
 
 def _as_number(mapping: Mapping, key: str, context: str,
-               required: bool = True, default=None):
+               required: bool = True) -> float | None:
     if key not in mapping or mapping[key] is None:
         if required:
             raise ValidationError(f"{context}: missing required key {key!r}")
-        return default
+        return None
     return _number(mapping[key], f"{context}: {key}")
 
 

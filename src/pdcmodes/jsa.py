@@ -89,7 +89,7 @@ def sinc(x):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PumpPulse:
     """Transform-limited Gaussian pump pulse.
 
@@ -108,7 +108,7 @@ class PumpPulse:
         for name in ("wavelength_um", "bandwidth_fwhm_nm",
                      "mean_power_w", "rep_rate_hz"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if isinstance(value, bool) or not math.isfinite(value):
                 raise ValidationError(
                     f"pump {name} must be a finite number, got {value}")
             if not value > 0:
@@ -131,7 +131,7 @@ class PumpPulse:
         return math.pi * c * dlam_m / (lam_m ** 2 * math.sqrt(2.0 * math.log(2.0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FrequencyGrid:
     """Square detuning grid, symmetric about zero on both axes."""
 
@@ -151,7 +151,8 @@ class FrequencyGrid:
                 f"a grid of {self.n} points per axis needs about "
                 f"{need / 2 ** 30:.1f} GiB, above the "
                 f"{_GRID_BUDGET_BYTES / 2 ** 30:g} GiB budget")
-        if not math.isfinite(self.omega_max_rad_s):
+        if isinstance(self.omega_max_rad_s, bool) \
+                or not math.isfinite(self.omega_max_rad_s):
             raise ValidationError(
                 f"grid omega_max_rad_s must be a finite number, got "
                 f"{self.omega_max_rad_s}")
@@ -240,7 +241,7 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
     return FrequencyGrid(n=n, omega_max_rad_s=extent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class JsaGrid:
     """Sampled two-photon amplitude, held as its Schmidt kernel on ``grid``.
 
@@ -280,15 +281,18 @@ def _assemble(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid, parts):
     its mirror have the same bits, and each array equals the one filled
     row block by row block over whole rows.
 
-    The pump record must agree with the design's pump wavelength, and the
-    grid step h must resolve the pump ridge: α̃(Ωᵢ+Ωⱼ) has the standard
-    deviation √2·σ₊ along Ω₊, where one grid step moves Ωᵢ+Ωⱼ by h.
+    The pump record must agree with the design's pump wavelength, the
+    grid's extent must pass ``_check_extent``, and the grid step h must
+    resolve the pump ridge: α̃(Ωᵢ+Ωⱼ) has the standard deviation √2·σ₊
+    along Ω₊, where one grid step moves Ωᵢ+Ωⱼ by h.
     """
     if not math.isclose(pump.wavelength_um, config.pump_wavelength_um,
                         rel_tol=1e-12):
         raise ValidationError(
             f"pump record wavelength {pump.wavelength_um:g} µm does not match "
             f"the design pump wavelength {config.pump_wavelength_um:g} µm")
+    _check_extent(config, grid.omega_max_rad_s,
+                  f"grid omega_max_rad_s = {grid.omega_max_rad_s:g} rad/s")
     sig, step = pump.sigma_plus_rad_s, grid.step_rad_s
     if step > math.sqrt(2.0) * sig:
         ratio = 2.0 * grid.omega_max_rad_s / (math.sqrt(2.0) * sig)
@@ -325,12 +329,13 @@ def _assemble(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid, parts):
 def compute_jsa(config: PdcConfig, pump: PumpPulse, grid: FrequencyGrid) -> JsaGrid:
     """Sample the normalized JSA for a design on a grid.
 
-    The pump record must agree with the design's pump wavelength, and the
-    grid step must be at most √2·σ₊, one step per standard deviation of the
-    pump ridge (``DomainError`` otherwise). Exact (i, j) ↔ (j, i) symmetry
-    holds by construction: every factor is a function of Ωᵢ+Ωⱼ or a
-    symmetrized sum of per-axis terms, so only the upper triangle is
-    evaluated.
+    The pump record must agree with the design's pump wavelength, the
+    grid must stay below ω_s with its signal and pump bands in the
+    crystal's valid range, and the grid step must be at most √2·σ₊, one
+    step per standard deviation of the pump ridge (``DomainError``
+    otherwise). Exact (i, j) ↔ (j, i) symmetry holds by construction:
+    every factor is a function of Ωᵢ+Ωⱼ or a symmetrized sum of per-axis
+    terms, so only the upper triangle is evaluated.
     """
     weight = _weight(grid)
     kernel, = _assemble(config, pump, grid, lambda x, envelope: (envelope * weight,))
@@ -350,7 +355,7 @@ def jsa_parts(config: PdcConfig, pump: PumpPulse,
     return tuple(_assemble(config, pump, grid, _abs_real_imag))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SchmidtDecomposition:
     """Normalized Schmidt spectrum of a sampled JSA.
 

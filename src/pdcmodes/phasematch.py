@@ -85,9 +85,13 @@ class PdcConfig(Record):
             raise DomainError(f"{self.pdc_type} requires pump and signal on "
                               + ("the same axis" if self.pdc_type == "type-0"
                                  else "different axes"))
-        for name in ("length_m", "poling_period_um"):
+        for name in ("pump_wavelength_um", "temperature_c", "length_m",
+                     "poling_period_um"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            # a bool is not a number, as in a crystal or run-config file; the
+            # range check refuses a wavelength or temperature not finite
+            checked = value is not None and name in ("length_m", "poling_period_um")
+            if isinstance(value, bool) or checked and not math.isfinite(value):
                 raise DomainError(f"{name} must be a finite number, got {value}")
         if not self.length_m > 0:
             raise DomainError(f"crystal length must be > 0, got {self.length_m}")

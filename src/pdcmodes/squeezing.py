@@ -46,7 +46,7 @@ VALIDITY_LIMIT_DB = 12.0
 _DB_PER_R = 20.0 * math.log10(math.e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SqueezingResult:
     """Full squeezing budget of one design point.
 

@@ -1,5 +1,8 @@
 """Run-configuration parsing: every malformed mapping is a package error."""
 
+import re
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 import pdcmodes as p
@@ -44,3 +47,23 @@ def test_numeric_text_is_a_number(tmp_path):
     path.write_text("pump: {bandwidth_fwhm_nm: 4.0, mean_power_mw: 1.2e1, "
                     "repetition_rate_mhz: 100.0}\n", encoding="utf-8")
     assert load_run_config(path).pump.mean_power_mw == 12.0
+
+
+def test_readme_examples_run_as_written(tmp_path, capsys):
+    # the library quick start prints what its comments say, and the run
+    # configuration shown loads into the same design and pump
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    quick_start, = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    run_yaml, = [block for block in re.findall(r"^```yaml\n(.*?)^```", readme,
+                                               re.M | re.S)
+                 if block.startswith("pdc:")]
+    names = {}
+    exec(compile(quick_start, "README.md", "exec"), names)
+    k, s_db = capsys.readouterr().out.splitlines()
+    assert round(float(k), 4) == 2.5591
+    assert [round(float(v), 2) for v in s_db.strip("[]").split()] == [11.85, 8.85, 5.35]
+    path = tmp_path / "run.yaml"
+    path.write_text(run_yaml, encoding="utf-8")
+    run = load_run_config(path)
+    assert run.to_pdc_config(names["crystal"]) == names["config"]
+    assert run.to_pump_pulse() == names["pump"]

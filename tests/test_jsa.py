@@ -115,7 +115,8 @@ class TestSinc:
 class TestPumpPulse:
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(p.ValidationError):
-            p.PumpPulse(0.775, -4.0, 12e-3, 1e8)
+            p.PumpPulse(wavelength_um=0.775, bandwidth_fwhm_nm=-4.0,
+                        mean_power_w=12e-3, rep_rate_hz=1e8)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["wavelength_um", "bandwidth_fwhm_nm",
@@ -134,7 +135,8 @@ class TestPumpPulse:
         # to 0 or overflow
         with pytest.raises(p.DomainError, match=re.escape(
                 f"pump bandwidth_fwhm_nm = {bandwidth_nm:g} at 0.775 µm")):
-            p.PumpPulse(0.775, bandwidth_nm, 12e-3, 1e8)
+            p.PumpPulse(wavelength_um=0.775, bandwidth_fwhm_nm=bandwidth_nm,
+                        mean_power_w=12e-3, rep_rate_hz=1e8)
 
     def test_sigma_plus(self, pump775):
         lam = 0.775e-6
@@ -232,7 +234,8 @@ class TestDefaultGrid:
             p.default_grid(matched_config.replace(length_m=length_m), pump775)
 
     def test_rejects_pump_band_reaching_past_the_signal_frequency(self, matched_config):
-        wide = p.PumpPulse(0.775, 400.0, 12e-3, 1e8)
+        wide = p.PumpPulse(wavelength_um=0.775, bandwidth_fwhm_nm=400.0,
+                           mean_power_w=12e-3, rep_rate_hz=1e8)
         with pytest.raises(p.DomainError, match=(
                 "pump bandwidth_fwhm_nm = 400 is too wide: .* past zero frequency")):
             p.default_grid(matched_config, wide)
@@ -244,7 +247,8 @@ class TestDefaultGrid:
     def test_rejects_band_outside_the_valid_range(
             self, matched_config, length_m, bandwidth_nm, cause):
         # below ω_s, but the signal band leaves [0.5, 4] µm
-        pump = p.PumpPulse(0.775, bandwidth_nm, 12e-3, 1e8)
+        pump = p.PumpPulse(wavelength_um=0.775, bandwidth_fwhm_nm=bandwidth_nm,
+                           mean_power_w=12e-3, rep_rate_hz=1e8)
         with pytest.raises(p.DomainError, match=(
                 f"{cause}: the grid it needs takes the signal to "
                 r"\S+ µm, outside the valid range \[0.5, 4\] µm")):
@@ -274,6 +278,11 @@ class TestDefaultGrid:
             else:
                 with pytest.raises(p.DomainError, match="valid range"):
                     p.phase_mismatch(config, ends[:, None], ends[None, :])
+                # the same grid built by hand is refused where it enters
+                with pytest.raises(p.DomainError, match=(
+                        r"grid omega_max_rad_s = \S+ rad/s takes the pump "
+                        r"to \S+ µm, outside the valid range")):
+                    p.compute_jsa(config, pump775, grid)
 
     def test_grid_is_symmetric(self, matched_config, pump775):
         grid = p.default_grid(matched_config, pump775)

@@ -54,7 +54,9 @@ class TestPdcConfig:
     def test_replace_changes_the_axes_of_a_typeless_design(self, crystal,
                                                            matched_config):
         type0 = matched_config.replace(pdc_type=None).replace(signal_axis="e")
-        assert type0 == p.PdcConfig(crystal, "e", "e", 0.775, 11.0, 80e-3)
+        assert type0 == p.PdcConfig(crystal=crystal, pump_axis="e", signal_axis="e",
+                                    pump_wavelength_um=0.775, temperature_c=11.0,
+                                    length_m=80e-3)
         assert type0.central[1] == _k_terms(crystal, "e", 1.55, 11.0)
         assert type0.replace(pdc_type="type-0").pdc_type == "type-0"
         # a given type still binds the axes
@@ -155,8 +157,9 @@ class TestPdcConfig:
         # found by fuzzing the constructors: 2π/Λ was inf, and sinc(inf) warned
         with pytest.raises(p.DomainError, match=r"poling period 1e-310 µm is too "
                                                 r"short: its grating wavevector"):
-            p.PdcConfig(crystal, "e", "o", 0.775, ROOM_T_C, 1e-3,
-                        poling_period_um=1e-310)
+            p.PdcConfig(crystal=crystal, pump_axis="e", signal_axis="o",
+                        pump_wavelength_um=0.775, temperature_c=ROOM_T_C,
+                        length_m=1e-3, poling_period_um=1e-310)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["length_m", "poling_period_um"])

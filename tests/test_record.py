@@ -1,4 +1,5 @@
-"""Frozen records: the design chain's records behave as frozen dataclasses."""
+"""Frozen records: the design chain's records behave as frozen keyword-only
+dataclasses."""
 
 import pytest
 
@@ -21,8 +22,17 @@ RECORD_FIELDS = {
 }
 
 
+_SETTINGS = dict(pump_axis="e", signal_axis="o", pump_wavelength_nm=775.0,
+                 temperature_c=11.0, crystal_length_mm=80.0)
+
+
 def _settings():
-    return PdcSettings("e", "o", 775.0, 11.0, 80.0)
+    return PdcSettings(**_SETTINGS)
+
+
+def _pump_settings():
+    return PumpSettings(bandwidth_fwhm_nm=4.0, mean_power_mw=12.0,
+                        repetition_rate_mhz=100.0)
 
 
 @pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
@@ -30,44 +40,29 @@ def test_constructor_takes_the_fields_in_order(cls):
     assert cls.__match_args__ == RECORD_FIELDS[cls]
 
 
-def test_positional_and_keyword_construction_agree(matched_config):
-    args = [getattr(matched_config, name) for name in RECORD_FIELDS[p.PdcConfig]]
-    assert p.PdcConfig(*args) == matched_config
-    # the type left out is None, not the one the axes make
-    typeless = p.PdcConfig(*args[:3], pump_wavelength_um=args[3],
-                           temperature_c=args[4], length_m=args[5])
-    assert typeless == matched_config.replace(pdc_type=None) != matched_config
-    assert _settings() == PdcSettings(
-        pump_axis="e", signal_axis="o", pump_wavelength_nm=775.0,
-        temperature_c=11.0, crystal_length_mm=80.0, poling_period_um=None)
-
-
 def test_defaults_are_filled_and_stay_class_attributes():
-    assert GridSettings() == GridSettings(512, None)
+    assert GridSettings() == GridSettings(points_per_axis=512,
+                                          detuning_extent_thz=None)
     assert RunConfig().grid == GridSettings()
     assert OutputSettings.format == "csv" and OutputSettings.precision == 9
     assert not hasattr(p.PdcConfig, "central")
 
 
-@pytest.mark.parametrize("args, kwargs, message", [
-    ((), {"pump_axis": "e"}, r"missing required argument\(s\): 'signal_axis', "
-                             "'pump_wavelength_nm'"),
-    (("e", "o", 775.0, 11.0, 80.0), {"colour": "red"},
-     "unexpected keyword argument 'colour'"),
-    (("e", "o", 775.0, 11.0, 80.0), {"pump_axis": "o"},
-     "multiple values for argument 'pump_axis'"),
-    (("e", "o", 775.0, 11.0, 80.0, None, 1.0), {},
-     "takes 6 positional arguments but 7 were given"),
-], ids=["missing", "unknown", "repeated", "too_many"])
-def test_bad_arguments_are_type_errors(args, kwargs, message):
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pump_axis": "e"}, r"missing required argument\(s\): 'signal_axis', "
+                         "'pump_wavelength_nm'"),
+    ({**_SETTINGS, "colour": "red"}, "unexpected keyword argument 'colour'"),
+], ids=["missing", "unknown"])
+def test_bad_arguments_are_type_errors(kwargs, message):
     with pytest.raises(TypeError, match=message):
-        PdcSettings(*args, **kwargs)
+        PdcSettings(**kwargs)
 
 
 def test_derived_field_is_not_an_argument(crystal, matched_config):
     with pytest.raises(TypeError, match="unexpected keyword argument 'central'"):
-        p.PdcConfig(crystal, "e", "o", 0.775, 11.0, 80e-3,
-                    central=matched_config.central)
+        p.PdcConfig(crystal=crystal, pump_axis="e", signal_axis="o",
+                    pump_wavelength_um=0.775, temperature_c=11.0,
+                    length_m=80e-3, central=matched_config.central)
     with pytest.raises(TypeError, match="unexpected keyword argument 'central'"):
         matched_config.replace(central=())
 
@@ -87,7 +82,7 @@ def test_equality_and_hash_follow_the_compared_fields(matched_config):
     assert _settings() == _settings() and hash(_settings()) == hash(_settings())
     assert _settings() != _settings().replace(temperature_c=12.0)
     assert _settings() != RunConfig() and _settings() != ("e",)
-    run = RunConfig(pdc=_settings(), pump=PumpSettings(4.0, 12.0, 100.0))
+    run = RunConfig(pdc=_settings(), pump=_pump_settings())
     assert len({run, run.replace(), RunConfig()}) == 2
     # central is derived, so it takes no part in equality
     other = matched_config.replace()
@@ -137,18 +132,18 @@ class _Point(Record):
 
 def test_hidden_field_is_compared_but_not_shown(matched_config):
     assert _Point.__match_args__ == ("x", "label")
-    assert repr(_Point(-2.0, "a")) == "_Point(x=-2.0)"
-    assert _Point(-2.0, "a") != _Point(-2.0, "b")
-    assert _Point(-2.0, "a") == _Point(x=-2.0, label="a")
+    assert repr(_Point(x=-2.0, label="a")) == "_Point(x=-2.0)"
+    assert _Point(x=-2.0, label="a") != _Point(x=-2.0, label="b")
+    assert _Point(x=-2.0, label="a") == _Point(label="a", x=-2.0)
     crystal = matched_config.crystal
     other = crystal.replace(provenance="elsewhere")
     assert repr(other) == repr(crystal) and other != crystal
 
 
 def test_derived_attribute_is_not_a_field():
-    point = _Point(-2.0)
+    point = _Point(x=-2.0)
     assert point.size == 2.0
-    changed = _Point(-2.0)
+    changed = _Point(x=-2.0)
     object.__setattr__(changed, "size", 3.0)
     assert changed == point and hash(changed) == hash(point)
     assert repr(changed) == repr(point) == "_Point(x=-2.0)"
@@ -159,9 +154,31 @@ def test_derived_attribute_is_not_a_field():
         point.size = 1.0
 
 
-def test_a_field_without_a_default_cannot_follow_one_with_a_default():
-    with pytest.raises(TypeError, match="_Bad: a field without a default "
-                                        "follows a field with one"):
-        class _Bad(Record):
-            x: float = 0.0
-            y: float
+# one instance of each record class: its fixture's name, or a builder
+_EXAMPLES = {
+    p.CrystalModel: "crystal",
+    p.PdcConfig: "matched_config",
+    PdcSettings: _settings,
+    PumpSettings: _pump_settings,
+    GridSettings: GridSettings,
+    OutputSettings: OutputSettings,
+    RunConfig: lambda: RunConfig(pdc=_settings(), pump=_pump_settings()),
+    p.PumpPulse: "pump775",
+    p.FrequencyGrid: lambda: p.FrequencyGrid(n=64, omega_max_rad_s=2e13),
+    p.JsaGrid: "matched_jsa",
+    p.SchmidtDecomposition: "matched_decomp",
+    p.SqueezingResult: "matched_squeezing",
+    _Point: lambda: _Point(x=-2.0, label="a"),
+}
+
+
+@pytest.mark.parametrize("cls", _EXAMPLES, ids=lambda cls: cls.__name__)
+def test_a_positional_argument_is_a_type_error(request, cls):
+    # a field's name carries its unit, so no record takes a bare value
+    example = _EXAMPLES[cls]
+    record = request.getfixturevalue(example) if isinstance(example, str) else example()
+    names = getattr(cls, "__dataclass_fields__", None) or cls.__match_args__
+    fields = {name: getattr(record, name) for name in names}
+    assert cls(**fields) == record
+    with pytest.raises(TypeError, match="takes 1 positional argument but 2"):
+        cls(fields.pop(next(iter(fields))), **fields)
