@@ -12,7 +12,9 @@ Every error path prints a single line ``error[<kind>]: <message>``.
 Only the commands that run the JSA pipeline (jsa, modes, squeeze, scan)
 import the JSA and squeezing layers and numpy. The design commands
 (dispersion, cgvm, poling) evaluate the crystal at one wavelength at a time
-and run on the stdlib plus PyYAML.
+and run on the stdlib; PyYAML loads only for a ``--config`` or ``--crystal``
+file outside the block-mapping subset that ``dispersion._load_yaml`` reads
+itself.
 """
 
 from __future__ import annotations

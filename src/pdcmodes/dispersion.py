@@ -3,9 +3,11 @@
 Crystals are described by data files (one YAML document per crystal) holding
 per-axis Sellmeier coefficient sets; see ``load_crystal``. The bundled
 crystal's file is written in JSON, which is YAML too, so the stdlib ``json``
-reads it; PyYAML is imported only when a YAML text is parsed. All evaluation
-is pure: a loaded :class:`CrystalModel` is immutable and safe to share
-between threads.
+reads it. A YAML text made only of block mappings of numbers and words, as
+a run configuration is written, is read by a small parser of that subset
+(``_read_block_mapping``); PyYAML is imported only to parse any other YAML
+text. All evaluation is pure: a loaded :class:`CrystalModel` is immutable
+and safe to share between threads.
 
 Units at the public boundary are the conventional ones for this domain
 (wavelength in µm, temperature in °C, GVD in ps²/m); wavevector derivatives
@@ -34,6 +36,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import re
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -72,14 +75,23 @@ _VALIDATION_TEMPS = (0.0, 100.0, 200.0)
 _VALIDATION_SAMPLES = 64
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: an int or a float, Python's or
+    numpy's. A bool of either kind is not one, nor is text."""
+    if type(value) in (int, float):
+        return True
+    import numbers   # numpy registers its ints and floats here, not np.bool_
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite_float(value) -> float | None:
     """``value`` as a finite float, or None when it is no such number.
 
-    The one number rule of crystal and run-configuration files: an int, a
-    float, or numeric text as ``float`` reads it, such as ``1.2e1``, which
-    YAML 1.1 reads as a string. A bool is not a number here.
+    The one number rule of crystal and run-configuration files: a real
+    number (see ``_is_real``), or numeric text as ``float`` reads it, such
+    as ``1.2e1``, which YAML 1.1 reads as a string.
     """
-    if isinstance(value, bool):
+    if not (isinstance(value, str) or _is_real(value)):
         return None
     try:
         number = float(value)
@@ -506,16 +518,91 @@ def _validate_physical(model: CrystalModel) -> None:
 
 def _yaml_loader():
     """libyaml's parser when PyYAML was built with it, else PyYAML's own.
-    Both build the same documents; libyaml parses the bundled crystal in
-    0.37 ms against 3.2 ms."""
+    Both build the same documents."""
     import yaml
     return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+# The block-mapping subset of YAML that _load_yaml reads without PyYAML: a
+# line is `key: value`, or `key:` opening a section whose lines are each
+# indented by the same spaces and hold `key: value`; blank lines and
+# comments anywhere. A key is an identifier (at most 100 characters, well
+# under YAML's 1024 for a simple key); a value is a decimal int, a decimal
+# float with a signed exponent, or a word that resolves to no bool or null.
+# The patterns compile on first use, so a command that parses no YAML pays
+# nothing for them.
+_ENTRY = r"( *)([A-Za-z_][A-Za-z0-9_]{0,99}):(?: +([^ ]+))? *"
+_INT = r"[-+]?(?:0|[1-9][0-9]{0,99})"
+_FLOAT = r"[-+]?[0-9]{1,100}\.[0-9]{0,100}(?:[eE][-+][0-9]{1,4})?"
+_WORD = r"[A-Za-z_/][A-Za-z0-9_./-]{0,99}"
+# YAML 1.1's bool and null words, in any case: never a key or a word here
+_NOT_TEXT = frozenset(("yes", "no", "true", "false", "on", "off", "null"))
+
+
+def _plain_scalar(token: str):
+    """The int, float or str that PyYAML's safe loader makes of ``token``,
+    or None when it is none of the subset's values."""
+    if re.fullmatch(_INT, token):
+        return int(token)
+    if re.fullmatch(_FLOAT, token):
+        return float(token)
+    if re.fullmatch(_WORD, token) and token.lower() not in _NOT_TEXT:
+        return token
+    return None
+
+
+def _read_block_mapping(text: str) -> dict | None:
+    """The mapping that PyYAML's safe loader builds from ``text``, with the
+    same keys, key order and types, when ``text`` is a document of the
+    subset above; None for any other text, which PyYAML parses instead.
+
+    Anything the subset does not name is declined: tabs, carriage returns,
+    quotes, flow collections, anchors, tags, block scalars, document
+    markers, duplicate keys, empty sections, a ``#`` not after a space, an
+    int with a leading zero, an exponent without its sign (``1e3`` is text
+    to YAML 1.1), non-ASCII text, and a document with no key.
+    """
+    doc: dict = {}
+    section = indent = None
+    for line in text.split("\n"):
+        content, hash_mark, comment = line.partition("#")
+        if hash_mark and (content[-1:] not in ("", " ") or not (
+                comment.isascii() and comment.isprintable())):
+            return None
+        if not content.strip(" "):
+            continue
+        match = re.fullmatch(_ENTRY, content)
+        if match is None:
+            return None
+        pad, key, token = match.groups()
+        value = None if token is None else _plain_scalar(token)
+        if key.lower() in _NOT_TEXT or token is not None and value is None:
+            return None
+        if not pad:                                  # a top-level key
+            if section == {} or key in doc:
+                return None
+            section = indent = None
+            if value is None:
+                value = section = {}
+            doc[key] = value
+        elif section is None or value is None or key in section \
+                or indent not in (None, pad):
+            return None
+        else:
+            indent = pad
+            section[key] = value
+    return doc if doc and section != {} else None
+
+
 def _load_yaml(text: str, what: str):
     """The one YAML document in ``text``; a syntax error is a ValidationError
-    naming ``what``. PyYAML is imported on first use: its import costs a
-    design command 15–21 ms, the parse well under 1 ms."""
+    naming ``what``. A document of the block-mapping subset, as run configs
+    are written, is read by ``_read_block_mapping``; any other goes to
+    PyYAML, imported on first use: its import costs a design command about
+    15 ms, the parse well under 1 ms."""
+    doc = _read_block_mapping(text)
+    if doc is not None:
+        return doc
     import yaml
     try:
         return yaml.load(text, Loader=_yaml_loader())

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import phasematch as _phasematch
 from .constants import DEFAULT_GRID_POINTS, c
-from .dispersion import _um_rad_s
+from .dispersion import _is_real, _um_rad_s
 from .errors import DomainError, ValidationError
 from .phasematch import PdcConfig
 
@@ -108,9 +108,9 @@ class PumpPulse:
         for name in ("wavelength_um", "bandwidth_fwhm_nm",
                      "mean_power_w", "rep_rate_hz"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not math.isfinite(value):
+            if not _is_real(value) or not math.isfinite(value):
                 raise ValidationError(
-                    f"pump {name} must be a finite number, got {value}")
+                    f"pump {name} must be a finite number, got {value!r}")
             if not value > 0:
                 raise ValidationError(f"pump {name} must be > 0, got {value}")
         # pump_spectral_amplitude divides by 4σ₊², which must be a normal float
@@ -151,11 +151,11 @@ class FrequencyGrid:
                 f"a grid of {self.n} points per axis needs about "
                 f"{need / 2 ** 30:.1f} GiB, above the "
                 f"{_GRID_BUDGET_BYTES / 2 ** 30:g} GiB budget")
-        if isinstance(self.omega_max_rad_s, bool) \
+        if not _is_real(self.omega_max_rad_s) \
                 or not math.isfinite(self.omega_max_rad_s):
             raise ValidationError(
                 f"grid omega_max_rad_s must be a finite number, got "
-                f"{self.omega_max_rad_s}")
+                f"{self.omega_max_rad_s!r}")
         if not self.omega_max_rad_s > 0:
             raise ValidationError(
                 f"grid extent must be > 0, got {self.omega_max_rad_s}")

@@ -88,11 +88,13 @@ class PdcConfig(Record):
         for name in ("pump_wavelength_um", "temperature_c", "length_m",
                      "poling_period_um"):
             value = getattr(self, name)
-            # a bool is not a number, as in a crystal or run-config file; the
-            # range check refuses a wavelength or temperature not finite
-            checked = value is not None and name in ("length_m", "poling_period_um")
-            if isinstance(value, bool) or checked and not math.isfinite(value):
-                raise DomainError(f"{name} must be a finite number, got {value}")
+            if value is None and name == "poling_period_um":
+                continue
+            # a bool or text is not a number, as in a crystal or run-config
+            # file; the range check refuses a wavelength or temperature not finite
+            if not dispersion._is_real(value) or name in (
+                    "length_m", "poling_period_um") and not math.isfinite(value):
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
         if not self.length_m > 0:
             raise DomainError(f"crystal length must be > 0, got {self.length_m}")
         if self.poling_period_um is not None and not self.poling_period_um > 0:

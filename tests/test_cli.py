@@ -278,17 +278,29 @@ class TestLazyImports:
                 f"assert err.getvalue().startswith({f'error[{error}]:' if error else ''!r})")
         assert bool(loaded_modules(code, workdir, package="numpy")) == numpy
 
-    # the bundled crystal is JSON, which the stdlib reads: PyYAML loads only
-    # to parse a YAML file, such as a run config
+    # the bundled crystal is JSON, which the stdlib reads, and a block-style
+    # run config is read without PyYAML: PyYAML loads only to parse a YAML
+    # file outside that subset, such as a flow-style config or a crystal file
     @pytest.mark.parametrize("argv, yaml_loaded", [
         (None, False),
         (["cgvm", "--pump-axis", "e", "--signal-axis", "o"], False),
         (["dispersion", "--lambda-min-um", "0.6", "--lambda-max-um", "3.6",
           "--samples", "5"], False),
-        (["poling", "--config", "matched.yaml"], True),
-    ], ids=["bundled_crystal", "cgvm", "dispersion", "poling_config"])
+        (["poling", "--config", "matched.yaml"], False),
+        (["poling", "--config", "flow.yaml"], True),
+        (["dispersion", "--crystal", "mgoln.yaml", "--lambda-min-um", "0.6",
+          "--lambda-max-um", "3.6", "--samples", "5"], True),
+    ], ids=["bundled_crystal", "cgvm", "dispersion", "poling_config",
+            "poling_flow_config", "crystal_file"])
     def test_yaml_loads_only_to_parse_a_yaml_file(self, workdir, tmp_path,
                                                   argv, yaml_loaded):
+        (workdir / "flow.yaml").write_text(
+            "pdc: {type: type-I, pump_axis: e, signal_axis: o, "
+            "pump_wavelength_nm: 775.0, temperature_c: 11.0, "
+            "crystal_length_mm: 80.0}\n", encoding="utf-8")
+        crystal = json.loads(p.bundled_crystal_path().read_text(encoding="utf-8"))
+        (workdir / "mgoln.yaml").write_text(
+            yaml.safe_dump(crystal, sort_keys=False), encoding="utf-8")
         code = "import pdcmodes; pdcmodes.load_bundled_crystal()"
         if argv is not None:
             code += ("\nfrom pdcmodes import cli\n"

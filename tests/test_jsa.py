@@ -118,16 +118,27 @@ class TestPumpPulse:
             p.PumpPulse(wavelength_um=0.775, bandwidth_fwhm_nm=-4.0,
                         mean_power_w=12e-3, rep_rate_hz=1e8)
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    # text and numpy bools are no numbers either
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "4",
+                                       np.True_, np.False_])
     @pytest.mark.parametrize("field", ["wavelength_um", "bandwidth_fwhm_nm",
                                        "mean_power_w", "rep_rate_hz"])
     def test_rejects_non_finite_fields(self, field, value):
         fields = dict(wavelength_um=0.775, bandwidth_fwhm_nm=4.0,
                       mean_power_w=12e-3, rep_rate_hz=1e8)
         fields[field] = value
-        with pytest.raises(p.ValidationError,
-                           match=f"pump {field} must be a finite number, got {value}"):
+        with pytest.raises(p.ValidationError, match=re.escape(
+                f"pump {field} must be a finite number, got {value!r}")):
             p.PumpPulse(**fields)
+
+    def test_accepts_numpy_ints_and_floats(self):
+        pulse = p.PumpPulse(wavelength_um=np.float64(0.775),
+                            bandwidth_fwhm_nm=np.int64(4),
+                            mean_power_w=np.float32(0.5) * 24e-3,
+                            rep_rate_hz=np.int64(100_000_000))
+        assert pulse.sigma_plus_rad_s == p.PumpPulse(
+            wavelength_um=0.775, bandwidth_fwhm_nm=4.0, mean_power_w=12e-3,
+            rep_rate_hz=1e8).sigma_plus_rad_s
 
     @pytest.mark.parametrize("bandwidth_nm", [1e-300, 1e-170, 1e200])
     def test_rejects_width_whose_square_leaves_the_float_range(self, bandwidth_nm):
@@ -211,10 +222,11 @@ class TestDefaultGrid:
         grid = p.FrequencyGrid(n=np.int64(64), omega_max_rad_s=1e13)
         assert grid.detunings().size == 64
 
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "1e13",
+                                       np.True_])
     def test_rejects_non_finite_extent(self, value):
-        with pytest.raises(p.ValidationError, match=(
-                f"grid omega_max_rad_s must be a finite number, got {value}")):
+        with pytest.raises(p.ValidationError, match=re.escape(
+                f"grid omega_max_rad_s must be a finite number, got {value!r}")):
             p.FrequencyGrid(n=64, omega_max_rad_s=value)
 
     @pytest.mark.parametrize("length_m", [1e-303, 1e-293])

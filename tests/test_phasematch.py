@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -176,6 +177,37 @@ class TestPdcConfig:
                            match=f"{field} must be a finite number, got {value}"):
             p.PdcConfig(**fields)
         assert passes == []
+
+    @pytest.mark.parametrize("value", ["0.08", "11", np.True_, np.False_],
+                             ids=["text", "integer_text", "np_true", "np_false"])
+    @pytest.mark.parametrize("field", ["pump_wavelength_um", "temperature_c",
+                                       "length_m", "poling_period_um"])
+    def test_rejects_text_and_numpy_bools_before_any_sellmeier_pass(
+            self, crystal, monkeypatch, field, value):
+        passes = []
+        monkeypatch.setattr(p.dispersion.GayerTwoPole, "_terms",
+                            lambda self, t_c: passes.append(t_c))
+        fields = dict(crystal=crystal, pump_axis="e", signal_axis="o",
+                      pump_wavelength_um=0.775, temperature_c=ROOM_T_C,
+                      length_m=1e-3)
+        fields[field] = value
+        with pytest.raises(p.DomainError, match=re.escape(
+                f"{field} must be a finite number, got {value!r}")):
+            p.PdcConfig(**fields)
+        assert passes == []
+
+    def test_accepts_numpy_ints_and_floats(self, crystal):
+        fields = dict(crystal=crystal, pump_axis="e", signal_axis="o",
+                      pump_wavelength_um=0.775, temperature_c=20.0,
+                      length_m=1e-3, poling_period_um=19.0)
+        config = p.PdcConfig(**fields)
+        numpy_config = p.PdcConfig(**{
+            **fields, "pump_wavelength_um": np.float64(0.775),
+            "temperature_c": np.int64(20), "length_m": np.float32(0.5) * 2e-3,
+            "poling_period_um": np.int32(19)})
+        assert numpy_config.central == config.central
+        assert p.phase_mismatch(numpy_config, 0.0, 0.0) == \
+            p.phase_mismatch(config, 0.0, 0.0)
 
 
 class TestPolingPeriod:

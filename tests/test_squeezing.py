@@ -197,11 +197,12 @@ class TestLengthScan:
 
 
 # The constructors' arguments: each takes a reference value unless it is
-# the one that an example may break. A broken number is an
-# edge of the float range, or a bool; the pump record's wavelength is the
-# design's unless it is broken.
+# the one that an example may break. A broken number is an edge of the
+# float range, a bool of Python's or numpy's, or numeric text; the pump
+# record's wavelength is the design's unless it is broken.
+_NOT_NUMBERS = (True, False, np.True_, np.False_, "0.08", "11", "4")
 _EDGES = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-300, 1e300,
-          sys.float_info.max, True, False)
+          sys.float_info.max, *_NOT_NUMBERS)
 _ARGUMENTS = {   # name: (reference values, broken values or None for a float)
     "pump_axis": ("e", "oz"),
     "signal_axis": ("o", "ez"),
@@ -242,8 +243,8 @@ class TestConstructorFuzz:
     def test_a_package_error_or_a_finite_spectrum(self, crystal, inputs):
         # a PdcModesError where the arguments enter or from the pipeline at
         # n = 64, or a finite result: any other exception fails, and so
-        # does any RuntimeWarning; a bool is not a number, so an argument
-        # given one must be refused
+        # does any RuntimeWarning; a bool or text is not a number, so an
+        # argument given one must be refused
         design, pump, grid = inputs
         values = [*design.values(), *pump.values(), *(grid or {}).values()]
         with warnings.catch_warnings():
@@ -255,6 +256,7 @@ class TestConstructorFuzz:
                 result = p.squeezing_spectrum(config, pulse, grid=grid, grid_n=64)
             except p.PdcModesError:
                 return
-        assert not any(isinstance(value, bool) for value in values), inputs
+        assert not any(value is bad for value in values
+                       for bad in _NOT_NUMBERS), inputs
         for name, value in vars(result).items():
             assert np.isfinite(value).all(), name
