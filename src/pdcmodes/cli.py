@@ -188,11 +188,21 @@ def _signal_axis_thz(config, grid) -> np.ndarray:
 # subcommands
 
 
+# The most wavelengths that ``dispersion`` tabulates. Its rows are held in
+# memory until they are written, about 190 B each per axis, so a table at
+# the cap takes about 20 MB per axis; a count far above it would exhaust
+# the memory instead of ending in an error line.
+_MAX_SAMPLES = 100_000
+
+
 def _cmd_dispersion(args, run: RunConfig, crystal, out_dir: Path) -> int:
     if args.lambda_max_um <= args.lambda_min_um:
         raise UsageError("--lambda-max-um must exceed --lambda-min-um")
     if args.samples < 2:
         raise UsageError("--samples must be at least 2")
+    if args.samples > _MAX_SAMPLES:
+        raise UsageError(f"--samples must be at most {_MAX_SAMPLES}, "
+                         f"got {args.samples}")
     axes = args.axes.split(",") if args.axes else sorted(crystal.axes)
     t_c = _temperature_c(args, run)
     lam = disp._linspace(args.lambda_min_um, args.lambda_max_um, args.samples)

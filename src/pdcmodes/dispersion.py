@@ -24,11 +24,10 @@ n², which gives n and the analytic dn/dλ and d²n/dλ² from one evaluation
 so no finite-difference step tuning enters the library (a finite-difference
 cross-check lives in the test suite).
 
-Every formula takes a float or a numpy array and is written once for both:
-a float goes through Python's own arithmetic and ``math``, so loading a
-crystal and evaluating it at single wavelengths never imports numpy. A float
-evaluation gives the same bits on every host, where numpy's array ``**``
-may take a SIMD ``pow`` that differs from libm's in the last bits.
+Every evaluation takes one wavelength, a float, in Python's own arithmetic
+and ``math``, so designing a source never imports numpy and gives the same
+bits on every host. Only ``wavevector_at_omega`` also takes an array, since
+``phase_mismatch`` samples Δ̃ over the whole JSA grid at once.
 """
 
 from __future__ import annotations
@@ -124,31 +123,19 @@ def _require_keys(mapping: Mapping, required: tuple, context: str) -> None:
         raise ValidationError(f"{context}: unknown coefficient(s) {unknown}")
 
 
-def _float_or_array(value):
-    """``value`` as a float when it is one number (as ``np.isscalar`` tells
-    it), else as an array of floats."""
-    if isinstance(value, (int, float)):
+def _one_number(value) -> float:
+    """``value`` as a float; anything but one real number is a TypeError."""
+    if _is_real(value):
         return float(value)
-    import numpy as np
-    if isinstance(value, np.generic):
-        return float(value)
-    return np.asarray(value, dtype=float)
+    raise TypeError(f"a wavelength must be one real number, got "
+                    f"{type(value).__name__}; only wavevector_at_omega takes an array")
 
 
-def _sqrt(n2, lam_um, t_c):
-    """√n²: ``math.sqrt`` on a float, numpy's on an array. An n² ≤ 0 is a
-    DomainError naming it (the smallest, in an array), its λ and T."""
-    if isinstance(n2, float):
-        if n2 > 0.0:
-            return math.sqrt(n2)
-        smallest, at = n2, lam_um
-    else:
-        import numpy as np
-        if (n2 > 0.0).all():
-            return np.sqrt(n2)
-        i = n2.argmin()
-        smallest, at = n2.flat[i], np.broadcast_to(lam_um, n2.shape).flat[i]
-    raise DomainError(f"n² = {smallest:.6g} is not positive at {at:.6g} µm, "
+def _sqrt(n2: float, lam_um: float, t_c) -> float:
+    """√n², or a DomainError naming an n² ≤ 0, its λ and T."""
+    if n2 > 0.0:
+        return math.sqrt(n2)
+    raise DomainError(f"n² = {n2:.6g} is not positive at {lam_um:.6g} µm, "
                       f"{t_c:g} °C: no real index")
 
 
@@ -158,30 +145,18 @@ def _not_finite(form: str, t_c) -> DomainError:
         "crystal's coefficients do not extend to this temperature")
 
 
-def _parts(value) -> tuple:
-    return value if isinstance(value, tuple) else (value,)
-
-
 def _finite(formula):
     """A formula method ``(self, lam_um, t_c)`` whose result, or each
-    element of its tuple, is finite everywhere, or else a DomainError: an
-    evaluation that overflows or meets a pole is no index.
-
-    Where numpy gives inf, a float raises ZeroDivisionError or
-    OverflowError; both count as not finite. On an array numpy's warnings
-    are silenced, since the result is checked.
-    """
+    element of its tuple, is finite, or else a DomainError: an evaluation
+    that overflows (inf, or OverflowError) or meets a pole (inf, or
+    ZeroDivisionError) is no index."""
     @functools.wraps(formula)
     def evaluate(self, lam_um, t_c):
+        lam_um = _one_number(lam_um)
         try:
-            if isinstance(lam_um, (int, float)):
-                value = formula(self, lam_um, t_c)
-                finite = all(map(math.isfinite, _parts(value)))
-            else:
-                import numpy as np
-                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                    value = formula(self, lam_um, t_c)
-                finite = all(np.isfinite(v).all() for v in _parts(value))
+            value = formula(self, lam_um, t_c)
+            finite = all(map(math.isfinite, value if isinstance(value, tuple)
+                             else (value,)))
         except (ZeroDivisionError, OverflowError):
             finite = False
         if not finite:
@@ -226,8 +201,7 @@ class _PoleSum:
     @_finite
     def n(self, lam_um, t_c):
         terms = self._finite_terms(t_c)
-        n = _sqrt(self._n_squared(terms, lam_um * lam_um), lam_um, t_c)
-        return n + terms[3] if terms[3] else n   # a zero Δn adds no array op
+        return _sqrt(self._n_squared(terms, lam_um * lam_um), lam_um, t_c) + terms[3]
 
     @_finite
     def n_derivatives(self, lam_um, t_c):
@@ -244,7 +218,7 @@ class _PoleSum:
         gp = -2.0 * lam_um * (s1 + a6)
         gpp = s2 - 2.0 * a6
         n = _sqrt(g, lam_um, t_c)
-        return (n + shift if shift else n, gp / (2.0 * n),
+        return (n + shift, gp / (2.0 * n),
                 gpp / (2.0 * n) - gp * gp / (4.0 * g ** 1.5))
 
 
@@ -644,37 +618,33 @@ def load_bundled_crystal() -> CrystalModel:
 # evaluation
 
 
-def _check_range(crystal: CrystalModel, lam_um, temperature_c: float):
-    """``lam_um`` as a float, or else as an array of floats, once every
-    wavelength lies in the crystal's valid range [lo, hi], bounds included,
-    and the temperature above absolute zero; a DomainError otherwise."""
-    # "not above" so that a NaN temperature is rejected too; no upper bound,
-    # since a crystal file carries no fitted temperature range
+def _check_temperature(temperature_c: float) -> None:
+    """A DomainError unless the temperature is above absolute zero, which a
+    NaN is not; no upper bound, as a crystal file fits no temperature range."""
     if not temperature_c > _ABSOLUTE_ZERO_C:
         raise DomainError(
             f"temperature {temperature_c:g} °C is not above absolute zero "
             f"({_ABSOLUTE_ZERO_C:g} °C)")
+
+
+def _check_range(crystal: CrystalModel, lam_um, temperature_c: float) -> float:
+    """``lam_um`` as a float, once the temperature is above absolute zero
+    and the wavelength lies in the crystal's valid range [lo, hi], bounds
+    included; a DomainError otherwise."""
+    _check_temperature(temperature_c)
+    lam = _one_number(lam_um)
     lo, hi = crystal.valid_range_um
-    lam = _float_or_array(lam_um)
-    # written as "not inside" so that NaN counts as out of range
-    if isinstance(lam, float):
-        bad = not lo <= lam <= hi
-        offender = lam
-    else:
-        outside = ~((lam >= lo) & (lam <= hi))
-        bad = outside.any()
-        offender = lam[outside].flat[0] if bad and lam.ndim else lam
-    if bad:
+    if not lo <= lam <= hi:   # "not inside", so that NaN counts as out of range
         raise DomainError(
-            f"wavelength {float(offender):.6g} µm outside the valid range "
+            f"wavelength {lam:.6g} µm outside the valid range "
             f"[{lo:g}, {hi:g}] µm of crystal {crystal.name!r}")
     return lam
 
 
 def _index(crystal: CrystalModel, axis: str, wavelength_um,
            temperature_c: float, derivatives: bool = False):
-    """The checked wavelengths and n there, or (n, dn/dλ, d²n/dλ²) with
-    ``derivatives``; a DomainError from the formula names crystal and axis."""
+    """The checked wavelength and n there, or (n, dn/dλ, d²n/dλ²) with
+    ``derivatives``."""
     sell = crystal.axis(axis)
     lam = _check_range(crystal, wavelength_um, temperature_c)
     try:
@@ -698,8 +668,7 @@ def _wavenumber(lam_um, n):
 
 def refractive_index(crystal: CrystalModel, axis: str, wavelength_um,
                      temperature_c: float):
-    """Refractive index n(λ, T); λ in µm, T in °C. A float in gives a
-    float, an array in an array of the same shape."""
+    """Refractive index n(λ, T); λ in µm, T in °C."""
     return _index(crystal, axis, wavelength_um, temperature_c)[1]
 
 
@@ -711,16 +680,46 @@ def wavevector(crystal: CrystalModel, axis: str, wavelength_um,
 
 def wavevector_at_omega(crystal: CrystalModel, axis: str, omega_rad_s,
                         temperature_c: float):
-    """Wavevector k(ω) in rad/m at angular frequency ω (rad/s, SI)."""
-    omega = _float_or_array(omega_rad_s)
-    # an ω = 0 has an infinite wavelength, which the range check refuses
-    if isinstance(omega, float):
+    """Wavevector k(ω) in rad/m at angular frequency ω (rad/s, SI).
+
+    The one evaluation that also takes an array of ω, of any shape, as
+    ``phase_mismatch`` does over the JSA grid. The array gets the float
+    path's operations in its order, and so its bits, and the float path
+    refuses what it refuses: the first λ out of range in C order, else the
+    Sellmeier terms at any λ, else the smallest n² ≤ 0 (a NaN first), else
+    the first n that is not finite.
+    """
+    if _is_real(omega_rad_s):
+        omega = float(omega_rad_s)
+        # an ω = 0 has an infinite wavelength, which the range check refuses
         lam_um = _um_rad_s(omega) if omega else math.copysign(math.inf, omega)
-    else:
-        import numpy as np
-        with np.errstate(divide="ignore"):
-            lam_um = _um_rad_s(omega)
-    return _index(crystal, axis, lam_um, temperature_c)[1] * omega / c
+        return _index(crystal, axis, lam_um, temperature_c)[1] * omega / c
+    import numpy as np
+    omega = np.asarray(omega_rad_s, dtype=float)
+    sell = crystal.axis(axis)
+    _check_temperature(temperature_c)
+    lo, hi = crystal.valid_range_um
+    with np.errstate(all="ignore"):
+        lam_um = _um_rad_s(omega)
+        outside = ~((lam_um >= lo) & (lam_um <= hi))   # NaN is outside too
+        if outside.any():
+            at = lam_um.flat[outside.argmax()]
+        else:
+            try:
+                terms = sell._finite_terms(temperature_c)
+            except (DomainError, OverflowError):   # the same at any λ
+                at = lo
+            else:
+                n2 = sell._n_squared(terms, lam_um * lam_um)
+                n = np.sqrt(n2) + terms[3]
+                if not (n2 > 0.0).all():
+                    at = lam_um.flat[n2.argmin()]
+                elif not np.isfinite(n).all():
+                    at = lam_um.flat[(~np.isfinite(n)).argmax()]
+                else:
+                    return n * omega / c
+    _index(crystal, axis, float(at), temperature_c)
+    raise AssertionError(f"the float path accepts {at!r} µm")
 
 
 def _k_terms(crystal: CrystalModel, axis: str, wavelength_um,

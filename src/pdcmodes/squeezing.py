@@ -93,10 +93,15 @@ def beam_waist(config: PdcConfig) -> float:
 
 
 def pdc_efficiency(config: PdcConfig, eta_jsa: float) -> float:
-    """Per-watt conversion efficiency η_PDC (W⁻¹) for a given shape efficiency."""
+    """Per-watt conversion efficiency η_PDC (W⁻¹) for a given shape
+    efficiency; inf where it leaves the float range."""
     d_eff = config.crystal.d_eff_pm_per_v * 1e-12
     n_s = config.central[1][0]
-    coupling = (4.0 * d_eff * config.omega_s_rad_s / (math.pi * c ** 2 * n_s)) ** 2
+    coupling = 4.0 * d_eff * config.omega_s_rad_s / (math.pi * c ** 2 * n_s)
+    try:
+        coupling **= 2
+    except OverflowError:
+        coupling = math.inf
     return coupling * (config.omega_p_rad_s * config.length_m
                        / (2.0 * math.pi * epsilon_0)) * eta_jsa
 
@@ -117,11 +122,12 @@ def squeezing_spectrum(config: PdcConfig, pump: PumpPulse,
     eta_pdc = pdc_efficiency(config, eta_jsa)
     p_peak = peak_power(pump)
     r0 = math.sqrt(eta_pdc * p_peak)
-    r = r0 * decomp.s / decomp.s[0]
-    s_db = _DB_PER_R * r
-    gain_pb = r0 ** 2 / (4.0 * decomp.s[0] ** 2)
-    with np.errstate(over="ignore"):   # an overflow is reported below
+    # an overflow is reported below, as is an r₀ = inf, which inf·0 makes NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = r0 * decomp.s / decomp.s[0]
+        s_db = _DB_PER_R * r
         mean_photons = np.sinh(r) ** 2
+    gain_pb = r0 ** 2 / (4.0 * decomp.s[0] ** 2)
     if not np.isfinite(mean_photons).all():
         raise DomainError(
             f"squeezing r₀ = {r0:.6g} (S₀ = {s_db[0]:.6g} dB) puts the mean "

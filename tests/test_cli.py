@@ -1,12 +1,15 @@
 """Command-line surface: artifacts, determinism, exit codes, schemas."""
 
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
@@ -14,7 +17,7 @@ import jsonschema
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import pdcmodes as p
 from conftest import joined_csv
@@ -557,6 +560,28 @@ class TestDispersionCommand:
                          "--lambda-max-um", "2.0", cwd=workdir)
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error[usage]:")
+
+    def test_samples_above_the_cap_are_usage_error(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # refused before its wavelengths are made, let alone evaluated; the
+        # cap itself is taken, tabulated here at its two ends only
+        made, linspace = [], cli.disp._linspace
+
+        def recorded(lo, hi, samples):
+            made.append(samples)
+            return linspace(lo, hi, samples) if samples < 1000 else [lo, hi]
+        monkeypatch.setattr(cli.disp, "_linspace", recorded)
+        args = ["dispersion", "--lambda-min-um", "1", "--lambda-max-um", "2"]
+        out = tmp_path / "out"
+        cap = cli._MAX_SAMPLES
+        assert cli.main([*args, "--samples", str(cap + 1), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error[usage]: --samples must be at most {cap}, got {cap + 1}\n")
+        assert captured.out == ""
+        assert not out.exists() and cap + 1 not in made
+        assert cli.main([*args, "--samples", str(cap), "--out", str(out)]) == 0
+        assert cap in made
 
     @pytest.mark.parametrize("lo, hi, samples, t_c", [
         (0.6, 3.6, 400, 24.5), (0.55, 3.9, 301, 11.0), (1.0, 2.0, 2, 180.0),
@@ -1334,3 +1359,189 @@ class TestErrorPaths:
         result = run_cli("poling", "--config", "uv.yaml", cwd=workdir)
         assert result.returncode == 3, result.stderr
         assert result.stderr.startswith("error[domain]:")
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under fuzzed argv, run configurations and crystal files
+
+
+# the documented exit code of each error kind
+_ERROR_CODES = {"usage": 2, "domain": 3, "validity": 3, "solver": 4, "io": 5}
+
+# the schema of each JSON artifact by file name; any other is a table
+_ARTIFACT_SCHEMAS = {
+    "cgvm.json": "cgvm.schema.json", "poling.json": "poling.schema.json",
+    "jsa.json": "jsa_full.schema.json", "jsa_meta.json": "jsa_meta.schema.json",
+    "modes_meta.json": "modes_meta.schema.json",
+    "squeeze.json": "squeeze.schema.json"}
+
+
+def _option_floats(plausible):
+    """Text of a float option: mostly in or near ``plausible`` (lo, hi),
+    sometimes a value the CLI must refuse."""
+    return (st.floats(*plausible).map(repr)
+            | st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf",
+                               "-inf", "abc"]))
+
+
+_WAVELENGTHS = _option_floats((0.3, 4.5))
+_TEMPERATURES = _option_floats((-300.0, 400.0)) | st.sampled_from(["1e155", "3000"])
+_AXES = st.sampled_from(["o", "e", "x", "O"])
+
+# what a run configuration value may be mutated to, as YAML text
+_YAML_TOKENS = st.sampled_from([
+    "0", "-1.0", "1.0e-300", "1.0e-320", "1.0e+300", ".nan", ".inf", "abc",
+    "null", "yes", "[]", "1e3", "0x10", "'12'", "e", "o", "type-0", "json",
+    "xml", "64"])
+_RUN_KEYS = {
+    "pdc": ("type", "pump_axis", "signal_axis", "pump_wavelength_nm",
+            "temperature_c", "crystal_length_mm", "poling_period_um"),
+    "pump": ("bandwidth_fwhm_nm", "mean_power_mw", "repetition_rate_mhz"),
+    "grid": ("points_per_axis", "detuning_extent_thz"),
+    "output": ("format", "precision"),
+}
+
+
+@st.composite
+def _run_config_text(draw):
+    """One of the two reference designs, in block or flow style; in about
+    half of them up to three values are changed, or a key or a section
+    removed, or an unknown key added."""
+    base = yaml.safe_load(draw(st.sampled_from([MATCHED_YAML, WALKOFF_YAML])))
+    doc = {name: {key: str(value) for key, value in section.items()}
+           for name, section in base.items()}
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
+        name = draw(st.sampled_from(sorted(_RUN_KEYS)))
+        key = draw(st.sampled_from(_RUN_KEYS[name]))
+        doc.setdefault(name, {})[key] = draw(_YAML_TOKENS)
+    if draw(st.sampled_from([False, False, False, True])):
+        name = draw(st.sampled_from(sorted(doc)))
+        edit = draw(st.sampled_from(["drop section", "drop key", "unknown key"]))
+        if edit == "drop section":
+            del doc[name]
+        elif edit == "drop key" and doc[name]:
+            del doc[name][draw(st.sampled_from(sorted(doc[name])))]
+        elif edit == "unknown key":
+            doc[name]["pump_wavelength_um"] = "0.775"
+    if draw(st.booleans()):
+        return "".join(f"{name}:\n" + "".join(f"  {k}: {v}\n" for k, v in s.items())
+                       for name, s in doc.items())
+    return "".join(f"{name}: {{{', '.join(f'{k}: {v}' for k, v in s.items())}}}\n"
+                   for name, s in doc.items())
+
+
+@st.composite
+def _crystal_doc(draw):
+    """The bundled crystal with one coefficient, bound or field scaled by
+    up to 10 %, or set to a value that may break it."""
+    root = json.loads(p.bundled_crystal_path().read_text(encoding="utf-8"))
+    target = draw(st.sampled_from(["coefficient", "valid_range_um",
+                                   "d_eff_pm_per_V", "temperature_model"]))
+    if target == "coefficient":
+        axis = draw(st.sampled_from(["o", "e"]))
+        holder = root["sellmeier"][axis]["coefficients"]
+        key = draw(st.sampled_from(sorted(holder)))
+    elif target == "valid_range_um":
+        holder, key = root[target], draw(st.integers(0, 1))
+    else:
+        holder, key = root, target
+    old = holder[key]
+    scaled = st.floats(0.9, 1.1).map(
+        lambda scale: old * scale if isinstance(old, float) else old)
+    holder[key] = draw(scaled | st.sampled_from(
+        [0.0, 1e200, -1e-5, None, "abc", [], math.nan]))
+    return root
+
+
+@st.composite
+def _argv(draw):
+    """A command line of any subcommand, every size input bounded: up to
+    300 samples, four lengths, a grid of 64 points per axis."""
+    command = draw(st.sampled_from(
+        ["dispersion", "cgvm", "poling", "jsa", "modes", "squeeze", "scan"]))
+    argv = [command]
+    sometimes = st.sampled_from([False, False, True])
+    if command == "dispersion":
+        lo = draw(st.floats(0.5, 3.9))
+        span = st.tuples(st.just(repr(lo)), st.floats(lo + 0.05, 4.0).map(repr))
+        argv += [x for pair in zip(("--lambda-min-um", "--lambda-max-um"), draw(
+            span | st.tuples(_WAVELENGTHS, _WAVELENGTHS))) for x in pair]
+        if draw(st.booleans()):
+            argv += ["--samples", str(draw(st.integers(2, 300) | st.sampled_from(
+                [-1, 1, cli._MAX_SAMPLES + 1])))]
+        if draw(st.booleans()):
+            argv += ["--axes", draw(st.sampled_from(["o", "e", "e,o", "x"]))]
+    elif command == "cgvm":
+        argv += ["--pump-axis", draw(_AXES), "--signal-axis", draw(_AXES)]
+        if draw(sometimes):
+            argv += ["--bracket-um", draw(_WAVELENGTHS), draw(_WAVELENGTHS)]
+        if draw(sometimes):
+            argv += ["--target-um", draw(_WAVELENGTHS)]
+    elif command == "modes" and draw(st.booleans()):
+        argv += ["--modes", str(draw(st.integers(-1, 6)))]
+    elif command == "jsa" and draw(st.booleans()):
+        argv += ["--include-complex"]
+    elif command == "scan":
+        argv += ["--lengths-mm", *draw(st.lists(
+            _option_floats((0.1, 100.0)), min_size=1, max_size=4))]
+    if command in ("dispersion", "cgvm") and draw(sometimes):
+        argv += ["--temperature-c", draw(_TEMPERATURES)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv + ["--grid-n", "64"]
+
+
+def _finite_json(path):
+    def refuse(name):
+        raise AssertionError(f"{path.name} holds {name}")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+class TestContractFuzz:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(argv=_argv(), config=st.sampled_from([True] * 5 + [False]).flatmap(
+               lambda given: _run_config_text() if given else st.none()),
+           crystal=st.sampled_from([False] * 3 + [True]).flatmap(
+               lambda given: _crystal_doc() if given else st.none()))
+    def test_success_with_valid_artifacts_or_one_error_line(self, argv, config,
+                                                            crystal):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if config is not None:
+                (tmp / "run.yaml").write_text(config, encoding="utf-8")
+                argv += ["--config", str(tmp / "run.yaml")]
+            if crystal is not None:
+                (tmp / "crystal.yaml").write_text(json.dumps(crystal), encoding="utf-8")
+                argv += ["--crystal", str(tmp / "crystal.yaml")]
+            out = tmp / "out"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    code = cli.main([*argv, "--out", str(out)])
+            if code != 0:
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1, stderr.getvalue()
+                kind = lines[0].partition("]")[0].removeprefix("error[")
+                assert lines[0].startswith(f"error[{kind}]: "), lines[0]
+                assert _ERROR_CODES.get(kind) == code, lines[0]
+                assert not out.exists(), lines[0]
+                event(f"{argv[0]}: error[{kind}]")
+                return
+            event(f"{argv[0]}: written")
+            assert stderr.getvalue() == ""
+            artifacts = sorted(out.iterdir())
+            assert artifacts
+            for path in artifacts:
+                if path.suffix == ".json":
+                    schema = _ARTIFACT_SCHEMAS.get(path.name, "table.schema.json")
+                    jsonschema.validate(_finite_json(path), load_schema(schema))
+                else:
+                    assert path.suffix == ".csv", path.name
+                    cells = path.read_text(encoding="utf-8").replace("\n", ",")
+                    for cell in cells.split(","):
+                        try:
+                            number = float(cell)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(number), f"{path.name}: {cell}"

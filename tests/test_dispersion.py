@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from scipy.constants import c
 
 import pdcmodes as p
@@ -65,9 +65,11 @@ class TestRefractiveIndex:
                              ids=["scalar", "array"])
     def test_nan_wavelength_is_out_of_range(self, crystal, lam):
         with pytest.raises(p.DomainError, match="nan µm outside"):
-            p.refractive_index(crystal, "e", lam, ROOM_T_C)
-        with pytest.raises(p.DomainError, match="nan µm outside"):
             wavevector_at_omega(crystal, "e", 2.0e6 * math.pi * c / lam, ROOM_T_C)
+        if np.ndim(lam):   # the other evaluations take one wavelength
+            return
+        with pytest.raises(p.DomainError, match="nan µm outside"):
+            p.refractive_index(crystal, "e", lam, ROOM_T_C)
         with pytest.raises(p.DomainError, match="nan µm outside"):
             k_prime(crystal, "e", lam, ROOM_T_C)
 
@@ -76,12 +78,31 @@ class TestRefractiveIndex:
             p.refractive_index(crystal, "z", 1.0, ROOM_T_C)
 
     def test_temperature_continuity(self, crystal):
-        lam = np.linspace(0.55, 3.9, 40)
+        omega = 2.0e6 * np.pi * c / np.linspace(0.55, 3.9, 40)
         for axis in ("o", "e"):
             for t_c in (0.0, 24.5, 77.0, 150.0, 199.9):
-                n1 = p.refractive_index(crystal, axis, lam, t_c)
-                n2 = p.refractive_index(crystal, axis, lam, t_c + 0.01)
+                n1 = wavevector_at_omega(crystal, axis, omega, t_c) * c / omega
+                n2 = wavevector_at_omega(crystal, axis, omega, t_c + 0.01) * c / omega
                 assert np.all(np.abs(n2 - n1) < 1e-5)
+
+    def test_one_wavelength_evaluations_refuse_an_array(self, crystal):
+        # only wavevector_at_omega takes an array; one number of any real
+        # type, Python's or numpy's, gives a float
+        lam = np.array([1.0, 1.5])
+        evaluations = (p.refractive_index, p.wavevector, p.group_index, p.gvd,
+                       k_prime, k_double_prime)
+        methods = (crystal.axis("o").n, crystal.axis("o").n_derivatives)
+        for evaluate in evaluations:
+            with pytest.raises(TypeError, match="only wavevector_at_omega takes"):
+                evaluate(crystal, "o", lam, ROOM_T_C)
+            for one in (np.float32(1.5), np.float64(1.5), 1):
+                value = evaluate(crystal, "o", one, ROOM_T_C)
+                assert type(value) is float
+                assert value == evaluate(crystal, "o", float(one), ROOM_T_C)
+        for method in methods:
+            with pytest.raises(TypeError, match="only wavevector_at_omega takes"):
+                method(lam, ROOM_T_C)
+            assert method(np.float64(1.5), ROOM_T_C) == method(1.5, ROOM_T_C)
 
     def test_evaluation_is_pure(self, crystal):
         a = p.refractive_index(crystal, "e", 1.234, 42.0)
@@ -139,9 +160,10 @@ class TestGvd:
 # relative target even near the GVD zero crossing; truncation of the
 # fourth-order stencils is negligible for these smooth curves
 class TestInPlaceEvaluation:
-    """n, its λ-derivatives and the wavevector at array inputs (1-D and
-    2-D) equal the one-expression oracles of conftest bit for bit, on both
-    axes, at 0–200 °C, across the validity range."""
+    """n at each element of an array (1-D and 2-D), its λ-derivatives at
+    each wavelength of a sweep, and the wavevector over a whole array equal
+    the one-expression oracles of conftest bit for bit, on both axes, at
+    0–200 °C, across the validity range."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(axis=st.sampled_from(["o", "e"]), t_c=st.floats(0.0, 200.0),
@@ -151,8 +173,13 @@ class TestInPlaceEvaluation:
         lam = np.linspace(lo, hi, n)
         grid = np.add.outer(lam, lam[::-1]) / 2.0   # a 2-D input, like the pump grid
         for arr in (lam, grid):
-            expected = expression_n_squared(sell, arr, t_c)
-            assert np.array_equal(sell.n(arr, t_c), np.sqrt(expected))
+            expected = np.sqrt(expression_n_squared(sell, arr, t_c))
+            assert [sell.n(x, t_c) for x in arr.flat] == expected.ravel().tolist()
+            # the one array path, at the ω of each λ
+            omega = 2.0e6 * np.pi * c / arr
+            assert np.array_equal(
+                wavevector_at_omega(crystal, axis, omega, t_c),
+                expression_wavevector_at_omega(crystal, axis, omega, t_c))
         scalar = float(lam[0])
         expected = expression_n_squared(sell, scalar, t_c)
         assert type(sell.n(scalar, t_c)) is float
@@ -163,18 +190,16 @@ class TestInPlaceEvaluation:
            lo=st.floats(0.5, 4.0), hi=st.floats(0.5, 4.0), n=st.integers(1, 40))
     def test_n_derivatives(self, crystal, axis, t_c, lo, hi, n):
         # the shared pole-sum formula keeps the two-pole form's operations
-        # and their order, so the bundled crystal's bits do not move
+        # and their order, so the bundled crystal's bits do not move. No
+        # derivative takes an array, so the sweep goes one λ at a time, and
+        # the oracle takes floats too: numpy's array ** may differ from
+        # libm's pow in the last bits. Its n has the bits of n's.
         sell = crystal.axis(axis)
-        lam = np.linspace(lo, hi, n)
-        grid = np.add.outer(lam, lam[::-1]) / 2.0
-        for arr in (lam, grid):
-            got = sell.n_derivatives(arr, t_c)
-            expected = expression_n_derivatives(sell, arr, t_c)
-            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-        scalar = float(lam[0])
-        got = sell.n_derivatives(scalar, t_c)
-        assert all(type(v) is float for v in got)
-        assert got == expression_n_derivatives(sell, scalar, t_c)
+        for x in np.linspace(lo, hi, n).tolist():
+            got = sell.n_derivatives(x, t_c)
+            assert all(type(v) is float for v in got)
+            assert got == expression_n_derivatives(sell, x, t_c)
+            assert got[0] == sell.n(x, t_c)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(axis=st.sampled_from(["o", "e"]), t_c=st.floats(0.0, 200.0),
@@ -191,6 +216,11 @@ class TestInPlaceEvaluation:
             expression_wavevector_at_omega(crystal, axis, scalar, t_c)
 
 
+# an ω whose wavelength lies exactly on the first pole of the bundled
+# crystal's axis e at 3000 °C, 0.8515047162483 µm
+POLE_3000_OMEGA = 2212144608673638.5
+
+
 def _edited_crystal(*edits):
     """The bundled crystal with each (old, new) text edit applied once."""
     text = p.bundled_crystal_path().read_text(encoding="utf-8")
@@ -205,9 +235,12 @@ class TestNonFiniteEvaluation:
         # the bundled crystal at 1e155 °C: f(T) ≈ 1e310 overflows, and so
         # does (a3 + b3·f)²
         assert 2.0 < p.refractive_index(crystal, "o", 1.55, 200.0) < 2.4
-        for lam in (1.55, np.linspace(0.6, 3.0, 5)):
+        with pytest.raises(p.DomainError, match=r"not finite at 1e\+155 °C"):
+            p.refractive_index(crystal, "o", 1.55, 1e155)
+        omega = 2.0e6 * np.pi * c / np.linspace(0.6, 3.0, 5)
+        for omegas in (omega, omega[:0]):   # the terms name no λ: even none
             with pytest.raises(p.DomainError, match=r"not finite at 1e\+155 °C"):
-                p.refractive_index(crystal, "o", lam, 1e155)
+                wavevector_at_omega(crystal, "o", omegas, 1e155)
         for method in ("n", "n_derivatives"):
             with pytest.raises(p.DomainError, match=r"not finite at 1e\+155 °C"):
                 getattr(crystal.axis("e"), method)(1.55, 1e155)
@@ -228,23 +261,28 @@ class TestNonFiniteEvaluation:
         # a float, does not warn
         xtl = _edited_crystal(('"b1": 7.941e-7', '"b1": -1.0e-5'))
         for lam in (1.55, np.array([0.6, 1.55, 3.6])):
-            smallest = np.min(expression_n_squared(xtl.axis("o"), lam, 1000.0))
+            omega = 2.0e6 * np.pi * c / lam
+            lam_back = 2.0e6 * np.pi * c / omega
+            smallest = np.min(expression_n_squared(xtl.axis("o"), lam_back, 1000.0))
             assert smallest < 0.0
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(p.DomainError,
                                    match=f"n² = {smallest:.6g} is not positive"):
-                    p.refractive_index(xtl, "o", lam, 1000.0)
+                    wavevector_at_omega(xtl, "o", omega, 1000.0)
+        with pytest.raises(p.DomainError, match="is not positive at 1.55 µm"):
+            p.refractive_index(xtl, "o", 1.55, 1000.0)
 
     def test_non_real_index_names_where_it_is(self):
         # an array names the wavelength of its smallest n², and the
         # evaluation names the crystal and the axis
         xtl = _edited_crystal(('"b1": 7.941e-7', '"b1": -1.0e-5'))
-        lam = np.array([[3.6, 0.6], [1.55, 2.0]])
+        omega = 2.0e6 * np.pi * c / np.array([[3.6, 0.6], [1.55, 2.0]])
+        lam = 2.0e6 * np.pi * c / omega
         n2 = expression_n_squared(xtl.axis("o"), lam, 1000.0)
         at = lam.flat[n2.argmin()]
         with pytest.raises(p.DomainError) as info:
-            p.group_index(xtl, "o", lam, 1000.0)
+            wavevector_at_omega(xtl, "o", omega, 1000.0)
         assert str(info.value) == (
             f"crystal 'MgO:LN-5pct', axis 'o': n² = {n2.min():.6g} is not "
             f"positive at {at:.6g} µm, 1000 °C: no real index")
@@ -262,13 +300,93 @@ class TestNonFiniteEvaluation:
             wavevector_at_omega(crystal, "o", np.array([omega, 1.2e15]), ROOM_T_C)
 
     def test_pole_on_the_sample_is_domain_error(self, crystal):
-        # λ = a5 puts the second pole exactly on the sample: c4/0, which is
-        # inf in an array and ZeroDivisionError on a float; neither warns
+        # λ = a5 puts the second pole exactly on the sample: c4/0, a
+        # ZeroDivisionError on a float
         sell = crystal.axis("o")
         for method in ("n", "n_derivatives"):
-            for lam in (np.array([1.0, sell.a5]), sell.a5):
-                with pytest.raises(p.DomainError, match="not finite"):
-                    getattr(sell, method)(lam, ROOM_T_C)
+            with pytest.raises(p.DomainError, match="not finite"):
+                getattr(sell, method)(sell.a5, ROOM_T_C)
+        # at 3000 °C the first pole of axis e lies in the valid range, and
+        # the ω of POLE_3000_OMEGA puts it on the sample: c2/0, which is inf
+        # in an array, and neither warns
+        omega = np.array([2.0e6 * np.pi * c / 1.0, POLE_3000_OMEGA])
+        lam = 2.0e6 * math.pi * c / POLE_3000_OMEGA
+        assert lam * lam == crystal.axis("e")._terms(3000.0)[1][0][1]
+        for omegas in (omega, POLE_3000_OMEGA):
+            with pytest.raises(p.DomainError, match="axis 'e': .* not finite"):
+                wavevector_at_omega(crystal, "e", omegas, 3000.0)
+
+
+_K = 2.0e6 * math.pi * c   # ω = K/λ with λ in µm, and back
+
+# what an ω array may hold besides in-range values: the pole of axis e at
+# 3000 °C and a wavelength just below it, where n² < 0 there; NaN, ±0, ±inf,
+# a subnormal, a negative ω and wavelengths outside [0.5, 4] µm
+_SPECIAL_OMEGAS = (
+    st.sampled_from([POLE_3000_OMEGA, _K / 0.85])
+    | st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -1.2e15])
+    | st.floats(0.05, 0.4999).map(lambda lam: _K / lam)
+    | st.floats(4.0001, 100.0).map(lambda lam: _K / lam))
+
+
+@st.composite
+def _omega_arrays(draw):
+    """A 1-D or 2-D array of in-range ω with up to three special values."""
+    shape = draw(st.sampled_from([(0,), (1,), (2,), (7,), (1, 3), (3, 1), (3, 4)]))
+    size = math.prod(shape)
+    lams = draw(st.lists(st.floats(0.5, 4.0), min_size=size, max_size=size))
+    omega = [_K / lam for lam in lams]
+    for _ in range(draw(st.integers(0, 3)) if size else 0):
+        omega[draw(st.integers(0, size - 1))] = draw(_SPECIAL_OMEGAS)
+    return np.array(omega, dtype=float).reshape(shape)
+
+
+@pytest.fixture(scope="module")
+def negative_b1_crystal():
+    """b1 = −1e-5 on axis o: n² crosses 0 in the valid range near 500 °C
+    and is below 0 across it at 1000 °C."""
+    return _edited_crystal(('"b1": 7.941e-7', '"b1": -1.0e-5'))
+
+
+class TestArrayRefusal:
+    """wavevector_at_omega on an array gives the one-expression oracle's
+    bits, or the DomainError of the float path at the element it names:
+    the first wavelength out of range in C order, else the smallest n² ≤ 0
+    (a NaN first), else the first n that is not finite."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(omega=_omega_arrays(), design=st.one_of(
+        st.tuples(st.just(False), st.sampled_from(["o", "e"]), st.floats(0.0, 200.0)),
+        st.tuples(st.just(True), st.just("o"), st.floats(400.0, 1000.0)),
+        st.tuples(st.just(False), st.just("e"), st.just(3000.0))))
+    def test_result_or_the_float_paths_error(self, crystal, negative_b1_crystal,
+                                             omega, design):
+        negative_b1, axis, t_c = design
+        xtl = negative_b1_crystal if negative_b1 else crystal
+        with np.errstate(all="ignore"):
+            lam = _K / omega
+            outside = ~((lam >= 0.5) & (lam <= 4.0))
+            n2 = expression_n_squared(xtl.axis(axis), lam, t_c)
+            n = np.sqrt(n2)
+        if outside.any():
+            named, rule = outside.argmax(), "out of range"
+        elif not (n2 > 0.0).all():
+            named, rule = n2.argmin(), "n² ≤ 0"
+        elif not np.isfinite(n).all():
+            named, rule = (~np.isfinite(n)).argmax(), "n not finite"
+        else:
+            event("evaluated")
+            got = wavevector_at_omega(xtl, axis, omega, t_c)
+            expected = expression_wavevector_at_omega(xtl, axis, omega, t_c)
+            assert got.shape == omega.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            return
+        event(f"refused: {rule}")
+        with pytest.raises(p.DomainError) as float_path:
+            wavevector_at_omega(xtl, axis, float(omega.flat[named]), t_c)
+        with pytest.raises(p.DomainError) as array_path:
+            wavevector_at_omega(xtl, axis, omega, t_c)
+        assert str(array_path.value) == str(float_path.value)
 
 
 def _fd_k_prime(crystal, axis, omega, t_c):

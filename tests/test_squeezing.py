@@ -159,6 +159,19 @@ class TestSqueezingSpectrum:
         with pytest.raises(p.DomainError, match="r₀ = .*S₀ = "):
             p.squeezing_spectrum(matched_config, kilowatt, grid=grid)
 
+    def test_coupling_beyond_the_float_range_is_domain_error(self, matched_config,
+                                                             pump775):
+        # found by fuzzing the CLI: at d_eff = 1e200 pm/V the square of the
+        # coupling was an OverflowError
+        text = p.bundled_crystal_path().read_text(encoding="utf-8")
+        crystal = p.load_crystal(text.replace('"d_eff_pm_per_V": 4.64',
+                                              '"d_eff_pm_per_V": 1e200'))
+        config = matched_config.replace(crystal=crystal)
+        assert p.pdc_efficiency(config, 0.75) == math.inf
+        grid = p.default_grid(config, pump775, n=64)
+        with pytest.raises(p.DomainError, match="r₀ = inf .*beyond the float range"):
+            p.squeezing_spectrum(config, pump775, grid=grid)
+
 
 class TestLengthScan:
     def test_matched_design_grows_as_sqrt_length(self, cgvm_scan):
