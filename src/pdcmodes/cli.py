@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -408,10 +409,23 @@ class UsageError(Exception):
     """Command-line usage problem, found by argparse or after it."""
 
 
+# An argument that is a negative decimal number, exponent form included:
+# -10, -1.5, -.5, -1e1, -1.5E-3 (but not -inf or -nan).
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser, and each of its subcommands' parsers, whose
     errors raise UsageError, so that they print one line like every other
     error; ``--help`` and ``--version`` still print and exit 0."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse-private: an argument this pattern matches is a value, not
+        # an option. argparse's own takes -10 and -1.5 but not -1e1, which
+        # would leave a float option without its value ("expected one
+        # argument"). tests/test_cli.py guards the attribute's use.
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise UsageError(message)

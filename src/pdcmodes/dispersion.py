@@ -490,13 +490,6 @@ def _validate_physical(model: CrystalModel) -> None:
                     f"(min n = {n_min:.6g})")
 
 
-def _yaml_loader():
-    """libyaml's parser when PyYAML was built with it, else PyYAML's own.
-    Both build the same documents."""
-    import yaml
-    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 # The block-mapping subset of YAML that _load_yaml reads without PyYAML: a
 # line is `key: value`, or `key:` opening a section whose lines are each
 # indented by the same spaces and hold `key: value`; blank lines and
@@ -573,13 +566,15 @@ def _load_yaml(text: str, what: str):
     naming ``what``. A document of the block-mapping subset, as run configs
     are written, is read by ``_read_block_mapping``; any other goes to
     PyYAML, imported on first use: its import costs a design command about
-    15 ms, the parse well under 1 ms."""
+    15 ms. PyYAML's pure-Python safe loader parses it on every build, also
+    one with libyaml, whose loader reads some text differently and words
+    its errors differently."""
     doc = _read_block_mapping(text)
     if doc is not None:
         return doc
     import yaml
     try:
-        return yaml.load(text, Loader=_yaml_loader())
+        return yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ValidationError(f"{what} is not valid YAML: {exc}") from exc
 

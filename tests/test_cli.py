@@ -52,6 +52,12 @@ pump:
   repetition_rate_mhz: 100.0
 """
 
+# the matched design's pdc section in flow style, outside the block-mapping
+# subset that is read without PyYAML
+FLOW_YAML = ("pdc: {type: type-I, pump_axis: e, signal_axis: o, "
+             "pump_wavelength_nm: 775.0, temperature_c: 11.0, "
+             "crystal_length_mm: 80.0}\n")
+
 CONSTANT_INDEX_YAML = """\
 name: constant-index
 class: uniaxial
@@ -183,6 +189,7 @@ def workdir(tmp_path_factory):
     (path / "matched.yaml").write_text(MATCHED_YAML, encoding="utf-8")
     (path / "walkoff.yaml").write_text(WALKOFF_YAML, encoding="utf-8")
     (path / "constant.yaml").write_text(CONSTANT_INDEX_YAML, encoding="utf-8")
+    (path / "flow.yaml").write_text(FLOW_YAML, encoding="utf-8")
     return path
 
 
@@ -231,7 +238,8 @@ class TestLazyImports:
          "--samples", "5"],
         ["cgvm", "--pump-axis", "e", "--signal-axis", "o"],
         ["poling", "--config", "matched.yaml"],
-    ], ids=["dispersion", "cgvm", "poling"])
+        ["poling", "--config", "flow.yaml"],
+    ], ids=["dispersion", "cgvm", "poling", "poling_flow_config"])
 
     @DESIGN_COMMANDS
     def test_design_commands_skip_the_pipeline(self, workdir, tmp_path, args):
@@ -257,6 +265,8 @@ class TestLazyImports:
     # errors) runs on the stdlib; numpy loads only for the JSA pipeline
     @pytest.mark.parametrize("argv, error, numpy", [
         (["poling", "--config", "matched.yaml"], None, False),
+        (["poling", "--config", "flow.yaml"], None, False),
+        (["cgvm", "--pump-axis", "e", "--signal-axis", "o"], None, False),
         (["cgvm", "--pump-axis", "e", "--signal-axis", "o", "--target-um",
           "1.55"], None, False),
         (["poling", "--config", "unknown_key.yaml"], "validity", False),
@@ -265,8 +275,8 @@ class TestLazyImports:
         (["dispersion", "--lambda-min-um", "0.6", "--lambda-max-um", "3.6",
           "--temperature-c", "-400"], "domain", False),
         (["jsa", "--config", "matched.yaml", "--grid-n", "64"], None, True),
-    ], ids=["poling", "cgvm_target", "validity_error", "dispersion",
-            "dispersion_domain_error", "jsa"])
+    ], ids=["poling", "poling_flow_config", "cgvm", "cgvm_target",
+            "validity_error", "dispersion", "dispersion_domain_error", "jsa"])
     def test_numpy_loads_only_for_array_work(self, workdir, tmp_path, argv,
                                              error, numpy):
         (workdir / "unknown_key.yaml").write_text(
@@ -297,10 +307,6 @@ class TestLazyImports:
             "poling_flow_config", "crystal_file"])
     def test_yaml_loads_only_to_parse_a_yaml_file(self, workdir, tmp_path,
                                                   argv, yaml_loaded):
-        (workdir / "flow.yaml").write_text(
-            "pdc: {type: type-I, pump_axis: e, signal_axis: o, "
-            "pump_wavelength_nm: 775.0, temperature_c: 11.0, "
-            "crystal_length_mm: 80.0}\n", encoding="utf-8")
         crystal = json.loads(p.bundled_crystal_path().read_text(encoding="utf-8"))
         (workdir / "mgoln.yaml").write_text(
             yaml.safe_dump(crystal, sort_keys=False), encoding="utf-8")
@@ -338,69 +344,74 @@ class TestLazyImports:
         assert not hasattr(p, "load_run_config")
 
 
-LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
-
-
 class TestYamlLoaders:
-    """The libyaml loader builds the same documents as the pure-Python one."""
+    """A YAML file outside the block-mapping subset is parsed by PyYAML's
+    pure-Python safe loader on every PyYAML build. libyaml's loader, where
+    PyYAML has one, goes unused: it reads some text differently and words
+    its errors differently, so a document or an error line would depend on
+    how PyYAML was built."""
 
     @pytest.fixture(autouse=True)
-    def need_libyaml(self):
-        if not yaml.__with_libyaml__:
-            pytest.skip("PyYAML was built without libyaml; only one loader")
-
-    def load_each(self, monkeypatch, load):
-        results = []
-        for loader in LOADERS:
-            monkeypatch.setattr(p.dispersion, "_yaml_loader", lambda: loader)
-            results.append(load())
-        return results
+    def libyaml_refused(self, monkeypatch):
+        # a build with libyaml, whose loader fails the test when it is taken
+        class Refused(yaml.SafeLoader):
+            def __init__(self, stream):
+                raise AssertionError("libyaml's loader was used")
+        monkeypatch.setattr(yaml, "CSafeLoader", Refused, raising=False)
 
     @pytest.mark.parametrize("text", [None, CONSTANT_INDEX_YAML],
                              ids=["bundled", "constant_index"])
-    def test_crystal_is_the_same_model(self, monkeypatch, text):
-        python, libyaml = self.load_each(
-            monkeypatch, lambda: p.load_crystal(text or p.bundled_crystal_path()
-                                                .read_text(encoding="utf-8")))
-        assert python == libyaml
+    def test_crystal_is_the_same_model(self, text):
+        text = text or p.bundled_crystal_path().read_text(encoding="utf-8")
+        assert p.load_crystal(text) == p.load_crystal(yaml.safe_load(text))
 
     def test_bundled_json_is_the_same_yaml_document(self):
-        # the bundled file is JSON, which both YAML loaders read as the
+        # the bundled file is JSON, which the YAML path reads as the
         # document json.loads gives, with the same types
         text = p.bundled_crystal_path().read_text(encoding="utf-8")
-        documents = [json.loads(text)] + [yaml.load(text, Loader=loader)
-                                          for loader in LOADERS]
-        for document in documents[1:]:
-            assert document == documents[0]
-            assert repr(document) == repr(documents[0])
+        document = json.loads(text)
+        parsed = p.dispersion._load_yaml(text, "crystal file")
+        assert parsed == document
+        assert repr(parsed) == repr(document)
 
     @pytest.mark.parametrize("name", ["matched.yaml", "walkoff.yaml", "full.yaml"])
-    def test_run_config_is_the_same(self, workdir, monkeypatch, name):
+    def test_run_config_is_the_same(self, workdir, name):
+        # the flow-style text goes to PyYAML, the block-style one does not
         (workdir / "full.yaml").write_text(
             MATCHED_YAML + "grid:\n  points_per_axis: 128\n"
             "  detuning_extent_thz: 12.5\noutput:\n  directory: o\n"
             "  format: json\n  precision: 17\n", encoding="utf-8")
-        python, libyaml = self.load_each(
-            monkeypatch, lambda: load_run_config(workdir / name))
-        assert python == libyaml
-        assert python.pdc is not None
+        block = load_run_config(workdir / name)
+        flow = workdir / f"flow_{name}"
+        flow.write_text(yaml.safe_dump(
+            yaml.safe_load((workdir / name).read_text(encoding="utf-8")),
+            default_flow_style=True, sort_keys=False), encoding="utf-8")
+        assert not p.dispersion._read_block_mapping(flow.read_text(encoding="utf-8"))
+        assert load_run_config(flow) == block
+        assert block.pdc is not None
 
     @pytest.mark.parametrize("option, what", [("--config", "run config"),
                                               ("--crystal", "crystal file")])
     @pytest.mark.parametrize("text", ["pdc: [unclosed\n", "a: b: c\n",
-                                      "--- 1\n--- 2\n"],
-                             ids=["unclosed", "nested_colon", "two_documents"])
-    def test_malformed_yaml_is_one_validity_line(self, tmp_path, monkeypatch,
-                                                 capsys, option, what, text):
+                                      "--- 1\n--- 2\n", "a: [1,\nb: {",
+                                      "a:\t1\n"],
+                             ids=["unclosed", "nested_colon", "two_documents",
+                                  "unclosed_at_end", "tab_separator"])
+    def test_malformed_yaml_is_one_validity_line(self, tmp_path, capsys,
+                                                 option, what, text):
+        # the line carries the pure-Python loader's text, where libyaml's
+        # differs ("did not find expected node content" on "a: [1,\nb: {"),
+        # and its verdict: libyaml reads "a:\t1" as {a: 1}
+        with pytest.raises(yaml.YAMLError) as info:
+            yaml.safe_load(text)
         bad = tmp_path / "bad.yaml"
         bad.write_text(text, encoding="utf-8")
-        argv = ["poling", option, str(bad), "--out", str(tmp_path / "out")]
-        for loader in LOADERS:
-            monkeypatch.setattr(p.dispersion, "_yaml_loader", lambda: loader)
-            assert cli.main(argv) == 3
-            lines = capsys.readouterr().err.splitlines()
-            assert len(lines) == 1, (loader, lines)
-            assert lines[0].startswith(f"error[validity]: {what} is not valid YAML")
+        out = tmp_path / "out"
+        assert cli.main(["poling", option, str(bad), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error[validity]: {what} is not valid YAML: "
+            f"{cli._single_line(info.value)}"]
+        assert not out.exists()
 
 
 # one cell of each kind the CLI writes; the floats include ±0, subnormals,
@@ -601,6 +612,19 @@ class TestDispersionCommand:
              p.group_index(crystal, axis, x, t_c), p.gvd(crystal, axis, x, t_c)]
             for axis in ("e", "o") for x in lam]
         assert payload["rows"] == expected
+
+    @pytest.mark.parametrize("spelling", ["-1e1", "-1E+1", "-1.0e1", "-.1e2",
+                                          "-100e-1"])
+    def test_exponent_form_negative_is_the_same_number(self, tmp_path,
+                                                       spelling):
+        # argparse alone reads -1e1 as an option, not as the value of
+        # --temperature-c
+        args = ["dispersion", "--lambda-min-um", "0.6", "--lambda-max-um",
+                "3.6", "--samples", "20", "--temperature-c"]
+        for value, out in (("-10", "plain"), (spelling, "exponent")):
+            assert cli.main([*args, value, "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "exponent" / "dispersion.csv").read_bytes() == \
+            (tmp_path / "plain" / "dispersion.csv").read_bytes()
 
     def test_one_derivative_pass_per_cell(self, tmp_path, monkeypatch):
         # beyond the load check, a cell's n, group index and GVD share one
@@ -820,12 +844,16 @@ class TestSqueezeAndScan:
         jsonschema.validate(payload, load_schema("table.schema.json"))
 
     def test_jsa_json_validates(self, workdir):
-        result = run_cli("jsa", "--config", "matched.yaml", "--grid-n", "64",
-                         "--format", "json", "--out", "jsaj", cwd=workdir)
-        assert result.returncode == 0, result.stderr
-        payload = json.loads((workdir / "jsaj" / "jsa.json").read_text())
-        jsonschema.validate(payload, load_schema("jsa_full.schema.json"))
-        assert len(payload["abs"]) == 64
+        for extra, parts in (((), {"abs"}),
+                             (("--include-complex",), {"abs", "real", "imag"})):
+            result = run_cli("jsa", "--config", "matched.yaml", "--grid-n", "64",
+                             "--format", "json", *extra, "--out", "jsaj",
+                             cwd=workdir)
+            assert result.returncode == 0, result.stderr
+            payload = json.loads((workdir / "jsaj" / "jsa.json").read_text())
+            jsonschema.validate(payload, load_schema("jsa_full.schema.json"))
+            assert parts == {"abs", "real", "imag"} & set(payload)
+            assert all(len(payload[name]) == 64 for name in parts)
 
     def test_grid_extent_override(self, workdir):
         override = MATCHED_YAML + ("grid:\n  points_per_axis: 128\n"
@@ -1027,6 +1055,10 @@ class TestErrorPaths:
     @pytest.mark.parametrize("args, edit, message", [
         (("scan", "--lengths-mm", "1e-300"), None,
          "crystal length 1e-303 m is too short"),
+        (("scan", "--lengths-mm", "-1e1"), None,
+         "crystal length must be > 0, got -0.01"),
+        (("dispersion", "--lambda-min-um", "0.4999", "--lambda-max-um", "4.0"),
+         None, "wavelength 0.4999 µm outside the valid range [0.5, 4] µm"),
         (("squeeze",), TINY_LENGTH,
          "crystal length 1e-303 m is too short"),
         (("modes",), TINY_LENGTH,
@@ -1066,7 +1098,8 @@ class TestErrorPaths:
         (("scan", "--lengths-mm", "10", "80"), PINNED_250,
          "grid detuning_extent_thz = 250 THz reaches 1.571e+15 rad/s from the "
          "signal frequency ω_s = 1.215e+15 rad/s, past zero frequency"),
-    ], ids=["tiny_length_scan", "tiny_length_squeeze", "tiny_length_modes",
+    ], ids=["tiny_length_scan", "negative_length_scan",
+            "wavelength_below_valid_range", "tiny_length_squeeze", "tiny_length_modes",
             "tiny_length_jsa", "huge_length_scan", "tiny_bandwidth",
             "narrow_bandwidth", "unresolved_pump_ridge", "band_past_signal",
             "band_outside_valid_range", "pump_band_outside_valid_range",
@@ -1145,7 +1178,10 @@ class TestErrorPaths:
          "the following arguments are required: --lambda-max-um"),
         (("dispersion", "--lambda-min-um", "1", "--lambda-max-um", "2",
           "--format", "xml"), "argument --format: invalid choice: 'xml'"),
-    ], ids=["bad_int", "unknown_command", "missing_option", "bad_format"])
+        (("dispersion", "--lambda-min-um", "--lambda-max-um", "2"),
+         "argument --lambda-min-um: expected one argument"),
+    ], ids=["bad_int", "unknown_command", "missing_option", "bad_format",
+            "option_for_a_value"])
     def test_argparse_error_is_one_usage_line(self, tmp_path, capsys, args,
                                               message):
         out = tmp_path / "out"
@@ -1376,10 +1412,17 @@ _ARTIFACT_SCHEMAS = {
     "squeeze.json": "squeeze.schema.json"}
 
 
+# the edges of the float range, for every numeric input: zero of either
+# sign, the smallest subnormal, ±1e±300 and an exponent-form negative,
+# spelled so that a float option and a YAML 1.1 float both read them
+_EXTREMES = [format(x, ".1e") for x in (0.0, -0.0, 5e-324, -5e-324, 1e-300,
+                                        -1e-300, 1e300, -1e300, -10.0)]
+
+
 def _option_floats(plausible):
-    """Text of a float option: mostly in or near ``plausible`` (lo, hi),
-    sometimes a value the CLI must refuse."""
-    return (st.floats(*plausible).map(repr)
+    """Text of a float option: in or near ``plausible`` (lo, hi), an
+    extreme, or a value the CLI must refuse, each a third of the time."""
+    return (st.floats(*plausible).map(repr) | st.sampled_from(_EXTREMES)
             | st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf",
                                "-inf", "abc"]))
 
@@ -1388,7 +1431,8 @@ _WAVELENGTHS = _option_floats((0.3, 4.5))
 _TEMPERATURES = _option_floats((-300.0, 400.0)) | st.sampled_from(["1e155", "3000"])
 _AXES = st.sampled_from(["o", "e", "x", "O"])
 
-# what a run configuration value may be mutated to, as YAML text
+# what a run configuration value may be mutated to, as YAML text; a
+# numeric key takes an extreme half of the time
 _YAML_TOKENS = st.sampled_from([
     "0", "-1.0", "1.0e-300", "1.0e-320", "1.0e+300", ".nan", ".inf", "abc",
     "null", "yes", "[]", "1e3", "0x10", "'12'", "e", "o", "type-0", "json",
@@ -1400,6 +1444,23 @@ _RUN_KEYS = {
     "grid": ("points_per_axis", "detuning_extent_thz"),
     "output": ("format", "precision"),
 }
+_NUMERIC_KEYS = [(name, key) for name, keys in _RUN_KEYS.items() for key in keys
+                 if key not in ("type", "pump_axis", "signal_axis", "format")]
+
+
+def _yaml_text(doc, flow=False) -> str:
+    """``doc``, sections of texts, as a YAML run configuration."""
+    if flow:
+        return "".join(f"{name}: {{{', '.join(f'{k}: {v}' for k, v in s.items())}}}\n"
+                       for name, s in doc.items())
+    return "".join(f"{name}:\n" + "".join(f"  {k}: {v}\n" for k, v in s.items())
+                   for name, s in doc.items())
+
+
+def _design_doc(text) -> dict:
+    """The sections of a reference design's YAML, each value as its text."""
+    return {name: {key: str(value) for key, value in section.items()}
+            for name, section in yaml.safe_load(text).items()}
 
 
 @st.composite
@@ -1407,13 +1468,13 @@ def _run_config_text(draw):
     """One of the two reference designs, in block or flow style; in about
     half of them up to three values are changed, or a key or a section
     removed, or an unknown key added."""
-    base = yaml.safe_load(draw(st.sampled_from([MATCHED_YAML, WALKOFF_YAML])))
-    doc = {name: {key: str(value) for key, value in section.items()}
-           for name, section in base.items()}
+    doc = _design_doc(draw(st.sampled_from([MATCHED_YAML, WALKOFF_YAML])))
     for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2, 3]))):
         name = draw(st.sampled_from(sorted(_RUN_KEYS)))
         key = draw(st.sampled_from(_RUN_KEYS[name]))
-        doc.setdefault(name, {})[key] = draw(_YAML_TOKENS)
+        values = (st.sampled_from(_EXTREMES) | _YAML_TOKENS
+                  if (name, key) in _NUMERIC_KEYS else _YAML_TOKENS)
+        doc.setdefault(name, {})[key] = draw(values)
     if draw(st.sampled_from([False, False, False, True])):
         name = draw(st.sampled_from(sorted(doc)))
         edit = draw(st.sampled_from(["drop section", "drop key", "unknown key"]))
@@ -1423,11 +1484,7 @@ def _run_config_text(draw):
             del doc[name][draw(st.sampled_from(sorted(doc[name])))]
         elif edit == "unknown key":
             doc[name]["pump_wavelength_um"] = "0.775"
-    if draw(st.booleans()):
-        return "".join(f"{name}:\n" + "".join(f"  {k}: {v}\n" for k, v in s.items())
-                       for name, s in doc.items())
-    return "".join(f"{name}: {{{', '.join(f'{k}: {v}' for k, v in s.items())}}}\n"
-                   for name, s in doc.items())
+    return _yaml_text(doc, flow=draw(st.booleans()))
 
 
 @st.composite
@@ -1449,7 +1506,8 @@ def _crystal_doc(draw):
     scaled = st.floats(0.9, 1.1).map(
         lambda scale: old * scale if isinstance(old, float) else old)
     holder[key] = draw(scaled | st.sampled_from(
-        [0.0, 1e200, -1e-5, None, "abc", [], math.nan]))
+        [0.0, 1e200, -1e-5, None, "abc", [], math.nan]
+        + [float(x) for x in _EXTREMES]))
     return root
 
 
@@ -1497,6 +1555,91 @@ def _finite_json(path):
     return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
+def _number(text) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _check_contract(argv, config, crystal):
+    """Run ``argv`` with the run configuration text ``config`` and the crystal
+    document ``crystal`` (each None to leave it out): it writes artifacts
+    that validate and hold only finite numbers, or prints one error line of
+    a documented kind and exit code and writes nothing. Returns which of
+    the two it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if config is not None:
+            (tmp / "run.yaml").write_text(config, encoding="utf-8")
+            argv = [*argv, "--config", str(tmp / "run.yaml")]
+        if crystal is not None:
+            (tmp / "crystal.yaml").write_text(json.dumps(crystal), encoding="utf-8")
+            argv = [*argv, "--crystal", str(tmp / "crystal.yaml")]
+        out = tmp / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = cli.main([*argv, "--out", str(out)])
+        if code != 0:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1, stderr.getvalue()
+            kind = lines[0].partition("]")[0].removeprefix("error[")
+            assert lines[0].startswith(f"error[{kind}]: "), lines[0]
+            assert _ERROR_CODES.get(kind) == code, lines[0]
+            assert not out.exists(), lines[0]
+            if " expected " in lines[0] or "unrecognized arguments" in lines[0]:
+                # argparse took an argument for an option where a value
+                # belongs, which only one that is no number may cause
+                assert any(arg[:1] == "-" and arg[1:2] != "-" and not _number(arg)
+                           for arg in argv), (lines[0], argv)
+            return f"{argv[0]}: error[{kind}]"
+        assert stderr.getvalue() == ""
+        artifacts = sorted(out.iterdir())
+        assert artifacts
+        for path in artifacts:
+            if path.suffix == ".json":
+                schema = _ARTIFACT_SCHEMAS.get(path.name, "table.schema.json")
+                jsonschema.validate(_finite_json(path), load_schema(schema))
+            else:
+                assert path.suffix == ".csv", path.name
+                cells = path.read_text(encoding="utf-8").replace("\n", ",")
+                for cell in cells.split(","):
+                    try:
+                        number = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(number), f"{path.name}: {cell}"
+        return f"{argv[0]}: written"
+
+
+# every numeric input, by a command that reads it: each numeric key of the
+# matched design's run configuration, read by squeeze, and each float
+# option, whose value takes the place of the "{}"
+_CGVM = ("cgvm", "--pump-axis", "e", "--signal-axis", "o")
+_NUMERIC_INPUTS = [pytest.param(("squeeze",), key, id=".".join(key))
+                   for key in _NUMERIC_KEYS] + [
+    pytest.param(argv, None, id=name) for name, argv in {
+        "lambda_min": ("dispersion", "--lambda-min-um", "{}",
+                       "--lambda-max-um", "3.6"),
+        "lambda_max": ("dispersion", "--lambda-min-um", "0.6",
+                       "--lambda-max-um", "{}"),
+        "dispersion_temperature": ("dispersion", "--lambda-min-um", "0.6",
+                                   "--lambda-max-um", "3.6",
+                                   "--temperature-c", "{}"),
+        "cgvm_temperature": (*_CGVM, "--temperature-c", "{}"),
+        "bracket_lo": (*_CGVM, "--bracket-um", "{}", "2.0"),
+        "bracket_hi": (*_CGVM, "--bracket-um", "1.2", "{}"),
+        "target": (*_CGVM, "--target-um", "{}"),
+        "temperature_bracket_lo": (*_CGVM, "--target-um", "1.55",
+                                   "--temperature-bracket-c", "{}", "60"),
+        "temperature_bracket_hi": (*_CGVM, "--target-um", "1.55",
+                                   "--temperature-bracket-c", "-20", "{}"),
+        "lengths": ("scan", "--lengths-mm", "{}"),
+    }.items()]
+
+
 class TestContractFuzz:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(argv=_argv(), config=st.sampled_from([True] * 5 + [False]).flatmap(
@@ -1505,43 +1648,15 @@ class TestContractFuzz:
                lambda given: _crystal_doc() if given else st.none()))
     def test_success_with_valid_artifacts_or_one_error_line(self, argv, config,
                                                             crystal):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            if config is not None:
-                (tmp / "run.yaml").write_text(config, encoding="utf-8")
-                argv += ["--config", str(tmp / "run.yaml")]
-            if crystal is not None:
-                (tmp / "crystal.yaml").write_text(json.dumps(crystal), encoding="utf-8")
-                argv += ["--crystal", str(tmp / "crystal.yaml")]
-            out = tmp / "out"
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with redirect_stdout(stdout), redirect_stderr(stderr):
-                    code = cli.main([*argv, "--out", str(out)])
-            if code != 0:
-                lines = stderr.getvalue().splitlines()
-                assert len(lines) == 1, stderr.getvalue()
-                kind = lines[0].partition("]")[0].removeprefix("error[")
-                assert lines[0].startswith(f"error[{kind}]: "), lines[0]
-                assert _ERROR_CODES.get(kind) == code, lines[0]
-                assert not out.exists(), lines[0]
-                event(f"{argv[0]}: error[{kind}]")
-                return
-            event(f"{argv[0]}: written")
-            assert stderr.getvalue() == ""
-            artifacts = sorted(out.iterdir())
-            assert artifacts
-            for path in artifacts:
-                if path.suffix == ".json":
-                    schema = _ARTIFACT_SCHEMAS.get(path.name, "table.schema.json")
-                    jsonschema.validate(_finite_json(path), load_schema(schema))
-                else:
-                    assert path.suffix == ".csv", path.name
-                    cells = path.read_text(encoding="utf-8").replace("\n", ",")
-                    for cell in cells.split(","):
-                        try:
-                            number = float(cell)
-                        except ValueError:
-                            continue
-                        assert math.isfinite(number), f"{path.name}: {cell}"
+        event(_check_contract(argv, config, crystal))
+
+    # each extreme at each numeric input once, the rest the matched design
+    @pytest.mark.parametrize("extreme", _EXTREMES)
+    @pytest.mark.parametrize("argv, key", _NUMERIC_INPUTS)
+    def test_each_numeric_extreme_is_a_result_or_one_error_line(self, argv,
+                                                                key, extreme):
+        doc = _design_doc(MATCHED_YAML)
+        if key is not None:
+            doc.setdefault(key[0], {})[key[1]] = extreme
+        _check_contract([arg.replace("{}", extreme) for arg in argv]
+                        + ["--grid-n", "64"], _yaml_text(doc), None)
