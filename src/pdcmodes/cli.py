@@ -12,9 +12,9 @@ Every error path prints a single line ``error[<kind>]: <message>``.
 Only the commands that run the JSA pipeline (jsa, modes, squeeze, scan)
 import the JSA and squeezing layers and numpy. The design commands
 (dispersion, cgvm, poling) evaluate the crystal at one wavelength at a time
-and run on the stdlib; PyYAML loads only for a ``--config`` or ``--crystal``
-file outside the block-mapping subset that ``dispersion._load_yaml`` reads
-itself.
+and run on the stdlib. ``dispersion._load_yaml`` decides each input file's
+format; PyYAML loads only for a ``--config`` or ``--crystal`` file that is
+neither JSON nor of the block-mapping subset.
 """
 
 from __future__ import annotations
@@ -409,9 +409,11 @@ class UsageError(Exception):
     """Command-line usage problem, found by argparse or after it."""
 
 
-# An argument that is a negative decimal number, exponent form included:
-# -10, -1.5, -.5, -1e1, -1.5E-3 (but not -inf or -nan).
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+# An argument that is a negative number as float() reads it: -10, -1.5, -.5,
+# -1e1, -1.5E-3, and -inf, -Infinity or -nan in any case, which then reach
+# the finite check.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|(?i:inf|infinity|nan))$")
 
 
 class _Parser(argparse.ArgumentParser):

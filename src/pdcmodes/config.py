@@ -4,9 +4,9 @@ A run configuration is one YAML document whose keys carry their units
 explicitly (``pump_wavelength_nm``, ``crystal_length_mm``, ...). Unknown
 keys are rejected outright: silent unit mistakes are the dominant failure
 mode in this domain, and a typo like ``pump_wavelength_um`` must fail loud.
-A block-style document of sections of ``key: number`` or ``key: word``
-lines is read without PyYAML (see ``dispersion._load_yaml``); any other
-YAML is parsed by PyYAML, to the same mapping.
+``dispersion._load_yaml`` decides the file's format: JSON, and a block-style
+document of sections of ``key: number`` or ``key: word`` lines, are read
+without PyYAML; any other YAML is parsed by PyYAML, to the same mapping.
 """
 
 from __future__ import annotations

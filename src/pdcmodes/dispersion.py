@@ -1,13 +1,13 @@
 """Temperature-dependent crystal dispersion from Sellmeier coefficient data.
 
 Crystals are described by data files (one YAML document per crystal) holding
-per-axis Sellmeier coefficient sets; see ``load_crystal``. The bundled
-crystal's file is written in JSON, which is YAML too, so the stdlib ``json``
-reads it. A YAML text made only of block mappings of numbers and words, as
-a run configuration is written, is read by a small parser of that subset
-(``_read_block_mapping``); PyYAML is imported only to parse any other YAML
-text. All evaluation is pure: a loaded :class:`CrystalModel` is immutable
-and safe to share between threads.
+per-axis Sellmeier coefficient sets; see ``load_crystal``. One reader,
+``_load_yaml``, decides each file's format, the bundled crystal's too: the
+stdlib ``json`` reads strict JSON, a small parser (``_read_block_mapping``)
+the block mappings of numbers and words that run configurations are made
+of, and PyYAML, imported only then, any other YAML text. All evaluation is
+pure: a loaded :class:`CrystalModel` is immutable and safe to share between
+threads.
 
 Units at the public boundary are the conventional ones for this domain
 (wavelength in µm, temperature in °C, GVD in ps²/m); wavevector derivatives
@@ -562,13 +562,18 @@ def _read_block_mapping(text: str) -> dict | None:
 
 
 def _load_yaml(text: str, what: str):
-    """The one YAML document in ``text``; a syntax error is a ValidationError
-    naming ``what``. A document of the block-mapping subset, as run configs
-    are written, is read by ``_read_block_mapping``; any other goes to
-    PyYAML, imported on first use: its import costs a design command about
-    15 ms. PyYAML's pure-Python safe loader parses it on every build, also
-    one with libyaml, whose loader reads some text differently and words
-    its errors differently."""
+    """The one document in ``text``, whose format this alone decides; a
+    syntax error is a ValidationError naming ``what``. Text that opens with
+    ``{`` is read by ``json`` if it is strict JSON (NaN is not). Else a
+    document of the block-mapping subset, as run configs are written, is
+    read by ``_read_block_mapping``, and any other by PyYAML's pure-Python
+    safe loader on every build (libyaml's reads some text differently),
+    imported on first use: about 15 ms of a design command."""
+    if text.lstrip()[:1] == "{":
+        try:   # int("NaN") raises, so NaN and Infinity are no JSON here
+            return json.loads(text, parse_constant=int)
+        except ValueError:   # no JSON: the YAML readers decide
+            pass
     doc = _read_block_mapping(text)
     if doc is not None:
         return doc
@@ -603,10 +608,8 @@ def bundled_crystal_path() -> Path:
 
 
 def load_bundled_crystal() -> CrystalModel:
-    """Load the crystal shipped with the package, 5% MgO:LN. Its file is
-    JSON, so ``json`` parses it; ``load_crystal`` checks it as any file."""
-    text = bundled_crystal_path().read_text(encoding="utf-8")
-    return load_crystal(json.loads(text))
+    """Load the crystal shipped with the package, 5% MgO:LN, as any file."""
+    return load_crystal_file(bundled_crystal_path())
 
 
 # ---------------------------------------------------------------------------

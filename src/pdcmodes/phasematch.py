@@ -307,8 +307,10 @@ def solve_cgvm_temperature(crystal: CrystalModel, pump_axis: str,
 
     Each trial temperature re-solves the cGVM wavelength within ±25 % of
     the target. Raises :class:`SolverError` when the target is unreachable
-    in the bracket.
+    in the bracket, or is not > 0.
     """
+    if not target_um > 0:
+        raise SolverError(f"cGVM target wavelength must be > 0 µm, got {target_um:g}")
     wavelength_bracket_um = tuple(f * target_um for f in _TEMP_WAVELENGTH_BRACKET)
 
     def gap(t_c: float) -> float:

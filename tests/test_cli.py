@@ -291,8 +291,8 @@ class TestLazyImports:
                 f"assert err.getvalue().startswith({f'error[{error}]:' if error else ''!r})")
         assert bool(loaded_modules(code, workdir, package="numpy")) == numpy
 
-    # the bundled crystal is JSON, which the stdlib reads, and a block-style
-    # run config is read without PyYAML: PyYAML loads only to parse a YAML
+    # a JSON file, the bundled crystal's among them, is read by the stdlib,
+    # and so is a block-style run config: PyYAML loads only to parse a YAML
     # file outside that subset, such as a flow-style config or a crystal file
     @pytest.mark.parametrize("argv, yaml_loaded", [
         (None, False),
@@ -303,13 +303,20 @@ class TestLazyImports:
         (["poling", "--config", "flow.yaml"], True),
         (["dispersion", "--crystal", "mgoln.yaml", "--lambda-min-um", "0.6",
           "--lambda-max-um", "3.6", "--samples", "5"], True),
+        (["dispersion", "--crystal", "mgoln.json", "--lambda-min-um", "0.6",
+          "--lambda-max-um", "3.6", "--samples", "5"], False),
+        (["poling", "--config", "matched.json"], False),
     ], ids=["bundled_crystal", "cgvm", "dispersion", "poling_config",
-            "poling_flow_config", "crystal_file"])
+            "poling_flow_config", "crystal_file", "json_crystal_file",
+            "json_run_config"])
     def test_yaml_loads_only_to_parse_a_yaml_file(self, workdir, tmp_path,
                                                   argv, yaml_loaded):
-        crystal = json.loads(p.bundled_crystal_path().read_text(encoding="utf-8"))
+        text = p.bundled_crystal_path().read_text(encoding="utf-8")
+        (workdir / "mgoln.json").write_text(text, encoding="utf-8")
         (workdir / "mgoln.yaml").write_text(
-            yaml.safe_dump(crystal, sort_keys=False), encoding="utf-8")
+            yaml.safe_dump(json.loads(text), sort_keys=False), encoding="utf-8")
+        (workdir / "matched.json").write_text(
+            json.dumps(yaml.safe_load(MATCHED_YAML)), encoding="utf-8")
         code = "import pdcmodes; pdcmodes.load_bundled_crystal()"
         if argv is not None:
             code += ("\nfrom pdcmodes import cli\n"
@@ -366,37 +373,53 @@ class TestYamlLoaders:
         assert p.load_crystal(text) == p.load_crystal(yaml.safe_load(text))
 
     def test_bundled_json_is_the_same_yaml_document(self):
-        # the bundled file is JSON, which the YAML path reads as the
-        # document json.loads gives, with the same types
+        # the bundled file is JSON, which PyYAML reads as the document
+        # json.loads gives, with the same types
         text = p.bundled_crystal_path().read_text(encoding="utf-8")
         document = json.loads(text)
-        parsed = p.dispersion._load_yaml(text, "crystal file")
+        parsed = yaml.safe_load(text)
         assert parsed == document
         assert repr(parsed) == repr(document)
 
+    @pytest.mark.parametrize("text", ['{"a": 1e5, "b": [1.0E+2, -0]}',
+                                      ' \n\t{"a": 1e5, "b": [1.0E+2, -0]}\n'],
+                             ids=["json", "leading_blanks"])
+    def test_strict_json_is_read_as_json(self, text):
+        # YAML 1.1 reads a number with an exponent but no dot, or no
+        # exponent sign, as text; NaN and Infinity, which are no JSON, fall
+        # through to it (tests/test_config.py)
+        parsed = p.dispersion._load_yaml(text, "run config")
+        assert repr(parsed) == repr({"a": 100000.0, "b": [100.0, 0]})
+
     @pytest.mark.parametrize("name", ["matched.yaml", "walkoff.yaml", "full.yaml"])
     def test_run_config_is_the_same(self, workdir, name):
-        # the flow-style text goes to PyYAML, the block-style one does not
+        # the flow-style text goes to PyYAML, the block-style one does not,
+        # and the JSON one goes to json
         (workdir / "full.yaml").write_text(
             MATCHED_YAML + "grid:\n  points_per_axis: 128\n"
             "  detuning_extent_thz: 12.5\noutput:\n  directory: o\n"
             "  format: json\n  precision: 17\n", encoding="utf-8")
         block = load_run_config(workdir / name)
+        document = yaml.safe_load((workdir / name).read_text(encoding="utf-8"))
         flow = workdir / f"flow_{name}"
-        flow.write_text(yaml.safe_dump(
-            yaml.safe_load((workdir / name).read_text(encoding="utf-8")),
-            default_flow_style=True, sort_keys=False), encoding="utf-8")
+        flow.write_text(yaml.safe_dump(document, default_flow_style=True,
+                                       sort_keys=False), encoding="utf-8")
         assert not p.dispersion._read_block_mapping(flow.read_text(encoding="utf-8"))
         assert load_run_config(flow) == block
+        as_json = workdir / f"{name}.json"
+        as_json.write_text(json.dumps(document, indent=2), encoding="utf-8")
+        assert load_run_config(as_json) == block
         assert block.pdc is not None
 
     @pytest.mark.parametrize("option, what", [("--config", "run config"),
                                               ("--crystal", "crystal file")])
     @pytest.mark.parametrize("text", ["pdc: [unclosed\n", "a: b: c\n",
                                       "--- 1\n--- 2\n", "a: [1,\nb: {",
-                                      "a:\t1\n"],
+                                      "a:\t1\n", '{"pdc": [1, 2}\n',
+                                      '{"pdc": {"type": "type-I",\n'],
                              ids=["unclosed", "nested_colon", "two_documents",
-                                  "unclosed_at_end", "tab_separator"])
+                                  "unclosed_at_end", "tab_separator",
+                                  "malformed_json", "unclosed_json"])
     def test_malformed_yaml_is_one_validity_line(self, tmp_path, capsys,
                                                  option, what, text):
         # the line carries the pure-Python loader's text, where libyaml's
@@ -664,11 +687,20 @@ class TestCgvmCommand:
         assert abs(payload["solved_temperature_c"] - 11.0) < 2.0
         assert "cgvm_wavelength_um = " in result.stdout
 
-    def test_no_crossing_bracket_is_solver_error(self, workdir):
+    @pytest.mark.parametrize("args, message", [
+        (("--bracket-um", "1.8", "2.0"), "no cGVM point"),
+        (("--target-um", "-1.55"),
+         "cGVM target wavelength must be > 0 µm, got -1.55"),
+    ], ids=["no_crossing_bracket", "negative_target"])
+    def test_unsolvable_design_is_one_solver_line(self, workdir, tmp_path,
+                                                  args, message):
+        out = tmp_path / "out"
         result = run_cli("cgvm", "--pump-axis", "e", "--signal-axis", "o",
-                         "--bracket-um", "1.8", "2.0", cwd=workdir)
+                         *args, "--out", str(out), cwd=workdir)
         assert result.returncode == 4, result.stderr
-        assert result.stderr.startswith("error[solver]:")
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error[solver]: ") and message in line, line
+        assert not out.exists()
 
     def test_bracket_reaching_the_range_bound_solves(self, workdir):
         # at a 1.0 µm bracket end the pump's k′ is taken at the 0.5 µm bound
@@ -1160,14 +1192,21 @@ class TestErrorPaths:
         ("cgvm", "--pump-axis", "e", "--signal-axis", "o", "--target-um", "nan"),
         ("cgvm", "--pump-axis", "e", "--signal-axis", "o", "--bracket-um", "1.2", "inf"),
         ("scan", "--config", "matched.yaml", "--lengths-mm", "10", "nan"),
-    ], ids=["lambda_max", "temperature", "target", "bracket", "lengths"])
+        ("cgvm", "--pump-axis", "e", "--signal-axis", "o", "--temperature-c", "-inf"),
+        ("cgvm", "--pump-axis", "e", "--signal-axis", "o", "--temperature-c",
+         "-Infinity"),
+        ("cgvm", "--pump-axis", "e", "--signal-axis", "o", "--temperature-c", "-nan"),
+    ], ids=["lambda_max", "temperature", "target", "bracket", "lengths",
+            "minus_inf", "minus_infinity", "minus_nan"])
     def test_non_finite_option_is_usage_error(self, workdir, tmp_path, args):
+        # a dash-led value too reaches the finite check, not argparse
         option = next(a for a in reversed(args) if a.startswith("--"))
         out = tmp_path / "out"
         result = run_cli(*args, "--out", str(out), cwd=workdir)
         assert result.returncode == 2, result.stderr
         assert result.stderr.splitlines() == [
-            f"error[usage]: {option} must be a finite number, got {args[-1]}"]
+            f"error[usage]: {option} must be a finite number, "
+            f"got {float(args[-1])}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("args, message", [
@@ -1555,11 +1594,12 @@ def _finite_json(path):
     return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
-def _number(text) -> bool:
+def _is_float(text) -> bool:
     try:
-        return math.isfinite(float(text))
+        float(text)
     except ValueError:
         return False
+    return True
 
 
 def _check_contract(argv, config, crystal):
@@ -1591,8 +1631,8 @@ def _check_contract(argv, config, crystal):
             assert not out.exists(), lines[0]
             if " expected " in lines[0] or "unrecognized arguments" in lines[0]:
                 # argparse took an argument for an option where a value
-                # belongs, which only one that is no number may cause
-                assert any(arg[:1] == "-" and arg[1:2] != "-" and not _number(arg)
+                # belongs, which only one that float() cannot read may cause
+                assert any(arg[:1] == "-" and arg[1:2] != "-" and not _is_float(arg)
                            for arg in argv), (lines[0], argv)
             return f"{argv[0]}: error[{kind}]"
         assert stderr.getvalue() == ""

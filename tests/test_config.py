@@ -169,7 +169,8 @@ def test_block_reader_builds_what_pyyaml_builds_or_declines(text):
 
 
 # each is a document that PyYAML reads, or refuses, differently from the
-# subset's reading of its text, so the reader must hand it over
+# subset's reading of its text, so the reader must hand it over; the last
+# four open with "{" but are no strict JSON, so json hands them over too
 @pytest.mark.parametrize("text", [
     "yes: -3\n", "On: 1\n", "null: 1\n", "NULL: 1\n", "No: 1\n",
     "pdc:\n  off: 2\n", "a: x#y\n", "a: 1.0e3\n", "a: 1e3\n", "a: 012\n",
@@ -182,6 +183,7 @@ def test_block_reader_builds_what_pyyaml_builds_or_declines(text):
     "pdc:\n  a: 1\n   b: 2\n", "pdc:\n  a: b c\n", "a: 1:30\n",
     "a: 2001-12-14\n", "a: .inf\n", "a: # c\n", "a:1\n", "a : 1\n",
     "a: 1 # °C\n", "\ufeffa: 1\n", "a: b\u2028c: d\n", "k" * 1100 + ": 1\n",
+    '{"a": NaN}\n', '{"a": -Infinity}\n', "{a: 1}\n", '{"a": 1,}\n',
 ], ids=lambda text: repr(text)[:24])
 def test_block_reader_hands_traps_to_pyyaml(text):
     assert _read_block_mapping(text) is None

@@ -404,6 +404,13 @@ class TestSolveCgvmTemperature:
         with pytest.raises(p.SolverError):
             p.solve_cgvm_temperature(crystal, "e", "o", 3.0, (20.0, 30.0))
 
+    @pytest.mark.parametrize("target", [-1.55, 0.0, -0.0, math.nan])
+    def test_target_not_above_zero_is_named(self, crystal, target):
+        # refused as given, not as the ±25 % wavelength bracket made from it
+        with pytest.raises(p.SolverError,
+                           match=f"target wavelength must be > 0 µm, got {target:g}$"):
+            p.solve_cgvm_temperature(crystal, "e", "o", target, (-20.0, 60.0))
+
     def test_one_sellmeier_pass_per_group_index(self, crystal, monkeypatch):
         # each group index evaluates the temperature terms, and n², once
         calls = {"_terms": 0, "group_index": 0}
