@@ -238,17 +238,16 @@ def _cmd_cgvm(args, run: RunConfig, crystal, out_dir: Path) -> int:
         "pump_wavelength_um": lam_cgvm / 2.0,
         "poling_period_um": period,
     }
-    precision = run.output.precision
-    print(f"cgvm_wavelength_um = {_fmt(lam_cgvm, precision)}")
-    print(f"poling_period_um = {_fmt(period, precision)}")
     if args.target_um is not None:
-        t_solved = pm.solve_cgvm_temperature(
+        payload["target_um"] = args.target_um
+        payload["solved_temperature_c"] = pm.solve_cgvm_temperature(
             crystal, args.pump_axis, args.signal_axis, args.target_um,
             tuple(args.temperature_bracket_c))
-        payload["target_um"] = args.target_um
-        payload["solved_temperature_c"] = t_solved
-        print(f"solved_temperature_c = {_fmt(t_solved, precision)}")
     _write_json(out_dir / "cgvm.json", payload)
+    # the results, once every solve and the write have succeeded
+    for name in ("cgvm_wavelength_um", "poling_period_um", "solved_temperature_c"):
+        if name in payload:
+            print(f"{name} = {_fmt(payload[name], run.output.precision)}")
     return 0
 
 
@@ -261,17 +260,9 @@ def _cmd_poling(args, run: RunConfig, crystal, out_dir: Path) -> int:
         "temperature_c": config.temperature_c,
         "poling_period_um": period,
     }
-    print(f"poling_period_um = {_fmt(period, run.output.precision)}")
     _write_json(out_dir / "poling.json", payload)
+    print(f"poling_period_um = {_fmt(period, run.output.precision)}")
     return 0
-
-
-def _run_pipeline(run: RunConfig, crystal):
-    """``_design``'s design, pump pulse and grid, and the Schmidt
-    decomposition of the JSA they give."""
-    from .jsa import compute_jsa, schmidt_decompose
-    config, pump, grid = _design(run, crystal)
-    return config, pump, grid, schmidt_decompose(compute_jsa(config, pump, grid))
 
 
 def _design_fields(config) -> dict:
@@ -298,8 +289,9 @@ def _jsa_meta(config, grid, decomp, eta) -> dict:
 
 
 def _cmd_jsa(args, run: RunConfig, crystal, out_dir: Path) -> int:
-    from .jsa import jsa_efficiency, jsa_parts
-    config, pump, grid, decomp = _run_pipeline(run, crystal)
+    from .jsa import compute_jsa, jsa_efficiency, jsa_parts, schmidt_decompose
+    config, pump, grid = _design(run, crystal)
+    decomp = schmidt_decompose(compute_jsa(config, pump, grid))
     eta = jsa_efficiency(decomp)
     meta = _jsa_meta(config, grid, decomp, eta)
     f_thz = _signal_axis_thz(config, grid)
@@ -323,13 +315,15 @@ def _cmd_jsa(args, run: RunConfig, crystal, out_dir: Path) -> int:
 
 def _cmd_modes(args, run: RunConfig, crystal, out_dir: Path) -> int:
     import numpy as np
+    from .jsa import compute_jsa, schmidt_decompose
     if args.modes < 1:
         raise UsageError("--modes must be at least 1")
-    config, _, grid, decomp = _run_pipeline(run, crystal)
-    if args.modes > decomp.s.size:
+    config, pump, grid = _design(run, crystal)
+    if args.modes > grid.n:   # the n × n kernel's rank, refused before the SVD
         raise DomainError(
             f"requested {args.modes} modes but the decomposition has rank "
-            f"{decomp.s.size}")
+            f"{grid.n}")
+    decomp = schmidt_decompose(compute_jsa(config, pump, grid))
     f_thz = _signal_axis_thz(config, grid)
     meta = {
         "crystal": config.crystal.name,

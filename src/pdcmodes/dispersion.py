@@ -568,20 +568,25 @@ def _load_yaml(text: str, what: str):
     document of the block-mapping subset, as run configs are written, is
     read by ``_read_block_mapping``, and any other by PyYAML's pure-Python
     safe loader on every build (libyaml's reads some text differently),
-    imported on first use: about 15 ms of a design command."""
-    if text.lstrip()[:1] == "{":
-        try:   # int("NaN") raises, so NaN and Infinity are no JSON here
-            return json.loads(text, parse_constant=int)
-        except ValueError:   # no JSON: the YAML readers decide
-            pass
-    doc = _read_block_mapping(text)
-    if doc is not None:
-        return doc
-    import yaml
+    imported on first use: about 15 ms of a design command. Both json and
+    PyYAML recurse once per level of nesting, so a document nested past
+    the recursion limit is a ValidationError too."""
     try:
-        return yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ValidationError(f"{what} is not valid YAML: {exc}") from exc
+        if text.lstrip()[:1] == "{":
+            try:   # int("NaN") raises, so NaN and Infinity are no JSON here
+                return json.loads(text, parse_constant=int)
+            except ValueError:   # no JSON: the YAML readers decide
+                pass
+        doc = _read_block_mapping(text)
+        if doc is not None:
+            return doc
+        import yaml
+        try:
+            return yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ValidationError(f"{what} is not valid YAML: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"{what} is nested too deeply to be read") from None
 
 
 def _read_utf8(path: str | Path, what: str) -> str:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import phasematch as _phasematch
+from ._record import Record
 from .constants import DEFAULT_GRID_POINTS, c
 from .dispersion import _is_real, _um_rad_s
 from .errors import DomainError, ValidationError
@@ -89,8 +90,7 @@ def sinc(x):
     return out
 
 
-@dataclass(frozen=True, kw_only=True)
-class PumpPulse:
+class PumpPulse(Record):
     """Transform-limited Gaussian pump pulse.
 
     ``bandwidth_fwhm_nm`` is the FWHM of the spectral *intensity*; the
@@ -131,8 +131,7 @@ class PumpPulse:
         return math.pi * c * dlam_m / (lam_m ** 2 * math.sqrt(2.0 * math.log(2.0)))
 
 
-@dataclass(frozen=True, kw_only=True)
-class FrequencyGrid:
+class FrequencyGrid(Record):
     """Square detuning grid, symmetric about zero on both axes."""
 
     n: int
@@ -241,6 +240,8 @@ def default_grid(config: PdcConfig, pump: PumpPulse,
     return FrequencyGrid(n=n, omega_max_rad_s=extent)
 
 
+# JsaGrid and SchmidtDecomposition stay dataclasses: perfbench/spans.py
+# counts the bytes of a returned record's arrays through __dataclass_fields__
 @dataclass(frozen=True, kw_only=True)
 class JsaGrid:
     """Sampled two-photon amplitude, held as its Schmidt kernel on ``grid``.

@@ -20,11 +20,11 @@ formulas still evaluate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import jsa as _jsa
+from ._record import Record
 from .constants import DEFAULT_GRID_POINTS, c, epsilon_0, hbar
 from .errors import DomainError
 from .jsa import FrequencyGrid, PumpPulse
@@ -46,8 +46,7 @@ VALIDITY_LIMIT_DB = 12.0
 _DB_PER_R = 20.0 * math.log10(math.e)
 
 
-@dataclass(frozen=True, kw_only=True)
-class SqueezingResult:
+class SqueezingResult(Record):
     """Full squeezing budget of one design point.
 
     ``r`` and ``s_db`` list per-mode squeezing parameters and dB figures in

@@ -6,7 +6,6 @@ loudly on any miss.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.constants import c, epsilon_0, hbar
@@ -152,7 +151,7 @@ def test_criterion_10_property_suite(crystal, matched_config, matched_jsa,
     checks["symmetry"] = all(np.array_equal(part, part.T) for part in
                              p.jsa_parts(matched_config, pump775, matched_jsa.grid))
 
-    strong = replace(pump775, mean_power_w=4 * pump775.mean_power_w)
+    strong = pump775.replace(mean_power_w=4 * pump775.mean_power_w)
     boosted = p.squeezing_spectrum(matched_config, strong)
     checks["S(4P)=2S(P)"] = np.array_equal(boosted.s_db,
                                            2 * matched_squeezing.s_db)

@@ -416,24 +416,34 @@ class TestYamlLoaders:
     @pytest.mark.parametrize("text", ["pdc: [unclosed\n", "a: b: c\n",
                                       "--- 1\n--- 2\n", "a: [1,\nb: {",
                                       "a:\t1\n", '{"pdc": [1, 2}\n',
-                                      '{"pdc": {"type": "type-I",\n'],
+                                      '{"pdc": {"type": "type-I",\n',
+                                      '{"pdc": ' + "[" * 5000 + "]" * 5000 + "}\n",
+                                      "[" * 5000 + "]" * 5000 + "\n"],
                              ids=["unclosed", "nested_colon", "two_documents",
                                   "unclosed_at_end", "tab_separator",
-                                  "malformed_json", "unclosed_json"])
+                                  "malformed_json", "unclosed_json",
+                                  "deep_json", "deep_flow_yaml"])
     def test_malformed_yaml_is_one_validity_line(self, tmp_path, capsys,
                                                  option, what, text):
         # the line carries the pure-Python loader's text, where libyaml's
         # differs ("did not find expected node content" on "a: [1,\nb: {"),
-        # and its verdict: libyaml reads "a:\t1" as {a: 1}
-        with pytest.raises(yaml.YAMLError) as info:
+        # and its verdict: libyaml reads "a:\t1" as {a: 1}; json and that
+        # loader recurse once per level, so 5,000 levels exceed both
+        try:
             yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            reason = f"is not valid YAML: {cli._single_line(exc)}"
+        except RecursionError:
+            reason = "is nested too deeply to be read"
+        else:
+            pytest.fail("PyYAML reads the text")
         bad = tmp_path / "bad.yaml"
         bad.write_text(text, encoding="utf-8")
         out = tmp_path / "out"
         assert cli.main(["poling", option, str(bad), "--out", str(out)]) == 3
-        assert capsys.readouterr().err.splitlines() == [
-            f"error[validity]: {what} is not valid YAML: "
-            f"{cli._single_line(info.value)}"]
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error[validity]: {what} {reason}"]
+        assert captured.out == ""
         assert not out.exists()
 
 
@@ -700,7 +710,31 @@ class TestCgvmCommand:
         assert result.returncode == 4, result.stderr
         [line] = result.stderr.splitlines()
         assert line.startswith("error[solver]: ") and message in line, line
+        assert result.stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, args, unwritable, kind, code", [
+        ("cgvm", ("--target-um", "5.0"), False, "domain", 3),
+        ("cgvm", ("--target-um", "1.55"), True, "io", 5),
+        ("poling", (), True, "io", 5),
+    ], ids=["cgvm_target_outside_range", "cgvm_unwritable_out",
+            "poling_unwritable_out"])
+    def test_failure_after_the_solve_prints_no_result(
+            self, workdir, tmp_path, capsys, command, args, unwritable, kind,
+            code):
+        # the result lines go to stdout only once every solve and the
+        # write have succeeded; an --out below a file cannot be made
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out" if unwritable else tmp_path / "out"
+        design = (("--pump-axis", "e", "--signal-axis", "o") if command == "cgvm"
+                  else ("--config", str(workdir / "matched.yaml")))
+        assert cli.main([command, *design, *args, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error[{kind}]: "), line
+        assert not out.exists() and not (tmp_path / "out").exists()
 
     def test_bracket_reaching_the_range_bound_solves(self, workdir):
         # at a 1.0 µm bracket end the pump's k′ is taken at the 0.5 µm bound
@@ -834,6 +868,23 @@ class TestModesCommand:
                          "--grid-n", "128", cwd=workdir)
         assert result.returncode == 3, result.stderr
         assert result.stderr.startswith("error[domain]:")
+
+    def test_too_many_modes_is_refused_before_the_decomposition(
+            self, workdir, tmp_path, capsys, monkeypatch):
+        # the kernel is n × n, so its rank is the grid's points per axis
+        def refuse(*args):
+            raise AssertionError("the JSA pipeline ran")
+        for name in ("compute_jsa", "schmidt_decompose"):
+            monkeypatch.setattr(p.jsa, name, refuse)
+        out = tmp_path / "out"
+        assert cli.main(["modes", "--config", str(workdir / "matched.yaml"),
+                         "--modes", "129", "--grid-n", "128",
+                         "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error[domain]: requested 129 modes but the decomposition has "
+            "rank 128"]
+        assert captured.out == "" and not out.exists()
 
 
 class TestSqueezeAndScan:

@@ -1,5 +1,8 @@
-"""Frozen records: the design chain's records behave as frozen keyword-only
-dataclasses."""
+"""Frozen records: every record a caller builds behaves as a frozen
+keyword-only dataclass, and none is one."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,13 @@ RECORD_FIELDS = {
     GridSettings: ("points_per_axis", "detuning_extent_thz"),
     OutputSettings: ("directory", "format", "precision"),
     RunConfig: ("crystal_file", "pdc", "pump", "grid", "output"),
+    p.PumpPulse: ("wavelength_um", "bandwidth_fwhm_nm", "mean_power_w",
+                  "rep_rate_hz"),
+    p.FrequencyGrid: ("n", "omega_max_rad_s"),
+    p.SqueezingResult: ("eta_jsa", "eta_pdc_per_w", "p_peak_w", "tau_p_s",
+                        "waist_m", "gain_pb", "r", "s_db", "schmidt_number",
+                        "mean_photons", "pump_photons_per_pulse",
+                        "beyond_validity"),
 }
 
 
@@ -38,6 +48,30 @@ def _pump_settings():
 @pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
 def test_constructor_takes_the_fields_in_order(cls):
     assert cls.__match_args__ == RECORD_FIELDS[cls]
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_record_is_no_dataclass(cls):
+    assert issubclass(cls, Record)
+    assert not hasattr(cls, "__dataclass_fields__")
+
+
+def test_only_the_jsa_layer_imports_dataclasses():
+    # JsaGrid and SchmidtDecomposition stay dataclasses, because
+    # perfbench/spans.py counts their arrays through __dataclass_fields__;
+    # a record added to any other module is a Record
+    importers = set()
+    for path in sorted(Path(p.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.add(path.name)
+    assert importers == {"jsa.py"}
 
 
 def test_defaults_are_filled_and_stay_class_attributes():
@@ -76,6 +110,20 @@ def test_assignment_and_deletion_are_refused(matched_config, record):
     with pytest.raises(FrozenInstanceError, match="cannot delete field 'pump_axis'"):
         del value.pump_axis
     assert issubclass(FrozenInstanceError, AttributeError)
+
+
+def test_pump_pulse_is_frozen_and_replaced_anew(pump775):
+    with pytest.raises(FrozenInstanceError,
+                       match="cannot assign to field 'mean_power_w'"):
+        pump775.mean_power_w = 1.0
+    assert pump775.mean_power_w == 12e-3
+    assert pump775.replace(mean_power_w=1.0).mean_power_w == 1.0
+    with pytest.raises(p.ValidationError, match="pump mean_power_w must be > 0"):
+        pump775.replace(mean_power_w=-1.0)
+    # the repr and hash a frozen dataclass with these fields gives
+    assert repr(pump775) == ("PumpPulse(wavelength_um=0.775, bandwidth_fwhm_nm="
+                             "4.0, mean_power_w=0.012, rep_rate_hz=100000000.0)")
+    assert hash(pump775) == hash((0.775, 4.0, 12e-3, 1e8))
 
 
 def test_equality_and_hash_follow_the_compared_fields(matched_config):

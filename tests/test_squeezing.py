@@ -3,7 +3,6 @@
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ class TestPulseDuration:
         assert_within(p.pulse_duration(pump775), 221e-15, 0.01, "τ_p at 775 nm")
 
     def test_inverse_proportional_to_bandwidth(self, pump775):
-        halved = replace(pump775, bandwidth_fwhm_nm=2.0)
+        halved = pump775.replace(bandwidth_fwhm_nm=2.0)
         assert p.pulse_duration(halved) == 2 * p.pulse_duration(pump775)
 
 
@@ -41,7 +40,7 @@ class TestPeakPower:
         assert energy == pytest.approx(0.12e-9, rel=1e-12)
 
     def test_doubling_rep_rate_halves_peak_power(self, pump775):
-        doubled = replace(pump775, rep_rate_hz=2e8)
+        doubled = pump775.replace(rep_rate_hz=2e8)
         assert p.peak_power(doubled) == p.peak_power(pump775) / 2
 
 
@@ -100,7 +99,7 @@ class TestSqueezingSpectrum:
 
     def test_quadrupling_power_doubles_squeezing(self, matched_config, pump775,
                                                  matched_squeezing):
-        strong = replace(pump775, mean_power_w=4 * pump775.mean_power_w)
+        strong = pump775.replace(mean_power_w=4 * pump775.mean_power_w)
         boosted = p.squeezing_spectrum(matched_config, strong)
         assert np.array_equal(boosted.r, 2 * matched_squeezing.r)
         assert np.array_equal(boosted.s_db, 2 * matched_squeezing.s_db)
@@ -127,7 +126,7 @@ class TestSqueezingSpectrum:
                                           matched_squeezing):
         assert matched_squeezing.beyond_validity == bool(matched_squeezing.s_db[0] > 12.0)
         assert not matched_squeezing.beyond_validity
-        strong = replace(pump775, mean_power_w=48e-3)
+        strong = pump775.replace(mean_power_w=48e-3)
         boosted = p.squeezing_spectrum(matched_config, strong)
         assert boosted.s_db[0] > 12.0
         assert boosted.beyond_validity
@@ -149,12 +148,12 @@ class TestSqueezingSpectrum:
         # found by fuzzing the constructors: f_R·τ_p underflowed to 0, and
         # the peak power was a ZeroDivisionError
         with pytest.raises(p.DomainError, match="duty cycle f_R·τ_p that underflows"):
-            p.peak_power(replace(pump740, rep_rate_hz=5e-324))
+            p.peak_power(pump740.replace(rep_rate_hz=5e-324))
 
     def test_overflowing_photon_number_is_domain_error(self, matched_config,
                                                        pump775):
         # 1 kW mean power: r₀ ≈ 390, and sinh²r₀ is beyond the float range
-        kilowatt = replace(pump775, mean_power_w=1e3)
+        kilowatt = pump775.replace(mean_power_w=1e3)
         grid = p.default_grid(matched_config, kilowatt, n=64)
         with pytest.raises(p.DomainError, match="r₀ = .*S₀ = "):
             p.squeezing_spectrum(matched_config, kilowatt, grid=grid)
