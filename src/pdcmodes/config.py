@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from ._record import Record
 from .constants import DEFAULT_GRID_POINTS
-from .dispersion import (CrystalModel, _load_yaml, _number, _read_utf8,
+from .dispersion import (CrystalModel, _load_yaml, _number, _read_utf8, _text,
                          load_bundled_crystal, load_crystal_file)
 from .errors import ValidationError
 from .phasematch import PdcConfig, _pdc_type
@@ -136,10 +136,7 @@ class OutputSettings(Record):
                 or not 1 <= precision <= 17:
             raise ValidationError(
                 f"output: precision must be an integer in [1, 17], got {precision!r}")
-        directory = doc.get("directory", cls.directory)
-        if not isinstance(directory, str):
-            raise ValidationError(
-                f"output: directory must be text, got {directory!r}")
+        directory = _text(doc.get("directory", cls.directory), "output: directory")
         return cls(directory=directory, format=fmt, precision=precision)
 
 

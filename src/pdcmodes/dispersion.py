@@ -108,6 +108,14 @@ def _number(value, context: str) -> float:
     return number
 
 
+def _text(value, context: str) -> str:
+    """``value`` if it is text; anything else is a ValidationError naming
+    ``context``."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{context} must be text, got {value!r}")
+    return value
+
+
 def _coefficient_list(value, context: str) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"{context} must be a list of numbers, got {value!r}")
@@ -354,7 +362,7 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
     if missing:
         raise ValidationError(f"crystal file: missing key(s) {missing}")
 
-    name = str(doc["name"])
+    name = _text(doc["name"], "crystal file: name")
     crystal_class = str(doc["class"])
     if crystal_class == "uniaxial":
         allowed_axes = UNIAXIAL_AXES
@@ -424,7 +432,7 @@ def load_crystal(data: str | Mapping) -> CrystalModel:
         temperature_model=t_model,
         d_eff_pm_per_v=d_eff,
         valid_range_um=(lo, hi),
-        provenance=str(doc["provenance"]),
+        provenance=_text(doc["provenance"], "crystal file: provenance"),
     )
     _validate_physical(model)
     return model

@@ -201,16 +201,17 @@ def walkoff_time(config: PdcConfig) -> float:
     return (kp1 - ks1) * config.length_m / 2.0
 
 
-def _brentq(f, a: float, b: float, xtol: float,
-            maxiter: int = _BRENT_MAXITER) -> float:
-    """Root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+def _brentq(f, a: float, fa: float, b: float, fb: float,
+            xtol: float) -> tuple[float, float]:
+    """(root, f(root)) for ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     The step-for-step iteration of the reference C implementation of
     ``brentq``: the same bracket swap, secant and inverse quadratic steps,
     stopping test |x − root| ≲ xtol + 4ε·|x| and defaults, so it returns
     the same root bit for bit (the test suite checks this against that
-    implementation). ``f(a)`` and ``f(b)`` must differ in sign. Raises
-    :class:`SolverError` when ``f`` returns NaN or after ``maxiter``
+    implementation). The caller passes ``fa = f(a)`` and ``fb = f(b)``,
+    which its own bracket check has evaluated: ``fa·fb < 0``. Raises
+    :class:`SolverError` when ``f`` returns NaN or after ``_BRENT_MAXITER``
     iterations without convergence.
     """
     def call(x):
@@ -219,16 +220,9 @@ def _brentq(f, a: float, b: float, xtol: float,
             raise SolverError(f"root search hit a NaN function value at x = {x!r}")
         return fx
 
-    xpre, xcur = float(a), float(b)
+    xpre, xcur, fpre, fcur = float(a), float(b), float(fa), float(fb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise SolverError(f"f({xpre!r}) and f({xcur!r}) have the same sign")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -238,7 +232,7 @@ def _brentq(f, a: float, b: float, xtol: float,
         delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # secant interpolation
@@ -262,7 +256,7 @@ def _brentq(f, a: float, b: float, xtol: float,
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise SolverError(
-        f"root search did not converge in {maxiter} iterations (last x = {xcur!r})")
+        f"root search did not converge in {_BRENT_MAXITER} iterations (last x = {xcur!r})")
 
 
 def _group_index_gap(crystal: CrystalModel, pump_axis: str, signal_axis: str,
@@ -290,14 +284,13 @@ def solve_cgvm(crystal: CrystalModel, pump_axis: str, signal_axis: str,
             f"no cGVM point: group-index gap does not change sign over "
             f"[{a:g}, {b:g}] µm at {temperature_c:g} °C "
             f"(gap {ga:.3e} → {gb:.3e})")
-    lam = _brentq(
+    lam, gap = _brentq(
         lambda l: _group_index_gap(crystal, pump_axis, signal_axis, l, temperature_c),
-        a, b, xtol=_CGVM_XTOL_UM)
-    gap = _group_index_gap(crystal, pump_axis, signal_axis, lam, temperature_c)
+        a, ga, b, gb, xtol=_CGVM_XTOL_UM)
     if abs(gap) > _CGVM_GTOL:
         raise SolverError(
             f"cGVM refinement did not converge: |Δm| = {abs(gap):.3e} at {lam:g} µm")
-    return float(lam)
+    return lam
 
 
 def solve_cgvm_temperature(crystal: CrystalModel, pump_axis: str,
@@ -325,5 +318,4 @@ def solve_cgvm_temperature(crystal: CrystalModel, pump_axis: str,
         raise SolverError(
             f"cGVM wavelength {target_um:g} µm unreachable over "
             f"[{a:g}, {b:g}] °C (offset {ga:.3e} → {gb:.3e} µm)")
-    t_c = _brentq(gap, a, b, xtol=_TEMP_XTOL_C)
-    return float(t_c)
+    return _brentq(gap, a, ga, b, gb, xtol=_TEMP_XTOL_C)[0]

@@ -230,10 +230,10 @@ def double_gaussian_analytics(r_ratio):
     return k, eta
 
 
-def eager_modes(kernel, grid):
+def eager_modes(u, grid):
     """SchmidtDecomposition.modes as schmidt_decompose computed it before
-    the modes were made on read: U scaled and signed in place."""
-    u = np.linalg.svd(kernel)[0]
+    the modes were made on read: a copy of its U scaled and signed in place."""
+    u = u.copy()
     u /= math.sqrt(grid.step_rad_s / (2.0 * math.pi))
     modes = u.T
     peak = np.argmax(np.abs(modes, out=np.empty(modes.shape)), axis=1)

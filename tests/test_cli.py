@@ -1325,7 +1325,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("old, bad", [
         ('"a1": 5.653', '"a1": 5.653, 1: 2.0'),
         ('"a3": 0.2091', '"a3": 1.0e+200'),
-    ], ids=["integer_key", "overflowing_coefficient"])
+        ('"name": "MgO:LN-5pct"', '"name": ["a", {"b": 1}]'),
+    ], ids=["integer_key", "overflowing_coefficient", "list_name"])
     def test_malformed_crystal_coefficients_are_validity_errors(
             self, workdir, tmp_path, old, bad):
         crystal = p.bundled_crystal_path().read_text(encoding="utf-8")
@@ -1338,6 +1339,7 @@ class TestErrorPaths:
         assert result.returncode == 3, result.stderr
         assert len(result.stderr.splitlines()) == 1, result.stderr
         assert result.stderr.startswith("error[validity]:"), result.stderr
+        assert result.stdout == ""
         assert not out.exists()
 
     def test_high_temperature_overflow_is_domain_error(self, workdir, tmp_path):

@@ -619,11 +619,18 @@ class TestLoadCrystal:
         ('"a1": 5.653', '"a1": null'),
         ('"valid_range_um": [0.5, 4.0]', '"valid_range_um": [true, 4.0]'),
         ('"d_eff_pm_per_V": 4.64', '"d_eff_pm_per_V": true'),
-    ], ids=["text_coefficient", "null_coefficient", "bool_range", "bool_d_eff"])
+        # the name and provenance are text, not what str() makes of a value
+        ('"name": "MgO:LN-5pct"', '"name": ["a", {"b": 1}]'),
+        ('"name": "MgO:LN-5pct"', '"name": 1e5'),
+        # JSON keeps the last value of a key given twice
+        ('"sellmeier": {', '"provenance": {"b": 1}, "sellmeier": {'),
+    ], ids=["text_coefficient", "null_coefficient", "bool_range", "bool_d_eff",
+            "list_name", "number_name", "mapping_provenance"])
     def test_malformed_number_rejected(self, old, bad):
         text = p.bundled_crystal_path().read_text(encoding="utf-8")
         assert old in text
-        with pytest.raises(p.ValidationError, match=bad.split(":")[0].strip('"')):
+        key = bad.split(":")[0].strip('"')
+        with pytest.raises(p.ValidationError, match=f"{key} must be"):
             p.load_crystal(text.replace(old, bad, 1))
 
     def test_numeric_text_is_a_number(self):

@@ -14,6 +14,7 @@ from scipy.optimize import brentq
 
 import pdcmodes as p
 from pdcmodes._record import FrozenInstanceError
+from pdcmodes import phasematch
 from pdcmodes.dispersion import GayerTwoPole, _k_terms, k_double_prime, k_prime
 from pdcmodes.phasematch import (_CGVM_XTOL_UM, _TEMP_XTOL_C, _brentq,
                                  _group_index_gap, _pdc_type)
@@ -430,6 +431,27 @@ class TestSolveCgvmTemperature:
         assert calls["_terms"] == calls["group_index"]
 
 
+@pytest.mark.parametrize("solve, evaluations", [
+    (lambda crystal: p.solve_cgvm(crystal, "e", "o", 11.0, (1.2, 2.0)), 9),
+    (lambda crystal: p.solve_cgvm(crystal, "e", "o", ROOM_T_C, (1.2, 2.0)), 9),
+    (lambda crystal: p.solve_cgvm_temperature(crystal, "e", "o", 1.55,
+                                              (-20.0, 60.0)), 62),
+], ids=["cgvm_11C", "cgvm_room_temperature", "target_1.55um"])
+def test_no_gap_point_is_evaluated_twice(crystal, monkeypatch, solve, evaluations):
+    # Brent takes the bracket values its caller computed and returns the
+    # residual at its root, so each (λ, T) is evaluated once
+    points = []
+
+    def recorded(crystal, pump_axis, signal_axis, lam_um, temperature_c):
+        points.append((lam_um, temperature_c))
+        return _group_index_gap(crystal, pump_axis, signal_axis, lam_um,
+                                temperature_c)
+
+    monkeypatch.setattr(phasematch, "_group_index_gap", recorded)
+    solve(crystal)
+    assert len(set(points)) == len(points) == evaluations
+
+
 class TestBrentSolver:
     """The in-package Brent solver against scipy's ``brentq`` as an oracle:
     the same iteration must give the same root, bit for bit."""
@@ -439,8 +461,10 @@ class TestBrentSolver:
         def gap(lam):
             return _group_index_gap(crystal, "e", "o", lam, t_c)
 
-        ours = _brentq(gap, 1.2, 2.0, xtol=_CGVM_XTOL_UM)
+        ours, residual = _brentq(gap, 1.2, gap(1.2), 2.0, gap(2.0),
+                                 xtol=_CGVM_XTOL_UM)
         assert ours == brentq(gap, 1.2, 2.0, xtol=_CGVM_XTOL_UM)
+        assert residual == gap(ours)
         assert ours == p.solve_cgvm(crystal, "e", "o", t_c, (1.2, 2.0))
 
     def test_temperature_root_equals_reference(self, crystal):
@@ -451,8 +475,10 @@ class TestBrentSolver:
             return p.solve_cgvm(crystal, "e", "o", t_c,
                                 (0.75 * target, 1.25 * target)) - target
 
-        ours = _brentq(gap, -20.0, 60.0, xtol=_TEMP_XTOL_C)
+        ours, residual = _brentq(gap, -20.0, gap(-20.0), 60.0, gap(60.0),
+                                 xtol=_TEMP_XTOL_C)
         assert ours == brentq(gap, -20.0, 60.0, xtol=_TEMP_XTOL_C)
+        assert residual == gap(ours)
         assert ours == p.solve_cgvm_temperature(crystal, "e", "o", target,
                                                 (-20.0, 60.0))
 
@@ -475,14 +501,16 @@ class TestBrentSolver:
                            + growth * math.expm1(u))
 
         a, b = root - left, root + right
-        assert _brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+        ours, residual = _brentq(f, a, f(a), b, f(b), xtol=xtol)
+        assert ours == brentq(f, a, b, xtol=xtol)
+        assert residual == f(ours)
 
-    def test_iteration_cap_is_solver_error(self):
-        with pytest.raises(p.SolverError, match="did not converge"):
-            _brentq(lambda x: math.atan(x - 0.3), 0.0, 1.0, xtol=1e-12,
-                    maxiter=3)
+    def test_iteration_cap_is_solver_error(self, monkeypatch):
+        monkeypatch.setattr(phasematch, "_BRENT_MAXITER", 3)
+        with pytest.raises(p.SolverError, match="did not converge in 3 iterations"):
+            _brentq(lambda x: math.atan(x - 0.3), 0.0, math.atan(-0.3),
+                    1.0, math.atan(0.7), xtol=1e-12)
 
     def test_nan_gap_is_solver_error(self):
         with pytest.raises(p.SolverError, match="NaN"):
-            _brentq(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
-                    0.0, 1.0, xtol=1e-12)
+            _brentq(lambda x: math.nan, 0.0, -0.5, 1.0, 0.5, xtol=1e-12)
